@@ -68,6 +68,17 @@ def _resolve_cap(args) -> int:
         raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+def _int_at_least(low):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _parse_code(args) -> ChainCode:
     return ChainCode.parse(args.code, n=getattr(args, "n", None))
 
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extrema", help="exhaustive min/max Kirchhoff classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.add_argument("--approx", action="store_true")
     add_format(p)
     p.set_defaults(handler=_cmd_extrema)
@@ -351,22 +362,22 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     p = vsub.add_parser("lemma4", help="bridge-swap Kirchhoff difference identity")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-vertices", type=int, default=8)
+    p.add_argument("--max-vertices", type=_int_at_least(2), default=8)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma4)
 
     p = vsub.add_parser("lemma5", help="terminal-resistance inequalities, square-first chain")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=5, help="random weight assignments")
+    p.add_argument("--samples", type=_int_at_least(0), default=5, help="random weight assignments")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma5)
 
     p = vsub.add_parser("lemma6", help="first-hexagon terminal inequalities on chains")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma6)
@@ -374,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("theorem1", help="all minimizers are all-kink")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_theorem1)
 
     p = vsub.add_parser("conjecture", help="exact extremal classes by exhaustive search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_conjecture)
 

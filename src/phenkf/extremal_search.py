@@ -25,8 +25,8 @@ from .resistance_engine import (
     ResistanceNetwork,
     grounded_resistances,
     kirchhoff_index,
-    resistance_matrix,
     resistance_sum,
+    resistance_sums,
     simplify_chain_circuit,
 )
 from .st_isomer import STPair, lemma4_delta, make_st_pair
@@ -86,17 +86,14 @@ class KfReport:
 def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     """Exact Kirchhoff index of the chain built from `code`.
 
-    With `with_sums`, per-vertex resistance sums are included, computed from
-    the full resistance matrix (an independent route from the grounded solve
-    behind the Kirchhoff index itself).
+    With `with_sums`, per-vertex resistance sums are included.  They come
+    from the same grounded factorization as the Kirchhoff index itself, so
+    they are not an independent check of it.
     """
     chain = build_chain(code)
     net = chain.network
     kf = kirchhoff_index(net)
-    sums = None
-    if with_sums:
-        matrix = resistance_matrix(net)
-        sums = {v: matrix.row_sum(v) for v in matrix.order}
+    sums = resistance_sums(net) if with_sums else None
     return KfReport(code, code.canonical(), kf, net.num_vertices, net.num_edges, sums)
 
 
@@ -144,12 +141,23 @@ class ExtremaTable:
 
 
 def check_cap(n: int, cap: int):
-    total = 3 ** max(n - 2, 0)
-    if total > cap:
-        raise SearchCapExceeded(
-            f"n={n} needs {total} codes but the cap is {cap}; raise it (--cap or the "
-            f"PHENKF_MAX_CODES environment variable) to search this size exhaustively")
-    return total
+    """The number of codes with n hexagons, 3^(n-2), if it is at most `cap`.
+
+    Otherwise SearchCapExceeded is raised.  The power is computed only for
+    e = n - 2 <= cap.bit_length(); past that, 3^e > 2^e > cap, so a huge n
+    is refused at once.
+    """
+    exponent = max(n - 2, 0)
+    if exponent > cap.bit_length():
+        count = f"3^{exponent}"
+    else:
+        total = 3 ** exponent
+        if total <= cap:
+            return total
+        count = str(total)
+    raise SearchCapExceeded(
+        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap or the "
+        f"PHENKF_MAX_CODES environment variable) to search this size exhaustively")
 
 
 def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1, with_sums=False) -> ExtremaTable:

@@ -1,21 +1,22 @@
 """Weighted resistance networks with exact reduction steps and exact solvers.
 
 A network is an undirected multigraph whose edges carry positive rational
-resistances.  Two independent computation routes are kept deliberately
+resistances.  Independent computation routes are kept deliberately
 separate so they can cross-check each other:
 
 * local circuit reductions (series, parallel, delta-wye, star-mesh) that
   transform the network while preserving effective resistances among the
   surviving vertices, with a replayable trace;
-* Laplacian solvers (rational Gaussian elimination, and fraction-free
-  Gauss-Jordan over scaled integer matrices) that compute effective
-  resistances, per-vertex resistance sums, resistance matrices, and the
-  Kirchhoff index directly.
+* one exact sparse factorization K = L D L^T of the grounded Laplacian, in
+  reverse Cuthill-McKee order, from which the Kirchhoff index, grounded
+  resistances, per-vertex resistance sums and the resistance matrix are
+  all derived (solves, and selected inversion by the Takahashi recurrence);
+* dense rational Gaussian elimination behind `effective_resistance`, the
+  oracle the factorization is tested against.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import lcm
 from typing import NamedTuple
 
 from .exact_arith import Rational, format_rational, parse_rational
@@ -431,6 +432,15 @@ def reduce_series_parallel(net: ResistanceNetwork, keep=(), trace=None) -> Resis
 # exact linear algebra
 
 
+def _conductance_graph(net: ResistanceNetwork) -> dict:
+    """Vertex -> {neighbor: conductance}, parallel edges summed."""
+    graph = {v: {} for v in net.vertices}
+    for e in net.edges:
+        c = graph[e.u].get(e.v, 0) + 1 / e.r
+        graph[e.u][e.v] = graph[e.v][e.u] = c
+    return graph
+
+
 def _gauss_solve(rows, rhs_list):
     """Solve A x = b over the rationals for each b, with partial pivoting.
 
@@ -469,123 +479,133 @@ def _gauss_solve(rows, rhs_list):
     return solutions
 
 
-def _ffgj_adjugate(rows):
-    """Adjugate and determinant of an integer matrix, fraction-free.
+def _rcm_order(graph: dict) -> list:
+    """Reverse Cuthill-McKee order of a connected graph's vertices.
 
-    One-step Gauss-Jordan (Bareiss-style): every intermediate entry is an
-    integer, each update divides exactly by the previous pivot, and the
-    inverse is adjugate/determinant.  Divisions are checked; a nonzero
-    remainder would mean corrupted input and raises ArithmeticError.
+    Breadth-first search visits each vertex's unvisited neighbors by
+    increasing degree (ties by vertex_key).  It starts from a far vertex:
+    the last one reached by a first search from the least vertex.  On a
+    chain that is an end of the chain and the order runs along it, so the
+    bandwidth stays a small constant.
     """
-    n = len(rows)
-    m = [list(row) + [0] * n for row in rows]
-    for i in range(n):
-        m[i][n + i] = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    # swap plus negation keeps the determinant unchanged
-                    m[k], m[r] = m[r], [-x for x in m[k]]
-                    break
-            else:
-                raise ZeroDivisionError("singular matrix")
-        piv = m[k][k]
-        row_k = m[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = m[i]
-            f = row_i[k]
-            for j in range(2 * n):
-                if j == k:
-                    continue
-                q, rem = divmod(piv * row_i[j] - f * row_k[j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination: inexact division")
-                row_i[j] = q
-            row_i[k] = 0
-        prev = piv
-    det = m[n - 1][n - 1]
-    adj = [m[i][n:] for i in range(n)]
-    return adj, det
+    def bfs(start):
+        order = [start]
+        seen = {start}
+        for v in order:
+            fresh = sorted((w for w in graph[v] if w not in seen),
+                           key=lambda w: (len(graph[w]), vertex_key(w)))
+            seen.update(fresh)
+            order.extend(fresh)
+        return order
+
+    return bfs(bfs(min(graph, key=vertex_key))[-1])[::-1]
 
 
-def _scaled_laplacian(net: ResistanceNetwork, drop=None):
-    """Integer-scaled conductance Laplacian.
+class _GroundedFactor:
+    """Exact K = L D L^T of the grounded Laplacian K of a connected network.
 
-    Returns (order, rows, scale): rows is the Laplacian restricted to the
-    vertices in `order` (all vertices except `drop`), times `scale`.
+    K is the conductance Laplacian with the ground vertex's row and column
+    deleted.  The other vertices are eliminated in reverse Cuthill-McKee
+    order over sparse rows; eliminating p is a star-mesh step on the Schur
+    complement: each pair q, s of p's remaining neighbors gains conductance
+    c_qp c_sp / D_p.  K is positive definite, so every pivot D_p must be
+    positive; a pivot that is not raises ArithmeticError.
+
+    `cols[p]` lists (q, l_qp) for the later neighbors q of p, with
+    l_qp = c_qp / D_p = -L_qp.  Without a given ground the last vertex of
+    the order, the far end of the breadth-first search, is grounded.
     """
-    conductance = defaultdict(lambda: Rational(0))
-    for e in net.edges:
-        conductance[(e.u, e.v)] += 1 / e.r
-    scale = 1
-    for c in conductance.values():
-        scale = lcm(scale, c.denominator)
-    order = [v for v in net.vertices if v != drop]
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows = [[0] * n for _ in range(n)]
-    for (u, v), c in conductance.items():
-        w = int(c * scale)
-        iu = index.get(u)
-        iv = index.get(v)
-        if iu is not None:
-            rows[iu][iu] += w
-        if iv is not None:
-            rows[iv][iv] += w
-        if iu is not None and iv is not None:
-            rows[iu][iv] -= w
-            rows[iv][iu] -= w
-    return order, rows, scale
 
+    def __init__(self, net: ResistanceNetwork, ground=None):
+        if ground is not None:
+            net.require_vertex(ground)
+        if not net.is_connected():
+            raise ConnectivityError("network is not connected")
+        graph = _conductance_graph(net)
+        order = _rcm_order(graph)
+        if ground is None:
+            ground = order[-1]
+        order.remove(ground)
+        pos = {v: p for p, v in enumerate(order)}
+        diag = [sum(graph[v].values()) for v in order]
+        rows = [{pos[w]: c for w, c in graph[v].items() if w != ground} for v in order]
+        self.pos = pos
+        self.pivots = diag
+        self.cols = []
+        for p, row in enumerate(rows):
+            d = diag[p]
+            if d <= 0:
+                raise ArithmeticError(f"non-positive pivot {d} at {order[p]!r}")
+            col = [(q, c / d) for q, c in row.items()]
+            for i, (q, l_q) in enumerate(col):
+                row_q = rows[q]
+                del row_q[p]
+                diag[q] -= l_q * row[q]
+                for s, _ in col[i + 1:]:
+                    c = row_q.get(s, 0) + l_q * row[s]
+                    row_q[s] = rows[s][q] = c
+            self.cols.append(col)
 
-def _grounded_adjugate(net: ResistanceNetwork, ground):
-    net.require_vertex(ground)
-    if not net.is_connected():
-        raise ConnectivityError("network is not connected")
-    order, rows, scale = _scaled_laplacian(net, drop=ground)
-    adj, det = _ffgj_adjugate(rows)
-    return order, adj, det, scale
+    def solve(self, rhs) -> list:
+        """x = K^-1 rhs, with vectors indexed by elimination position."""
+        x = list(rhs)
+        for p, col in enumerate(self.cols):
+            if x[p]:
+                for q, l_q in col:
+                    x[q] += l_q * x[p]
+        for p in range(len(x) - 1, -1, -1):
+            x[p] = x[p] / self.pivots[p] + sum(l_q * x[q] for q, l_q in self.cols[p])
+        return x
+
+    def inverse(self, full=False) -> list:
+        """Entries of Z = K^-1 by the Takahashi recurrence, last column first.
+
+        Z_qp = sum over (s, l_sp) in cols[p] of Z_qs l_sp for q > p, and
+        Z_pp = 1/D_p + sum of l_qp Z_qp.  The recurrence only reads Z on the
+        filled pattern (the later neighbors of p form a clique once p is
+        eliminated), so by default only those entries are computed, in
+        O(V b^2) for bandwidth b; `full` computes all of Z, in O(V^2 b).
+        Returns z with z[p][q] = Z_pq, symmetric, diagonal included.
+        """
+        m = len(self.cols)
+        z = [{} for _ in range(m)]
+        for p in range(m - 1, -1, -1):
+            col = self.cols[p]
+            z_p = z[p]
+            for q in (range(p + 1, m) if full else (q for q, _ in col)):
+                z_q = z[q]
+                z_p[q] = z_q[p] = sum(z_q[s] * l_s for s, l_s in col)
+            z_p[p] = 1 / self.pivots[p] + sum(l_q * z_p[q] for q, l_q in col)
+        return z
 
 
 def grounded_resistances(net: ResistanceNetwork, ground, targets=None) -> dict:
-    """Effective resistances from `ground` to other vertices, in one solve.
+    """Effective resistances from `ground` to other vertices, in one factorization.
 
-    With `targets=None`, returns r(ground, v) for every other vertex via the
-    fraction-free route: with the grounded Laplacian K = L_scaled (ground row
-    and column deleted), r(ground, v) = scale * adj(K)[v][v] / det(K).
-
-    With an explicit iterable of `targets`, solves K phi = e_t for just those
-    right-hand sides instead of forming the full adjugate, which is much
-    cheaper when only a few resistances are needed.
+    With the grounded Laplacian K (ground row and column deleted),
+    r(ground, v) = (K^-1)_vv.  With `targets=None`, returns r(ground, v) for
+    every other vertex from the Takahashi diagonal of K^-1.  With an
+    explicit iterable of `targets`, solves K phi = e_t for just those.
     """
     if net.num_vertices == 1:
         net.require_vertex(ground)
         if targets is not None and list(targets):
             raise NetworkError("no targets exist in a single-vertex network")
         return {}
+    factor = _GroundedFactor(net, ground)
+    pos = factor.pos
     if targets is None:
-        order, adj, det, scale = _grounded_adjugate(net, ground)
-        return {v: Rational(scale * adj[i][i], det) for i, v in enumerate(order)}
-    net.require_vertex(ground)
-    if not net.is_connected():
-        raise ConnectivityError("network is not connected")
-    order, rows, scale = _scaled_laplacian(net, drop=ground)
-    index = {v: i for i, v in enumerate(order)}
-    wanted = list(targets)
-    rhs = []
-    for t in wanted:
+        z = factor.inverse()
+        return {v: z[pos[v]][pos[v]] for v in net.vertices if v != ground}
+    out = {}
+    for t in targets:
         net.require_vertex(t)
         if t == ground:
             raise NetworkError("target coincides with the ground vertex")
-        e = [0] * len(order)
-        e[index[t]] = 1
-        rhs.append(e)
-    sols = _gauss_solve(rows, rhs)
-    return {t: sols[k][index[t]] * scale for k, t in enumerate(wanted)}
+        unit = [0] * len(pos)
+        unit[pos[t]] = 1
+        out[t] = factor.solve(unit)[pos[t]]
+    return out
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:
@@ -593,29 +613,51 @@ def resistance_sum(net: ResistanceNetwork, x) -> Rational:
     return sum(grounded_resistances(net, x).values(), Rational(0))
 
 
-def kirchhoff_index(net: ResistanceNetwork) -> Rational:
-    """Sum of effective resistances over unordered vertex pairs.
+def resistance_sums(net: ResistanceNetwork) -> dict:
+    """Per-vertex sums of effective resistances to every other vertex.
 
-    Grounding any vertex, Kf = N * trace(G) - ones^T G ones where
-    G = scale * adj(K) / det(K) is the inverse grounded Laplacian.
+    With G = K^-1 grounded at g and extended by zeros at g,
+    r(u, v) = G_uu + G_vv - 2 G_uv, so the sum at u is
+    N G_uu + tr(G) - 2 (G 1)_u: one selected inversion and one solve.
+    """
+    n = net.num_vertices
+    if n <= 1:
+        return {v: Rational(0) for v in net.vertices}
+    factor = _GroundedFactor(net)
+    z = factor.inverse()
+    row = factor.solve([1] * (n - 1))
+    trace = sum(z[p][p] for p in range(n - 1))
+    out = {}
+    for v in net.vertices:
+        p = factor.pos.get(v)
+        out[v] = trace if p is None else n * z[p][p] + trace - 2 * row[p]
+    return out
+
+
+def kirchhoff_index(net: ResistanceNetwork) -> Rational:
+    """Sum of effective resistances over unordered pairs of vertices.
+
+    Grounding any vertex, Kf = N * tr(K^-1) - 1^T K^-1 1: the trace from the
+    Takahashi diagonal, the quadratic form from one solve.
     """
     n = net.num_vertices
     if n == 0:
         raise NetworkError("empty network")
     if n == 1:
         return Rational(0)
-    _, adj, det, scale = _grounded_adjugate(net, net.vertices[0])
-    tr = sum(adj[i][i] for i in range(n - 1))
-    tot = sum(sum(row) for row in adj)
-    return Rational(scale * (n * tr - tot), det)
+    factor = _GroundedFactor(net)
+    z = factor.inverse()
+    trace = sum(z[p][p] for p in range(n - 1))
+    return n * trace - sum(factor.solve([1] * (n - 1)))
 
 
 def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
     """Effective resistance between u and v.
 
-    Independent of the reduction engine and of the fraction-free route: build
-    the conductance Laplacian over the rationals, ground v, solve K phi = e_u
-    by Gaussian elimination with largest-magnitude pivoting, and read phi(u).
+    Independent of the reduction engine and of the factorization behind the
+    other solvers: build the dense conductance Laplacian over the rationals,
+    ground v, solve K phi = e_u by Gaussian elimination with largest-magnitude
+    pivoting, and read phi(u).
     """
     net.require_vertex(u)
     net.require_vertex(v)
@@ -623,12 +665,20 @@ def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
         return Rational(0)
     if not net.is_connected():
         raise ConnectivityError("network is not connected")
-    order, rows, scale = _scaled_laplacian(net, drop=v)
+    graph = _conductance_graph(net)
+    order = [w for w in net.vertices if w != v]
     index = {w: i for i, w in enumerate(order)}
-    rhs = [Rational(0)] * len(order)
-    rhs[index[u]] = Rational(1)
-    phi = _gauss_solve(rows, [rhs])[0]
-    return phi[index[u]] * scale
+    rows = []
+    for w in order:
+        row = [0] * len(order)
+        row[index[w]] = sum(graph[w].values())
+        for x, c in graph[w].items():
+            if x != v:
+                row[index[x]] = -c
+        rows.append(row)
+    rhs = [0] * len(order)
+    rhs[index[u]] = 1
+    return _gauss_solve(rows, [rhs])[0][index[u]]
 
 
 @dataclass(frozen=True)
@@ -637,15 +687,16 @@ class ResistanceMatrix:
 
     order: tuple
     values: tuple  # tuple of tuples of Rational, aligned with `order`
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.order)})
 
     def resistance(self, u, v) -> Rational:
-        i = self.order.index(u)
-        j = self.order.index(v)
-        return self.values[i][j]
+        return self.values[self._index[u]][self._index[v]]
 
     def row_sum(self, u) -> Rational:
-        i = self.order.index(u)
-        return sum(self.values[i], Rational(0))
+        return sum(self.values[self._index[u]], Rational(0))
 
     def total(self) -> Rational:
         """Sum over unordered pairs (the Kirchhoff index)."""
@@ -659,28 +710,27 @@ class ResistanceMatrix:
 
 
 def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
-    """All pairwise effective resistances from one matrix inversion.
+    """All pairwise effective resistances from one factorization.
 
-    Inverts L + J/N (J the all-ones matrix) fraction-free after clearing
-    denominators; then r(u, v) = M_uu + M_vv - 2 M_uv.
+    The full Takahashi recurrence gives every entry of G = K^-1 (grounded,
+    extended by zeros at the ground); then r(u, v) = G_uu + G_vv - 2 G_uv.
     """
     if not net.is_connected():
         raise ConnectivityError("network is not connected")
     n = net.num_vertices
     if n == 1:
         return ResistanceMatrix(net.vertices, ((Rational(0),),))
-    order, rows, scale = _scaled_laplacian(net, drop=None)
-    # M = scale*n * inverse(n*L_scaled + scale*J)
-    lam = [[n * rows[i][j] + scale for j in range(n)] for i in range(n)]
-    adj, det = _ffgj_adjugate(lam)
-    values = []
+    factor = _GroundedFactor(net)
+    z = factor.inverse(full=True)
+    at = [factor.pos.get(v) for v in net.vertices]
+    diag = [Rational(0) if p is None else z[p][p] for p in at]
+    values = [[Rational(0)] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            num = scale * n * (adj[i][i] + adj[j][j] - adj[i][j] - adj[j][i])
-            row.append(Rational(num, det))
-        values.append(tuple(row))
-    return ResistanceMatrix(tuple(order), tuple(values))
+        z_i = z[at[i]] if at[i] is not None else None
+        for j in range(i + 1, n):
+            cross = 0 if z_i is None or at[j] is None else z_i[at[j]]
+            values[i][j] = values[j][i] = diag[i] + diag[j] - 2 * cross
+    return ResistanceMatrix(net.vertices, tuple(map(tuple, values)))
 
 
 # ---------------------------------------------------------------------------

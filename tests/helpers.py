@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from phenkf.resistance_engine import ResistanceNetwork
 
 
@@ -31,3 +33,30 @@ def random_network(rng, max_vertices: int = 12) -> ResistanceNetwork:
 def path_network(labels, weight=Fraction(1)) -> ResistanceNetwork:
     pairs = zip(labels, labels[1:])
     return ResistanceNetwork([(u, v, weight) for u, v in pairs])
+
+
+vertex_ids = st.one_of(st.integers(-3, 40), st.text("abxyz", min_size=1, max_size=2))
+weights = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def networks(draw, max_vertices=9):
+    """Connected weighted multigraphs over mixed int and str vertex ids.
+
+    A random tree on the first vertices, chords between any of them,
+    parallel copies of drawn edges, and a pendant path hanging off one tree
+    vertex through the remaining ones.
+    """
+    labels = draw(st.lists(vertex_ids, min_size=2, max_size=max_vertices, unique=True))
+    core = draw(st.integers(2, len(labels)))
+    edges = [(labels[draw(st.integers(0, v - 1))], labels[v], draw(weights))
+             for v in range(1, core)]
+    for _ in range(draw(st.integers(0, core))):
+        u, v = draw(st.lists(st.sampled_from(labels[:core]), min_size=2, max_size=2, unique=True))
+        edges.append((u, v, draw(weights)))
+    path = [draw(st.sampled_from(labels[:core])), *labels[core:]]
+    edges += [(u, v, draw(weights)) for u, v in zip(path, path[1:])]
+    for _ in range(draw(st.integers(0, 2))):
+        u, v, _ = draw(st.sampled_from(edges))
+        edges.append((u, v, draw(weights)))
+    return ResistanceNetwork(edges)

@@ -101,6 +101,25 @@ def test_extrema_cap_from_environment():
     assert CAP_ENV in proc.stderr
 
 
+def test_extrema_huge_n_refused_by_cap():
+    # 3^(n-2) has tens of millions of digits; the refusal must not compute it
+    proc = run_cli("extrema", "--n", "100000000", check=False)
+    assert proc.returncode == 2
+    assert "n=100000000 needs 3^99999998 codes but the cap is 2187" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("extrema", "--n", "3", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
+    (("verify", "lemma5", "--n", "2", "--samples", "-3"), "argument --samples: must be at least 0, got -3"),
+    (("verify", "lemma4", "--max-vertices", "1"), "argument --max-vertices: must be at least 2, got 1"),
+], ids=["jobs", "samples", "max-vertices"])
+def test_numeric_arguments_validated(args, message):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_runs_are_deterministic():
     a = run_cli("extrema", "--n", "4", "--format", "csv").stdout
     b = run_cli("extrema", "--n", "4", "--format", "csv").stdout

@@ -108,6 +108,8 @@ def test_cap_guard():
     with pytest.raises(SearchCapExceeded):
         find_extrema(10, cap=100)
     check_cap(5, 27)  # exactly at the cap is allowed
+    with pytest.raises(SearchCapExceeded, match=r"n=12 needs 3\^10 codes but the cap is 100"):
+        check_cap(12, 100)
 
 
 # -- kink flips --------------------------------------------------------------

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import path_network, random_network
-from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain
+from helpers import networks, path_network, random_network
+from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.resistance_engine import (
+    _gauss_solve,
     ConnectivityError,
     InvalidNetworkError,
     NetworkError,
@@ -25,6 +27,7 @@ from phenkf.resistance_engine import (
     reduce_series_parallel,
     resistance_matrix,
     resistance_sum,
+    resistance_sums,
     series_reduce,
     simplify_chain_circuit,
     star_mesh_eliminate,
@@ -290,13 +293,69 @@ def test_trivial_cases():
 
 
 def test_solver_routes_agree():
-    # the elimination route and the grounded fraction-free route are
-    # independent implementations; they must agree exactly
+    # the sparse factorization behind resistance_matrix and the dense
+    # Gaussian elimination behind effective_resistance are independent
+    # implementations; they must agree exactly
     rng = random.Random(47)
     for _ in range(10):
         net = random_network(rng, max_vertices=8)
         u, v = rng.sample(net.vertices, 2)
         assert effective_resistance(net, u, v) == resistance_matrix(net).resistance(u, v)
+
+
+def oracle_grounded_inverse(net, ground):
+    """G = K^-1 for the Laplacian grounded at `ground`, as {u: {v: G_uv}},
+    from the Gaussian oracle with one right-hand side per vertex."""
+    order = [v for v in net.vertices if v != ground]
+    index = {v: i for i, v in enumerate(order)}
+    rows = [[0] * len(order) for _ in order]
+    for e in net.edges:
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            if a != ground:
+                rows[index[a]][index[a]] += 1 / e.r
+                if b != ground:
+                    rows[index[a]][index[b]] -= 1 / e.r
+    unit = [[int(i == k) for i in range(len(order))] for k in range(len(order))]
+    columns = _gauss_solve(rows, unit)
+    return {u: {v: columns[index[v]][index[u]] for v in order} for u in order}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factorization_matches_oracle_on_every_chain(n):
+    for code in enumerate_words(n):
+        net = build_chain(code).network
+        ground = net.vertices[len(net.vertices) // 2]
+        g = oracle_grounded_inverse(net, ground)
+        trace = sum(g[v][v] for v in g)
+        row = {u: sum(g[u].values()) for u in g}
+        size = net.num_vertices
+        assert kirchhoff_index(net) == size * trace - sum(row.values())
+        assert grounded_resistances(net, ground) == {v: g[v][v] for v in g}
+        targets = list(g)[::5]
+        assert grounded_resistances(net, ground, targets=targets) == {v: g[v][v] for v in targets}
+        assert resistance_sum(net, ground) == trace
+        sums = resistance_sums(net)
+        assert sums[ground] == trace
+        assert all(sums[u] == size * g[u][u] + trace - 2 * row[u] for u in g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_factorization_matches_pairwise_oracle(net):
+    pairs = [(u, v) for i, u in enumerate(net.vertices) for v in net.vertices[i + 1:]]
+    oracle = {(u, v): effective_resistance(net, u, v) for u, v in pairs}
+    m = resistance_matrix(net)
+    assert all(m.resistance(u, v) == m.resistance(v, u) == r for (u, v), r in oracle.items())
+    assert kirchhoff_index(net) == sum(oracle.values())
+    assert resistance_sums(net) == {v: m.row_sum(v) for v in net.vertices}
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_foster_theorem(net):
+    # sum over edges of r_eff(e) / r_e is V - 1, parallel edges counted apiece
+    m = resistance_matrix(net)
+    assert sum(m.resistance(e.u, e.v) / e.r for e in net.edges) == net.num_vertices - 1
 
 
 # -- staged chain simplification ---------------------------------------------
