@@ -5,16 +5,13 @@ from .chain_model import (
     LabeledChain,
     TerminalChain,
     build_chain,
-    build_ladder,
     build_terminal_chain,
-    canonical_code,
+    enumerate_words,
     helicene,
-    is_all_kink,
     linear,
 )
 from .exact_arith import Rational, format_rational, parse_rational
 from .extremal_search import (
-    enumerate_codes,
     find_extrema,
     kf_of_code,
     kink_flip,

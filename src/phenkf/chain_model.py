@@ -137,14 +137,6 @@ class ChainCode:
         return (0, *self.w, 0)
 
 
-def canonical_code(code: ChainCode) -> ChainCode:
-    return code.canonical()
-
-
-def is_all_kink(code: ChainCode) -> bool:
-    return code.is_all_kink()
-
-
 def helicene(n: int) -> ChainCode:
     """The all-kink chain that always turns the same way."""
     return ChainCode(n, (0,) * max(n - 2, 0))
@@ -166,20 +158,6 @@ def enumerate_words(n: int, canonical_only=False):
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def build_ladder(m: int) -> ResistanceNetwork:
-    """Plain ladder with m squares: vertices 2j (top) and 2j+1 (bottom) per
-    column j, a rung in every column, top and bottom rails."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    edges = []
-    for j in range(m + 1):
-        edges.append((2 * j, 2 * j + 1))
-    for j in range(m):
-        edges.append((2 * j, 2 * j + 2))
-        edges.append((2 * j + 1, 2 * j + 3))
-    return ResistanceNetwork(edges)
 
 
 def _hexagon_cells(num_columns: int, hexagon_squares, entries):

@@ -17,15 +17,16 @@ from .chain_model import (
     ChainCodeError,
     build_chain,
     chain_to_dot,
+    enumerate_words,
 )
 from .exact_arith import RationalParseError, approx_text, format_rational, parse_rational
 from .extremal_search import (
     DEFAULT_CAP,
     DEFAULT_SEED,
     SearchCapExceeded,
+    check_cap,
     check_lemma5,
     check_lemma6,
-    enumerate_codes,
     find_extrema,
     kf_of_code,
     random_chain_weights,
@@ -120,7 +121,8 @@ def _cmd_kf(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    codes = list(enumerate_codes(args.n, canonical_only=args.canonical))
+    check_cap(args.n, _resolve_cap(args))
+    codes = list(enumerate_words(args.n, canonical_only=args.canonical))
     if args.format == "json":
         _emit_json({
             "n": args.n,
@@ -232,10 +234,11 @@ def _cmd_verify_lemma5(args) -> int:
 
 
 def _cmd_verify_lemma6(args) -> int:
+    check_cap(args.n, _resolve_cap(args))
     rng = random.Random(args.seed)
     unit = check_lemma6(args.n)
     failures = []
-    codes = list(enumerate_codes(args.n))
+    codes = [inst.code for inst in unit.instances]
     for idx in range(args.samples):
         code = rng.choice(codes)
         rep = check_lemma6(args.n, weights=random_chain_weights(code, rng), code=code)

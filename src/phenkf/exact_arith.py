@@ -11,9 +11,6 @@ from fractions import Fraction
 # gcd(num, den) == 1 and den > 0, so normalization is free.
 Rational = Fraction
 
-ZERO = Rational(0)
-ONE = Rational(1)
-
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?$")
 
 
@@ -49,20 +46,3 @@ def format_rational(q) -> str:
 def approx_text(q, digits: int = 12) -> str:
     """Float rendering for display only; never used in comparisons."""
     return format(float(Rational(q)), f".{digits}g")
-
-
-def reciprocal(q) -> Rational:
-    q = Rational(q)
-    if q == 0:
-        raise ZeroDivisionError("reciprocal of zero")
-    return 1 / q
-
-
-def compare(a, b) -> int:
-    """Three-way compare: -1, 0, or 1."""
-    a, b = Rational(a), Rational(b)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0

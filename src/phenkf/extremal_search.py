@@ -21,7 +21,6 @@ from .chain_model import (
 )
 from .exact_arith import Rational, format_rational
 from .resistance_engine import (
-    ReductionTrace,
     ResistanceNetwork,
     grounded_resistances,
     kirchhoff_index,
@@ -49,12 +48,6 @@ def _code_json(code: ChainCode) -> dict:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def enumerate_codes(n: int, canonical_only=False):
-    """All 3^(n-2) codes with n hexagons, lexicographic; n in {1, 2} yield
-    the single empty code.  With canonical_only, one per symmetry class."""
-    return enumerate_words(n, canonical_only=canonical_only)
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,6 @@ def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     kf = kirchhoff_index(net)
     sums = resistance_sums(net) if with_sums else None
     return KfReport(code, code.canonical(), kf, net.num_vertices, net.num_edges, sums)
-
-
-def _kf_worker(args):
-    n, w, with_sums = args
-    return kf_of_code(ChainCode(n, w), with_sums=with_sums)
 
 
 @dataclass(frozen=True)
@@ -156,20 +144,19 @@ def check_cap(n: int, cap: int):
             return total
         count = str(total)
     raise SearchCapExceeded(
-        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap or the "
-        f"PHENKF_MAX_CODES environment variable) to search this size exhaustively")
+        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap where offered, "
+        f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
 
 
-def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1, with_sums=False) -> ExtremaTable:
+def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1) -> ExtremaTable:
     """Exact min/max Kirchhoff classes over every code with n hexagons."""
     check_cap(n, cap)
-    codes = list(enumerate_codes(n))
+    codes = list(enumerate_words(n))
     if jobs > 1:
-        tasks = [(n, c.w, with_sums) for c in codes]
         with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(_kf_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+            reports = pool.map(kf_of_code, codes, chunksize=max(1, len(codes) // (4 * jobs)))
     else:
-        reports = [kf_of_code(c, with_sums=with_sums) for c in codes]
+        reports = [kf_of_code(c) for c in codes]
     min_kf = min(r.kf for r in reports)
     max_kf = max(r.kf for r in reports)
     return ExtremaTable(
@@ -356,11 +343,11 @@ class Lemma5Report:
 def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """Terminal-resistance inequalities on the square-first chain.
 
-    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) by the Laplacian
-    oracle, then runs the staged simplification and checks that every single
+    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) by grounded
+    solves, then runs the staged simplification and checks that every single
     step preserves r(a_1, x) and r(a_1, y) exactly, that the final star obeys
     0 < R_1 < 1, and (for a unit-weighted last hexagon) that the reduced
-    two-path form reproduces the oracle values.
+    two-path form reproduces those values.
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
@@ -375,8 +362,7 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     steps_preserve_ok = True
     current = net
     terminals = (chain.x, chain.y)
-    for step_net in _replay_networks(trace, net):
-        current = step_net
+    for current in trace.networks(net):
         held = grounded_resistances(current, chain.a1, targets=terminals)
         if held[chain.x] != r_a1_x or held[chain.y] != r_a1_y:
             steps_preserve_ok = False
@@ -409,16 +395,6 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     return Lemma5Report(n, r_a1_x, r_a1_y, r_l1_x, r_l1_y, r1, r2, len(trace),
                         inequalities_ok, steps_preserve_ok, star_range_ok,
                         closed_form_ok, passed)
-
-
-def _replay_networks(trace, initial):
-    """Networks after each step of a trace, verified like a full replay."""
-    partial = ReductionTrace()
-    net = initial
-    for step in trace:
-        partial.steps = [step]
-        net = partial.replay(net)
-        yield net
 
 
 @dataclass(frozen=True)
@@ -466,7 +442,7 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
     if code is None:
         if weights:
             raise ValueError("weights need an explicit code: vertex ids depend on it")
-        codes = list(enumerate_codes(n))
+        codes = list(enumerate_words(n))
     else:
         if code.n != n:
             raise ValueError(f"code has n={code.n}, expected {n}")
@@ -497,31 +473,21 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
 def random_terminal_weights(n: int, rng) -> dict:
     """Random positive rational weights for a terminal chain, leaving every
     edge of the last hexagon (the shared unit edge included) at 1."""
-    plain = build_terminal_chain(n)
-    spare = _cycle_pairs(plain.hexagons[-1])
-    out = {}
-    for e in plain.network.edges:
-        if frozenset((e.u, e.v)) in spare:
-            continue
-        out[(e.u, e.v)] = Rational(rng.randint(1, 9), rng.randint(1, 9))
-    return out
+    return _random_weights(build_terminal_chain(n), rng)
 
 
 def random_chain_weights(code: ChainCode, rng) -> dict:
     """Random positive rational weights for a chain, last hexagon kept unit."""
-    chain = build_chain(code)
-    spare = _cycle_pairs(chain.hexagons[-1])
-    out = {}
-    for e in chain.network.edges:
-        if frozenset((e.u, e.v)) in spare:
-            continue
-        out[(e.u, e.v)] = Rational(rng.randint(1, 9), rng.randint(1, 9))
-    return out
+    return _random_weights(build_chain(code), rng)
 
 
-def _cycle_pairs(cycle):
-    cycle = list(cycle)
-    return {frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])}
+def _random_weights(chain, rng) -> dict:
+    """Weights p/q with p, q in 1..9 for every edge of `chain` off its last
+    hexagon, drawn in edge order."""
+    cycle = chain.hexagons[-1]
+    spare = {frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])}
+    return {(e.u, e.v): Rational(rng.randint(1, 9), rng.randint(1, 9))
+            for e in chain.network.edges if frozenset((e.u, e.v)) not in spare}
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Weighted resistance networks with exact reduction steps and exact solvers.
 
 A network is an undirected multigraph whose edges carry positive rational
-resistances.  Independent computation routes are kept deliberately
-separate so they can cross-check each other:
+resistances.  Two kinds of computation are kept deliberately separate:
 
 * local circuit reductions (series, parallel, delta-wye, star-mesh) that
   transform the network while preserving effective resistances among the
   surviving vertices, with a replayable trace;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
-  reverse Cuthill-McKee order, from which the Kirchhoff index, grounded
-  resistances, per-vertex resistance sums and the resistance matrix are
-  all derived (solves, and selected inversion by the Takahashi recurrence);
-* dense rational Gaussian elimination behind `effective_resistance`, the
-  oracle the factorization is tested against.
+  reverse Cuthill-McKee order, behind every resistance quantity: the
+  Kirchhoff index, grounded resistances, per-vertex resistance sums and
+  the resistance matrix (solves, and selected inversion by the Takahashi
+  recurrence).  It alone checks its input for the empty network, a
+  missing ground and disconnection.
+
+`effective_resistance` solves the dense Laplacian by rational Gaussian
+elimination instead.  It is the independent oracle the tests hold the
+factorization to; no verdict depends on it.
 """
 
 from collections import defaultdict
@@ -35,7 +38,7 @@ class NotReducibleError(NetworkError):
 
 
 class ConnectivityError(NetworkError):
-    """An oracle was asked about vertices in different components."""
+    """A solver was given a network that is not connected."""
 
 
 def vertex_key(v):
@@ -266,6 +269,15 @@ class ReductionTrace:
             if removed != step.removed_edges or added != step.added_edges:
                 raise NetworkError(f"replay mismatch at step {idx}: {step.describe()}")
         return network
+
+    def networks(self, network: ResistanceNetwork):
+        """Yield the network after each step, the last one being `replay`'s.
+
+        Each step is replayed and checked on its own, as a one-step trace.
+        """
+        for step in self.steps:
+            network = ReductionTrace([step]).replay(network)
+            yield network
 
 
 def _edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):
@@ -513,10 +525,13 @@ class _GroundedFactor:
 
     `cols[p]` lists (q, l_qp) for the later neighbors q of p, with
     l_qp = c_qp / D_p = -L_qp.  Without a given ground the last vertex of
-    the order, the far end of the breadth-first search, is grounded.
+    the order, the far end of the breadth-first search, is grounded.  A
+    one-vertex network factors to nothing: K and its inverse are empty.
     """
 
     def __init__(self, net: ResistanceNetwork, ground=None):
+        if not net.num_vertices:
+            raise NetworkError("empty network")
         if ground is not None:
             net.require_vertex(ground)
         if not net.is_connected():
@@ -587,11 +602,6 @@ def grounded_resistances(net: ResistanceNetwork, ground, targets=None) -> dict:
     every other vertex from the Takahashi diagonal of K^-1.  With an
     explicit iterable of `targets`, solves K phi = e_t for just those.
     """
-    if net.num_vertices == 1:
-        net.require_vertex(ground)
-        if targets is not None and list(targets):
-            raise NetworkError("no targets exist in a single-vertex network")
-        return {}
     factor = _GroundedFactor(net, ground)
     pos = factor.pos
     if targets is None:
@@ -621,12 +631,10 @@ def resistance_sums(net: ResistanceNetwork) -> dict:
     N G_uu + tr(G) - 2 (G 1)_u: one selected inversion and one solve.
     """
     n = net.num_vertices
-    if n <= 1:
-        return {v: Rational(0) for v in net.vertices}
     factor = _GroundedFactor(net)
     z = factor.inverse()
     row = factor.solve([1] * (n - 1))
-    trace = sum(z[p][p] for p in range(n - 1))
+    trace = sum((z[p][p] for p in range(n - 1)), Rational(0))
     out = {}
     for v in net.vertices:
         p = factor.pos.get(v)
@@ -641,13 +649,9 @@ def kirchhoff_index(net: ResistanceNetwork) -> Rational:
     Takahashi diagonal, the quadratic form from one solve.
     """
     n = net.num_vertices
-    if n == 0:
-        raise NetworkError("empty network")
-    if n == 1:
-        return Rational(0)
     factor = _GroundedFactor(net)
     z = factor.inverse()
-    trace = sum(z[p][p] for p in range(n - 1))
+    trace = sum((z[p][p] for p in range(n - 1)), Rational(0))
     return n * trace - sum(factor.solve([1] * (n - 1)))
 
 
@@ -715,11 +719,7 @@ def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     The full Takahashi recurrence gives every entry of G = K^-1 (grounded,
     extended by zeros at the ground); then r(u, v) = G_uu + G_vv - 2 G_uv.
     """
-    if not net.is_connected():
-        raise ConnectivityError("network is not connected")
     n = net.num_vertices
-    if n == 1:
-        return ResistanceMatrix(net.vertices, ((Rational(0),),))
     factor = _GroundedFactor(net)
     z = factor.inverse(full=True)
     at = [factor.pos.get(v) for v in net.vertices]

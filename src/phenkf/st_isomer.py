@@ -8,7 +8,10 @@ Kf(S) - Kf(T) equals
     [r_A(l) - r_A(a)] * [r_B(b) - r_B(k)] / (r_A(a, l) + r_B(b, k) + 2)
 
 where r_X(v) is the sum of resistances from v within X alone and r_X(u, v)
-the effective resistance within X.  Every quantity is exact.
+the effective resistance within X.  Every quantity is exact, and both sides
+come from the grounded factorization of `resistance_engine`: the Kirchhoff
+indices of S and T, and per component one grounded solve at its first mark
+(r_X(u, v) and the sum at u) plus the sum at the second mark.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from .exact_arith import Rational, format_rational
 from .resistance_engine import (
     ResistanceNetwork,
-    effective_resistance,
+    grounded_resistances,
     kirchhoff_index,
     resistance_sum,
 )
@@ -62,20 +65,24 @@ def make_st_pair(pair: STPair):
     return s, t
 
 
+def _marked_terms(comp: ResistanceNetwork, u, v):
+    """(r(u), r(v), r(u, v)) within `comp`, from two grounded factorizations."""
+    from_u = grounded_resistances(comp, u)
+    return sum(from_u.values(), Rational(0)), resistance_sum(comp, v), from_u[v]
+
+
 def lemma4_delta(pair: STPair) -> Rational:
     """The closed-form value of Kf(S) - Kf(T), from the components alone."""
-    num = (resistance_sum(pair.comp_a, pair.l) - resistance_sum(pair.comp_a, pair.a)) * (
-        resistance_sum(pair.comp_b, pair.b) - resistance_sum(pair.comp_b, pair.k))
-    den = (effective_resistance(pair.comp_a, pair.a, pair.l)
-           + effective_resistance(pair.comp_b, pair.b, pair.k) + 2)
-    return num / den
+    sum_a, sum_l, r_al = _marked_terms(pair.comp_a, pair.a, pair.l)
+    sum_b, sum_k, r_bk = _marked_terms(pair.comp_b, pair.b, pair.k)
+    return (sum_l - sum_a) * (sum_b - sum_k) / (r_al + r_bk + 2)
 
 
 @dataclass(frozen=True)
 class STCheck:
     kf_s: Rational
     kf_t: Rational
-    lhs: Rational   # Kf(S) - Kf(T) by the Laplacian oracle
+    lhs: Rational   # Kf(S) - Kf(T) from the two Kirchhoff indices
     rhs: Rational   # the closed form
     passed: bool
 

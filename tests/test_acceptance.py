@@ -15,7 +15,6 @@ from phenkf.extremal_search import (
     DEFAULT_SEED,
     check_lemma5,
     check_lemma6,
-    enumerate_codes,
     junction_squares,
     random_chain_weights,
     random_terminal_weights,
@@ -143,7 +142,7 @@ def test_criterion_5_kink_flip_monotonicity():
     instances = 0
     ok = True
     for n in range(3, 9):
-        for code in enumerate_codes(n):
+        for code in enumerate_words(n):
             if not code.is_all_kink():
                 continue
             for square in junction_squares(code):

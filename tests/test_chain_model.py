@@ -5,18 +5,17 @@ import pytest
 from phenkf.chain_model import (
     ChainCode,
     ChainCodeError,
+    _hexagon_cells,
     build_chain,
-    build_ladder,
     build_terminal_chain,
-    canonical_code,
     chain_to_dot,
     corner_labels,
     enumerate_words,
     helicene,
-    is_all_kink,
     linear,
     terminal_vertices,
 )
+from phenkf.resistance_engine import ResistanceNetwork
 
 
 # -- codes -------------------------------------------------------------------
@@ -70,20 +69,20 @@ def test_symmetry_orbit():
     assert code.complemented().word == "201"
     orbit = {c.word for c in code.orbit()}
     assert orbit == {"021", "120", "201", "102"}
-    assert canonical_code(code).word == "021"
+    assert code.canonical().word == "021"
 
 
 def test_canonical_examples():
-    assert canonical_code(ChainCode(5, (2, 2, 2))).word == "000"
-    assert canonical_code(ChainCode(4, (1, 1))).word == "11"
+    assert ChainCode(5, (2, 2, 2)).canonical().word == "000"
+    assert ChainCode(4, (1, 1)).canonical().word == "11"
     assert ChainCode(4, (1, 1)).is_canonical()
     assert not ChainCode(5, (2, 0, 0)).is_canonical()
 
 
 def test_all_kink():
-    assert is_all_kink(ChainCode(4, (0, 2)))
-    assert not is_all_kink(ChainCode(4, (0, 1)))
-    assert is_all_kink(ChainCode(2, ()))  # no interior hexagons at all
+    assert ChainCode(4, (0, 2)).is_all_kink()
+    assert not ChainCode(4, (0, 1)).is_all_kink()
+    assert ChainCode(2, ()).is_all_kink()  # no interior hexagons at all
 
 
 def test_named_families():
@@ -106,23 +105,26 @@ def test_full_entries_pads_terminal_hexagons():
 
 
 # -- ladder ------------------------------------------------------------------
+# Both chain builders lay their cells over a ladder of columns; with no
+# square turned into a hexagon, _hexagon_cells returns that plain ladder.
+
+
+def ladder(m):
+    edges, hexagons = _hexagon_cells(m + 1, (), ())
+    assert hexagons == ()
+    return ResistanceNetwork(edges)
 
 
 def test_ladder_counts():
     for m in (1, 2, 5, 9):
-        lad = build_ladder(m)
+        lad = ladder(m)
         assert lad.num_vertices == 2 * m + 2
         assert lad.num_edges == 3 * m + 1
-    assert build_ladder(9).num_vertices == 20
-
-
-def test_ladder_requires_positive_length():
-    with pytest.raises(ValueError):
-        build_ladder(0)
+    assert ladder(9).num_vertices == 20
 
 
 def test_ladder_degrees():
-    lad = build_ladder(3)
+    lad = ladder(3)
     degrees = sorted(lad.degree(v) for v in lad.vertices)
     assert degrees == [2, 2, 2, 2, 3, 3, 3, 3]
 

@@ -5,6 +5,8 @@ Every CLI run is a subprocess that imports phenkf from this checkout's
 and that sees ``PHENKF_MAX_CODES`` only when a test sets it.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -14,11 +16,12 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "phenkf.cli"]
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 CAP_ENV = "PHENKF_MAX_CODES"
 
 
-def run_cli(*args, check=True, env=()):
+def run_cli(*args, check=True, env=(), timeout=None):
     """Run the CLI in the caller's environment with SRC first on PYTHONPATH,
     the cap variable dropped, and then ``env`` applied."""
     child_env = dict(os.environ)
@@ -26,7 +29,8 @@ def run_cli(*args, check=True, env=()):
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), child_env.get("PYTHONPATH")]))
     child_env.update(env)
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env)
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env,
+                          timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -99,6 +103,16 @@ def test_extrema_cap_from_environment():
     assert proc.returncode == 2
     assert "n=5 needs 27 codes but the cap is 5" in proc.stderr
     assert CAP_ENV in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("enumerate", "--n", "30"), ("verify", "lemma6", "--n", "30")],
+                         ids=["enumerate", "lemma6"])
+def test_enumerating_commands_refused_by_cap(args):
+    # both list every code; past the cap they must refuse before enumerating
+    proc = run_cli(*args, check=False, timeout=20)
+    assert proc.returncode == 2
+    assert "n=30 needs 3^28 codes but the cap is 2187" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_extrema_huge_n_refused_by_cap():
@@ -174,3 +188,18 @@ def test_export_dot():
 def test_unknown_subcommand():
     proc = run_cli("frobnicate", check=False)
     assert proc.returncode == 2
+
+
+def test_benchmark_tracer_names_resolve():
+    # bench/tracer.py wraps these names by lookup; a rename or deletion in
+    # phenkf breaks the benchmark's traced run, which tier-1 does not run
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS")
+    assert "ReductionTrace.replay" in layers["resistance_engine"]
+    for layer, names in layers.items():
+        home = importlib.import_module(f"phenkf.{layer}")
+        for qualname in names:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = vars(getattr(home, owner_name)) if owner_name else vars(home)
+            assert callable(owner.get(attr)), f"phenkf.{layer}.{qualname}"

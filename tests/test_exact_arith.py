@@ -1,6 +1,5 @@
-"""Tests for rational parsing, formatting, and comparison helpers."""
+"""Tests for rational parsing and formatting."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +8,8 @@ from hypothesis import given, strategies as st
 from phenkf.exact_arith import (
     RationalParseError,
     approx_text,
-    compare,
     format_rational,
     parse_rational,
-    reciprocal,
 )
 
 
@@ -50,18 +47,6 @@ def test_approx_text():
     assert approx_text(Fraction(1, 3), digits=3).startswith("0.333")
 
 
-def test_reciprocal():
-    assert reciprocal(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        reciprocal(Fraction(0))
-
-
-def test_compare():
-    assert compare(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert compare(Fraction(1, 2), Fraction(1, 2)) == 0
-    assert compare(Fraction(2), Fraction(1, 2)) == 1
-
-
 @given(st.fractions())
 def test_parse_format_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
@@ -70,11 +55,3 @@ def test_parse_format_roundtrip(q):
 @given(st.integers(), st.integers(min_value=1))
 def test_parse_plain_ratio(num, den):
     assert parse_rational(f"{num}/{den}") == Fraction(num, den)
-
-
-def test_compare_agrees_with_order():
-    rng = random.Random(7)
-    for _ in range(1000):
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        assert compare(a, b) == (a > b) - (a < b)

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, helicene, linear
+from phenkf.chain_model import (
+    ChainCode,
+    build_chain,
+    build_terminal_chain,
+    enumerate_words,
+    helicene,
+    linear,
+)
 from phenkf.extremal_search import (
     SearchCapExceeded,
     check_cap,
     check_lemma5,
     check_lemma6,
-    enumerate_codes,
     find_extrema,
     flipped_code,
     junction_squares,
@@ -33,9 +39,9 @@ from phenkf.st_isomer import lemma4_delta
 
 
 def test_enumerate_codes_counts():
-    assert sum(1 for _ in enumerate_codes(3)) == 3
-    assert sum(1 for _ in enumerate_codes(5)) == 27
-    assert sum(1 for _ in enumerate_codes(5, canonical_only=True)) == 10
+    assert sum(1 for _ in enumerate_words(3)) == 3
+    assert sum(1 for _ in enumerate_words(5)) == 27
+    assert sum(1 for _ in enumerate_words(5, canonical_only=True)) == 10
 
 
 @pytest.mark.parametrize(
@@ -62,7 +68,7 @@ def test_kf_report_sums():
 
 
 def test_kf_constant_on_orbits():
-    for code in enumerate_codes(5, canonical_only=True):
+    for code in enumerate_words(5, canonical_only=True):
         kf = kf_of_code(code).kf
         for image in code.orbit():
             assert kf_of_code(image).kf == kf

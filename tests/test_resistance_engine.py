@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from helpers import networks, path_network, random_network
+from helpers import networks, path_network, random_network, weights
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.resistance_engine import (
     _gauss_solve,
@@ -292,6 +292,22 @@ def test_trivial_cases():
     assert resistance_matrix(single).order == ("s",)
 
 
+@pytest.mark.parametrize("solve, zero", [
+    (kirchhoff_index, 0),
+    (lambda net: grounded_resistances(net, "s"), {}),
+    (lambda net: resistance_sum(net, "s"), 0),
+    (resistance_sums, {"s": 0}),
+    (lambda net: resistance_matrix(net).values, ((0,),)),
+], ids=["kirchhoff_index", "grounded_resistances", "resistance_sum", "resistance_sums",
+        "resistance_matrix"])
+def test_degenerate_networks(solve, zero):
+    # the factorization alone handles these: it refuses the vertexless
+    # network and factors a single vertex to nothing
+    with pytest.raises(NetworkError):
+        solve(ResistanceNetwork(()))
+    assert solve(ResistanceNetwork((), extra_vertices=("s",))) == zero
+
+
 def test_solver_routes_agree():
     # the sparse factorization behind resistance_matrix and the dense
     # Gaussian elimination behind effective_resistance are independent
@@ -358,6 +374,33 @@ def test_foster_theorem(net):
     assert sum(m.resistance(e.u, e.v) / e.r for e in net.edges) == net.num_vertices - 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.data())
+def test_rayleigh_monotonicity(net, data):
+    # raising one edge's resistance never lowers any effective resistance
+    edges = list(net.edges)
+    i = data.draw(st.integers(0, len(edges) - 1))
+    u, v, r = edges[i]
+    edges[i] = (u, v, r + data.draw(weights))
+    before = resistance_matrix(net).values
+    after = resistance_matrix(ResistanceNetwork(edges)).values
+    assert all(y >= x for row_x, row_y in zip(before, after) for x, y in zip(row_x, row_y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.data())
+def test_relabeling_invariance(net, data):
+    # new str ids in a drawn order change the sorted vertex order and with
+    # it the elimination order; no resistance may change
+    ids = data.draw(st.permutations(range(net.num_vertices)))
+    name = {v: f"w{i}" for v, i in zip(net.vertices, ids)}
+    renamed = ResistanceNetwork([(name[e.u], name[e.v], e.r) for e in net.edges])
+    assert kirchhoff_index(renamed) == kirchhoff_index(net)
+    m, m_renamed = resistance_matrix(net), resistance_matrix(renamed)
+    assert all(m_renamed.resistance(name[u], name[v]) == m.resistance(u, v)
+               for u in net.vertices for v in net.vertices)
+
+
 # -- staged chain simplification ---------------------------------------------
 
 
@@ -367,6 +410,8 @@ def test_simplify_chain_step_counts():
         final, trace = simplify_chain_circuit(chain)
         assert len(trace) == 8 * n - 6
         assert trace.replay(chain.network) == final
+        steps = list(trace.networks(chain.network))
+        assert len(steps) == len(trace) and steps[-1] == final
 
 
 def test_simplify_chain_final_star():

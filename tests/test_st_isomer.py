@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import path_network
+from phenkf import resistance_engine
 from phenkf.resistance_engine import kirchhoff_index, resistance_sum
 from phenkf.st_isomer import (
     InvalidPairError,
@@ -89,3 +90,13 @@ def test_random_pairs_satisfy_identity():
         chk = verify_lemma4(pair)
         assert chk.passed
         assert chk.lhs == chk.rhs
+
+
+def test_verdict_never_reaches_the_dense_oracle(monkeypatch):
+    def refuse(rows, rhs_list):
+        raise AssertionError("the dense oracle ran on a verdict path")
+
+    monkeypatch.setattr(resistance_engine, "_gauss_solve", refuse)
+    rng = random.Random(1729)
+    for _ in range(20):
+        assert verify_lemma4(random_st_pair(rng, max_vertices=8)).passed
