@@ -3,7 +3,6 @@
 from .chain_model import (
     ChainCode,
     LabeledChain,
-    TerminalChain,
     build_chain,
     build_terminal_chain,
     enumerate_words,

@@ -49,11 +49,6 @@ class ChainCode:
                 raise ChainCodeError(f"entries must be 0, 1, or 2, got {e!r}")
 
     @classmethod
-    def from_word(cls, word) -> "ChainCode":
-        w = tuple(word)
-        return cls(len(w) + 2, w)
-
-    @classmethod
     def parse(cls, text: str, n=None) -> "ChainCode":
         """Parse "020", "0,2,0", "w=020", "n=5 w=0,2,0", or "n=1".
 
@@ -194,41 +189,20 @@ def _hexagon_cells(num_columns: int, hexagon_squares, entries):
 
 @dataclass(frozen=True)
 class LabeledChain:
-    """A built phenylene chain with its cell structure.
+    """A built phenylene chain with its cell structure and landmarks.
 
     hexagons: one 6-tuple per hexagon, in cycle order starting at the
     top-left corner.  square_corners: one (a_i, b_i, k_i, l_i) per square,
-    a/b on top, a/l on the hexagon-i side.
+    a/b on top, a/l on the hexagon-i side.  The landmarks need at least one
+    square: a1 and l1 are the left corners of the first square, unit_edge is
+    the edge (b, k) that the last square shares with the last hexagon, x is
+    the degree-2 vertex of the last hexagon adjacent to b, and y is x's other
+    neighbor.
     """
 
-    code: ChainCode
     network: ResistanceNetwork
     hexagons: tuple
     square_corners: tuple
-
-
-def build_chain(code: ChainCode) -> LabeledChain:
-    n = code.n
-    edges, hexagons = _hexagon_cells(2 * n, [2 * k for k in range(n)], code.full_entries())
-    corners = tuple((4 * i - 2, 4 * i, 4 * i + 1, 4 * i - 1) for i in range(1, n))
-    return LabeledChain(code, ResistanceNetwork(edges), hexagons, corners)
-
-
-@dataclass(frozen=True)
-class TerminalChain:
-    """A chain of n squares and n hexagons in alternation, square first.
-
-    Cell order is S_1 C_1 S_2 C_2 ... S_n C_n.  The free corner pair of S_1
-    is (a_1, l_1); x is the degree-2 vertex of C_n adjacent to b_n, y is x's
-    other neighbor.
-    """
-
-    n: int
-    network: ResistanceNetwork
-    hexagons: tuple
-    square_corners: tuple
-    x: int
-    y: int
 
     @property
     def a1(self):
@@ -238,44 +212,48 @@ class TerminalChain:
     def l1(self):
         return self.square_corners[0][3]
 
+    @property
+    def unit_edge(self):
+        return self.square_corners[-1][1:3]
 
-def build_terminal_chain(n: int, weights=None) -> TerminalChain:
-    """Build the alternating square/hexagon chain with optional edge weights.
+    @property
+    def x(self):
+        return self.hexagons[-1][1]
 
-    `weights` maps unordered vertex pairs to resistances.  The edge shared
-    between S_n and C_n, (b_n, k_n) = (4n-2, 4n-1), must keep resistance 1;
-    anything else may be reweighted.
+    @property
+    def y(self):
+        return self.hexagons[-1][2]
+
+    def reweighted(self, weights) -> "LabeledChain":
+        """Copy with `weights` (unordered vertex pair -> resistance) applied; unit_edge stays 1."""
+        b, k = self.unit_edge
+        for (u, v), r in dict(weights).items():
+            if {u, v} == {b, k} and Rational(r) != 1:
+                raise InvalidNetworkError(
+                    f"edge ({b}, {k}) is the designated unit edge and must stay 1")
+        return LabeledChain(self.network.reweighted(weights), self.hexagons, self.square_corners)
+
+
+def build_chain(code: ChainCode) -> LabeledChain:
+    n = code.n
+    edges, hexagons = _hexagon_cells(2 * n, [2 * k for k in range(n)], code.full_entries())
+    corners = tuple((4 * i - 2, 4 * i, 4 * i + 1, 4 * i - 1) for i in range(1, n))
+    return LabeledChain(ResistanceNetwork(edges), hexagons, corners)
+
+
+def build_terminal_chain(n: int, weights=None) -> LabeledChain:
+    """The chain of n squares and n hexagons in alternation, square first.
+
+    Cell order is S_1 C_1 S_2 C_2 ... S_n C_n.  `weights` maps unordered
+    vertex pairs to resistances; the unit edge (b_n, k_n) = (4n-2, 4n-1),
+    shared between S_n and C_n, must keep resistance 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     edges, hexagons = _hexagon_cells(2 * n + 1, [2 * k - 1 for k in range(1, n + 1)], (0,) * n)
     corners = tuple((4 * i - 4, 4 * i - 2, 4 * i - 1, 4 * i - 3) for i in range(1, n + 1))
-    net = ResistanceNetwork(edges)
-    x, y = hexagons[-1][1], hexagons[-1][2]
-    if weights:
-        shared = frozenset((4 * n - 2, 4 * n - 1))
-        for (u, v), r in dict(weights).items():
-            if frozenset((u, v)) == shared and Rational(r) != 1:
-                raise InvalidNetworkError(
-                    f"edge ({4 * n - 2}, {4 * n - 1}) is the designated unit edge and must stay 1")
-        net = net.reweighted(weights)
-    return TerminalChain(n, net, hexagons, corners, x, y)
-
-
-def terminal_vertices(chain: LabeledChain):
-    """For a chain with n >= 2 hexagons: x, the degree-2 vertex of the last
-    hexagon adjacent to b_(n-1), and y, the other neighbor of x."""
-    if chain.code.n < 2:
-        raise ValueError("need at least two hexagons")
-    b_last = chain.square_corners[-1][1]
-    cycle = chain.hexagons[-1]
-    if cycle[0] != b_last:
-        raise AssertionError("terminal hexagon does not start at the shared corner")
-    x = cycle[1]
-    if chain.network.degree(x) != 2:
-        raise AssertionError(f"expected degree 2 at {x!r}")
-    others = [w for w in chain.network.neighbors(x) if w != b_last]
-    return x, others[0]
+    chain = LabeledChain(ResistanceNetwork(edges), hexagons, corners)
+    return chain.reweighted(weights) if weights else chain
 
 
 def corner_labels(chain) -> dict:

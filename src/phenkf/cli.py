@@ -84,11 +84,19 @@ def _parse_code(args) -> ChainCode:
     return ChainCode.parse(args.code, n=getattr(args, "n", None))
 
 
+def _refuse_unshown(args, flag, shown_in):
+    """Refuse a set flag whose output the chosen --format would not show."""
+    if getattr(args, flag) and args.format not in shown_in:
+        raise ValueError(f"--{flag} has no effect with --format {args.format}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_kf(args) -> int:
+    _refuse_unshown(args, "matrix", ("json",))
+    _refuse_unshown(args, "sums", ("text", "json"))
     code = _parse_code(args)
     report = kf_of_code(code, with_sums=args.sums)
     if args.format == "json":
@@ -142,6 +150,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_extrema(args) -> int:
+    _refuse_unshown(args, "approx", ("text",))
     table = find_extrema(args.n, cap=_resolve_cap(args), jobs=args.jobs)
     if args.format == "json":
         _emit_json(table.as_dict())

@@ -17,7 +17,6 @@ from .chain_model import (
     enumerate_words,
     helicene,
     linear,
-    terminal_vertices,
 )
 from .exact_arith import Rational, format_rational
 from .resistance_engine import (
@@ -173,11 +172,18 @@ def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1) -> ExtremaTable:
 # kink flips
 
 
-def _single_edge(net: ResistanceNetwork, u, v):
-    found = net.edges_between(u, v)
-    if len(found) != 1:
-        raise LabelingError(f"expected one edge between {u!r} and {v!r}, found {len(found)}")
-    return found[0]
+def _square(chain: LabeledChain, i: int):
+    """Corners (a, b, k, l) of square i (1-based) and its single edges ab and lk."""
+    if not 1 <= i <= len(chain.square_corners):
+        raise LabelingError(f"square index {i} out of range 1..{len(chain.square_corners)}")
+    a, b, k, l = corners = chain.square_corners[i - 1]
+    edges = []
+    for u, v in ((a, b), (l, k)):
+        found = chain.network.edges_between(u, v)
+        if len(found) != 1:
+            raise LabelingError(f"expected one edge between {u!r} and {v!r}, found {len(found)}")
+        edges.append(found[0])
+    return corners, edges[0], edges[1]
 
 
 def kink_flip(chain: LabeledChain, i: int) -> ResistanceNetwork:
@@ -186,16 +192,11 @@ def kink_flip(chain: LabeledChain, i: int) -> ResistanceNetwork:
     This swaps the kink direction of everything right of square i.  Applying
     it twice restores the original network.
     """
-    if not 1 <= i <= len(chain.square_corners):
-        raise LabelingError(f"square index {i} out of range 1..{len(chain.square_corners)}")
-    a, b, k, l = chain.square_corners[i - 1]
+    (a, b, k, l), top, bottom = _square(chain, i)
     net = chain.network
-    top = _single_edge(net, a, b)
-    bottom = _single_edge(net, l, k)
     if top.r != 1 or bottom.r != 1:
         raise LabelingError("kink flip is defined for unit-weight square edges")
-    drop = {top, bottom}
-    edges = [e for e in net.edges if e not in drop]
+    edges = [e for e in net.edges if e not in {top, bottom}]
     edges.append((a, k, Rational(1)))
     edges.append((b, l, Rational(1)))
     return ResistanceNetwork(edges, net.vertices)
@@ -209,12 +210,8 @@ def kink_flip_pair(chain: LabeledChain, i: int) -> STPair:
     and k_i; the original chain and its kink flip are exactly the two bridge
     unions of this pair.
     """
-    if not 1 <= i <= len(chain.square_corners):
-        raise LabelingError(f"square index {i} out of range 1..{len(chain.square_corners)}")
-    a, b, k, l = chain.square_corners[i - 1]
+    (a, b, k, l), top, bottom = _square(chain, i)
     net = chain.network
-    top = _single_edge(net, a, b)
-    bottom = _single_edge(net, l, k)
     cut = ResistanceNetwork([e for e in net.edges if e not in {top, bottom}], net.vertices)
     side_a = set()
     todo = [a]
@@ -259,22 +256,6 @@ class KinkFlipReport:
     decrease_ok: bool       # strict decrease (required only at junctions)
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "code": _code_json(self.code),
-            "square": self.square,
-            "at_junction": self.at_junction,
-            "kf_original": format_rational(self.kf_original),
-            "kf_flipped": format_rational(self.kf_flipped),
-            "delta_formula": format_rational(self.delta_formula),
-            "flipped_code": self.flipped.word,
-            "identity_ok": self.identity_ok,
-            "reconstruction_ok": self.reconstruction_ok,
-            "relabel_ok": self.relabel_ok,
-            "decrease_ok": self.decrease_ok,
-            "pass": self.passed,
-        }
-
 
 def verify_kink_flip(code: ChainCode, i: int) -> KinkFlipReport:
     """Cross-check one kink flip against the difference identity."""
@@ -304,6 +285,13 @@ def verify_kink_flip(code: ChainCode, i: int) -> KinkFlipReport:
 def _unit_cycle(net: ResistanceNetwork, cycle) -> bool:
     pairs = zip(cycle, cycle[1:] + cycle[:1])
     return all(all(e.r == 1 for e in net.edges_between(u, v)) for u, v in pairs)
+
+
+def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
+    """(u, r(u, x), r(u, y)) per u in `vertices`: one solve grounded at x, one at y."""
+    from_x = grounded_resistances(chain.network, chain.x, targets=vertices)
+    from_y = grounded_resistances(chain.network, chain.y, targets=vertices)
+    return tuple((u, from_x[u], from_y[u]) for u in vertices)
 
 
 @dataclass(frozen=True)
@@ -351,11 +339,7 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
-    ends = (chain.a1, chain.l1)
-    from_x = grounded_resistances(net, chain.x, targets=ends)
-    from_y = grounded_resistances(net, chain.y, targets=ends)
-    r_a1_x, r_a1_y = from_x[chain.a1], from_y[chain.a1]
-    r_l1_x, r_l1_y = from_x[chain.l1], from_y[chain.l1]
+    (_, r_a1_x, r_a1_y), (_, r_l1_x, r_l1_y) = _terminal_rows(chain, (chain.a1, chain.l1))
     inequalities_ok = r_a1_x < r_a1_y and r_l1_x < r_l1_y
 
     final, trace = simplify_chain_circuit(chain)
@@ -371,7 +355,7 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
         steps_preserve_ok = False
 
     hub = f"z{2 * n - 1}"
-    b_n, k_n = chain.square_corners[-1][1], chain.square_corners[-1][2]
+    b_n, k_n = chain.unit_edge
     r1 = final.edges_between(hub, b_n)[0].r
     r2 = final.edges_between(hub, k_n)[0].r
     star_range_ok = 0 < r1 < 1
@@ -435,7 +419,7 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
     to b_(n-1) and y its other neighbor, every u in the first hexagon other
     than a_1 and l_1 must satisfy r(u, x) < r(u, y).  Without an explicit
     code, all codes with n hexagons are checked (unit weights only); the
-    shared edge (b_(n-1), k_(n-1)) must have weight 1.
+    chain's unit edge (b_(n-1), k_(n-1)) must keep weight 1.
     """
     if n < 2:
         raise ValueError("need n >= 2: the inequality involves two distinct hexagons")
@@ -450,23 +434,11 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
     instances = []
     for c in codes:
         chain = build_chain(c)
-        net = chain.network.reweighted(weights) if weights else chain.network
-        b_prev, k_prev = chain.square_corners[-1][1], chain.square_corners[-1][2]
-        shared = net.edges_between(b_prev, k_prev)
-        if len(shared) != 1 or shared[0].r != 1:
-            raise ValueError(f"edge ({b_prev}, {k_prev}) must be the designated unit edge")
-        x, y = terminal_vertices(chain)
-        a1, l1 = chain.square_corners[0][0], chain.square_corners[0][3]
-        checked = [u for u in chain.hexagons[0] if u not in (a1, l1)]
-        from_x = grounded_resistances(net, x, targets=checked)
-        from_y = grounded_resistances(net, y, targets=checked)
-        rows = []
-        ok = True
-        for u in checked:
-            rx, ry = from_x[u], from_y[u]
-            rows.append((u, rx, ry))
-            ok = ok and rx < ry
-        instances.append(Lemma6Instance(c, tuple(rows), ok))
+        if weights:
+            chain = chain.reweighted(weights)
+        checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
+        rows = _terminal_rows(chain, checked)
+        instances.append(Lemma6Instance(c, rows, all(rx < ry for _, rx, ry in rows)))
     return Lemma6Report(n, tuple(instances), all(i.passed for i in instances))
 
 

@@ -749,8 +749,8 @@ def simplify_chain_circuit(chain):
 
     Returns (network, trace).
     """
-    n = chain.n
-    a1 = chain.square_corners[0][0]
+    n = len(chain.square_corners)
+    a1 = chain.a1
     cells = []
     pairs = []
     for i in range(n):

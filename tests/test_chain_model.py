@@ -13,7 +13,6 @@ from phenkf.chain_model import (
     enumerate_words,
     helicene,
     linear,
-    terminal_vertices,
 )
 from phenkf.resistance_engine import ResistanceNetwork
 
@@ -177,14 +176,28 @@ def test_corner_labels():
     assert labels[b1] == "b1"
 
 
-def test_terminal_vertices_are_degree_two():
-    chain = build_chain(ChainCode(4, (0, 2)))
-    x, y = terminal_vertices(chain)
-    assert chain.network.degree(x) == 2
-    assert chain.network.degree(y) == 2
-    assert x in chain.hexagons[-1] and y in chain.hexagons[-1]
-    b_prev = chain.square_corners[-1][1]
-    assert chain.network.edges_between(x, b_prev)
+def _landmark_chains():
+    for n in range(2, 7):
+        for code in enumerate_words(n):
+            yield pytest.param(build_chain, code, id=f"chain-n{n}w{code.word}")
+    for n in range(1, 5):
+        yield pytest.param(build_terminal_chain, n, id=f"terminal-n{n}")
+
+
+@pytest.mark.parametrize("build, arg", _landmark_chains())
+def test_chain_landmarks(build, arg):
+    chain = build(arg)
+    net = chain.network
+    last = chain.hexagons[-1]
+    b, k = chain.unit_edge
+    assert last[0] == b
+    assert net.degree(chain.x) == 2 and net.degree(chain.y) == 2
+    assert net.edges_between(chain.x, b)
+    assert net.edges_between(chain.x, chain.y)
+    assert [e.r for e in net.edges_between(b, k)] == [1]
+    assert {b, k} in [{u, v} for u, v in zip(last, last[1:] + last[:1])]
+    assert {chain.a1, chain.l1} <= set(chain.square_corners[0])
+    assert len(net.edges_between(chain.a1, chain.l1)) == 1
 
 
 def test_chain_to_dot():

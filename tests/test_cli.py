@@ -122,6 +122,25 @@ def test_extrema_huge_n_refused_by_cap():
     assert "n=100000000 needs 3^99999998 codes but the cap is 2187" in proc.stderr
 
 
+LONG_CODE = "0" * 3000  # 3002 hexagons: its Kf alone takes longer than the timeout below
+
+
+@pytest.mark.parametrize("args, flag, fmt", [
+    (("kf", "--code", LONG_CODE, "--matrix"), "--matrix", "text"),
+    (("kf", "--code", LONG_CODE, "--matrix", "--format", "csv"), "--matrix", "csv"),
+    (("kf", "--code", LONG_CODE, "--sums", "--format", "csv"), "--sums", "csv"),
+    (("extrema", "--n", "100000000", "--approx", "--format", "json"), "--approx", "json"),
+    (("extrema", "--n", "100000000", "--approx", "--format", "csv"), "--approx", "csv"),
+], ids=["kf-matrix-text", "kf-matrix-csv", "kf-sums-csv", "extrema-approx-json",
+        "extrema-approx-csv"])
+def test_flags_the_format_drops_are_refused(args, flag, fmt):
+    # refused before the chain is built or solved, and before the cap check
+    proc = run_cli(*args, check=False, timeout=20)
+    assert proc.returncode == 2
+    assert f"error: {flag} has no effect with --format {fmt}" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args, message", [
     (("extrema", "--n", "3", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
     (("verify", "lemma5", "--n", "2", "--samples", "-3"), "argument --samples: must be at least 0, got -3"),

@@ -252,6 +252,13 @@ def test_lemma6_argument_validation():
         check_lemma6(4, code=ChainCode(3, (0,)))
 
 
+def test_lemma6_refuses_reweighted_unit_edge():
+    code = ChainCode(4, (2, 0))
+    unit_edge = build_chain(code).unit_edge
+    with pytest.raises(ValueError, match="designated unit edge"):
+        check_lemma6(4, weights={unit_edge: 2}, code=code)
+
+
 # -- hexagon formula and headline results ------------------------------------
 
 
