@@ -47,6 +47,7 @@ from .resistance_engine import (
 from .st_isomer import STPair, random_st_pair, verify_lemma4
 
 CAP_ENV = "PHENKF_MAX_CODES"
+JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 
 
 def _emit(text: str):
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extrema", help="exhaustive min/max Kirchhoff classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     p.add_argument("--approx", action="store_true")
     add_format(p)
     p.set_defaults(handler=_cmd_extrema)
@@ -397,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("theorem1", help="all minimizers are all-kink")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_theorem1)
 
     p = vsub.add_parser("conjecture", help="exact extremal classes by exhaustive search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_conjecture)
 

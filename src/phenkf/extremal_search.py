@@ -1,13 +1,15 @@
-"""Exhaustive Kirchhoff-index search over phenylene chains, the kink-flip
-rewiring, and the supporting strict-inequality checks.
+"""Exhaustive Kirchhoff-index search over phenylene chains, the two-port
+transfer engine behind it, the kink-flip rewiring, and the supporting
+strict-inequality checks.
 
 All verdicts are exact rational comparisons.  The exhaustive operations
 refuse to run past a configurable code-count cap instead of sampling: the
 extremal claims are only meaningful when the enumeration is complete.
 """
 
-import multiprocessing
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 from .chain_model import (
     ChainCode,
@@ -23,6 +25,7 @@ from .resistance_engine import (
     ResistanceNetwork,
     grounded_resistances,
     kirchhoff_index,
+    resistance_matrix,
     resistance_sum,
     resistance_sums,
     simplify_chain_circuit,
@@ -46,6 +49,192 @@ def _code_json(code: ChainCode) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# two-port transfer engine
+#
+# Cut a unit chain at the square after hexagon m.  The prefix A (hexagons
+# 1..m, N vertices) meets the rest only at the right corners (a, l) of
+# hexagon m; R = r_A(a, l).  Seen from u in A, A is a star on u, a, l whose
+# centre sits on the a-l wire at p_u from a, on a pendant x_u:
+#     p_u = (r(u,a) - r(u,l) + R)/2,   x_u = (r(u,a) + r(u,l) - R)/2.
+# A block B (the next square and the hexagon with letter e) meets A only at
+# {a, l}: for pairs inside A it acts as one resistor rho = r_B(a,l) across
+# a and l, and A acts as one resistor R for pairs inside B.  With
+# t = 1/(R + rho) and (s_X, rho - s_X, y_X) B's own star on a, l, X,
+#     r(u,v) = r_A(u,v) - t (p_u - p_v)^2           (Sherman-Morrison),
+#     r(X,Y) = r_B(X,Y) - t (s_X - s_Y)^2,
+#     r(u,X) = x_u + y_X + (p_u + s_X) - t (p_u + s_X)^2   (as tR = 1 - t rho).
+# Read at B's right corners (a', l'), p'_u is affine in p_u and x'_u - x_u
+# quadratic, so the state (N, R, sum x, sum p, sum p^2, Kf) closes under
+# appending a block, and every coefficient of the update is a polynomial
+# in t whose coefficients depend on e alone.  Neither rho nor R' = r(a', l')
+# depends on e: the hexagon's two routes from its left edge to a' and l'
+# always have 4 edges together.  So R and t depend only on the depth.
+
+_CELL = 6  # vertices a block adds: those of its hexagon
+
+
+class _Prefix(NamedTuple):
+    """The transfer state of a chain prefix, seen from its right corners."""
+
+    size: int
+    r: Rational        # R = r(a, l)
+    sum_x: Rational
+    sum_p: Rational
+    sum_pp: Rational   # sum of p_u^2
+    kf: Rational
+
+
+class _Step(NamedTuple):
+    """Coefficients of appending one block at a given R, t = 1/(R + rho).
+
+    `_block` keeps each field as a polynomial in t; `_coefficients`
+    evaluates them.
+    """
+
+    t: Rational
+    r_next: Rational   # R of the longer prefix
+    alpha: Rational    # p'_u = alpha p_u + beta
+    beta: Rational
+    gamma: Rational    # x'_u = x_u + gamma + delta p_u - t p_u^2
+    delta: Rational
+    new_x: Rational    # sums of x', p', p'^2 over the block's vertices
+    new_p: Rational
+    new_pp: Rational
+    kf_new: Rational   # Kf among the block's vertices
+    cross_n: Rational  # Kf between prefix and block, per prefix vertex ...
+    cross_p: Rational  # ... and per unit of sum p, besides 6 sum x - 6 t sum p^2
+
+
+def _star(r, a, l, u):
+    """(foot, pendant) of u on the a-l wire, from resistances r(., .)."""
+    return (r(u, a) - r(u, l) + r(a, l)) / 2, (r(u, a) + r(u, l) - r(a, l)) / 2
+
+
+def _block(e: int) -> tuple:
+    """(rho, _Step of polynomials in t) for a block with letter e.
+
+    A polynomial is its coefficient tuple, constant term first.  The block
+    is square 1 and hexagon 2 of the chain with code (e,), less the edge
+    (a_1, l_1) of hexagon 1: one 8-vertex factorization.
+    """
+    chain = build_chain(ChainCode(3, (e,)))
+    a, _, _, l = chain.square_corners[0]
+    a2, _, _, l2 = chain.square_corners[1]
+    cells = chain.network.induced({a, l, *chain.hexagons[1]})
+    block = ResistanceNetwork([edge for edge in cells.edges if {edge.u, edge.v} != {a, l}])
+    r = resistance_matrix(block).resistance
+    new = [v for v in block.vertices if v not in (a, l)]
+    s, y = {}, {}
+    for v in new:
+        s[v], y[v] = _star(r, a, l, v)
+
+    def joined(u, v):  # r(u, v) in the joined network
+        return r(u, v), -(s[u] - s[v]) ** 2
+
+    c0, c1 = joined(a2, l2)
+    sa, sl = s[a2], s[l2]
+    feet, pendants = [], []
+    for v in new:
+        (ra0, ra1), (rl0, rl1) = joined(v, a2), joined(v, l2)
+        feet.append(((ra0 - rl0 + c0) / 2, (ra1 - rl1 + c1) / 2))
+        pendants.append(((ra0 + rl0 - c0) / 2, (ra1 + rl1 - c1) / 2))
+    s1 = sum(s.values())
+    s2 = sum(v * v for v in s.values())
+    return r(a, l), _Step(
+        t=(0, 1),
+        r_next=(c0, c1),
+        alpha=(0, sl - sa),
+        beta=((y[a2] - y[l2] + sa - sl + c0) / 2, (c1 - sa * sa + sl * sl) / 2),
+        gamma=((y[a2] + y[l2] + sa + sl - c0) / 2, -(c1 + sa * sa + sl * sl) / 2),
+        delta=(1, -(sa + sl)),
+        new_x=tuple(map(sum, zip(*pendants))),
+        new_p=tuple(map(sum, zip(*feet))),
+        new_pp=(sum(f0 * f0 for f0, _ in feet), sum(2 * f0 * f1 for f0, f1 in feet),
+                sum(f1 * f1 for _, f1 in feet)),
+        kf_new=(sum(r(u, v) for i, u in enumerate(new) for v in new[i + 1:]),
+                -(len(new) * s2 - s1 * s1)),
+        cross_n=(sum(y.values()) + s1, -s2),
+        cross_p=(len(new), -2 * s1))
+
+
+@cache
+def _transfer_constants() -> tuple:
+    """(state of the first hexagon, the blocks of letters 0, 1, 2).
+
+    Four factorizations of at most 8 vertices, made on first use.
+    """
+    first = build_chain(ChainCode(2, ()))
+    hexagon = first.network.induced(first.hexagons[0])
+    matrix = resistance_matrix(hexagon)
+    stars = [_star(matrix.resistance, first.a1, first.l1, u) for u in hexagon.vertices]
+    start = _Prefix(hexagon.num_vertices, matrix.resistance(first.a1, first.l1),
+                    sum(x for _, x in stars), sum(p for p, _ in stars),
+                    sum(p * p for p, _ in stars), matrix.total())
+    return start, tuple(_block(e) for e in (0, 1, 2))
+
+
+def _coefficients(block, r) -> _Step:
+    """The block's update coefficients when appended to a prefix with R = r."""
+    rho, polys = block
+    t = 1 / (r + rho)
+    values = []
+    for poly in polys:
+        value = 0
+        for k in reversed(poly):
+            value = value * t + k
+        values.append(value)
+    return _Step(*values)
+
+
+def _kf_after(s: _Prefix, c: _Step) -> Rational:
+    return (s.kf + _CELL * s.sum_x - c.t * ((s.size + _CELL) * s.sum_pp - s.sum_p * s.sum_p)
+            + c.cross_p * s.sum_p + s.size * c.cross_n + c.kf_new)
+
+
+def _advance(s: _Prefix, c: _Step) -> _Prefix:
+    p, pp = s.sum_p, s.sum_pp
+    return _Prefix(
+        s.size + _CELL,
+        c.r_next,
+        s.sum_x + s.size * c.gamma + c.delta * p - c.t * pp + c.new_x,
+        c.alpha * p + s.size * c.beta + c.new_p,
+        c.alpha * (c.alpha * pp + 2 * c.beta * p) + s.size * c.beta * c.beta + c.new_pp,
+        _kf_after(s, c))
+
+
+def _transfer_kf(code: ChainCode) -> Rational:
+    """Kf of the unit chain of `code`, one block per hexagon after the first."""
+    state, blocks = _transfer_constants()
+    for e in code.full_entries()[1:]:
+        state = _advance(state, _coefficients(blocks[e], state.r))
+    return state.kf
+
+
+def _transfer_kfs(n: int) -> list:
+    """Kf of every code with n hexagons, in word order, by a depth-first
+    walk of the code trie that extends each prefix's state once."""
+    start, blocks = _transfer_constants()
+    if n == 1:
+        return [start.kf]
+    levels, r = [], start.r
+    for _ in range(n - 2):
+        levels.append(tuple(_coefficients(block, r) for block in blocks))
+        r = levels[-1][0].r_next
+    last = _coefficients(blocks[0], r)  # terminal hexagons carry letter 0
+    out = []
+
+    def walk(state, depth):
+        if depth == len(levels):
+            out.append(_kf_after(state, last))
+            return
+        for step in levels[depth]:
+            walk(_advance(state, step), depth + 1)
+
+    walk(start, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -54,9 +243,15 @@ class KfReport:
     code: ChainCode
     canonical: ChainCode
     kf: Rational
-    vertex_count: int
-    edge_count: int
     per_vertex_sums: object = None  # optional dict vertex -> Rational
+
+    @property
+    def vertex_count(self) -> int:
+        return 6 * self.code.n
+
+    @property
+    def edge_count(self) -> int:
+        return 8 * self.code.n - 2
 
     def as_dict(self) -> dict:
         out = {
@@ -76,17 +271,19 @@ class KfReport:
 
 
 def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
-    """Exact Kirchhoff index of the chain built from `code`.
+    """Exact Kirchhoff index of the unit chain built from `code`.
 
-    With `with_sums`, per-vertex resistance sums are included.  They come
-    from the same grounded factorization as the Kirchhoff index itself, so
-    they are not an independent check of it.
+    Kf comes from the two-port transfer engine: one exact update per
+    hexagon, with constants from the factorization of four networks of at
+    most 8 vertices.  With `with_sums` the whole chain is built and factored
+    instead, since per-vertex resistance sums need the factored network:
+    Kf and the sums then come from the grounded factorization, so the sums
+    are not an independent check of that Kf.
     """
-    chain = build_chain(code)
-    net = chain.network
-    kf = kirchhoff_index(net)
-    sums = resistance_sums(net) if with_sums else None
-    return KfReport(code, code.canonical(), kf, net.num_vertices, net.num_edges, sums)
+    if not with_sums:
+        return KfReport(code, code.canonical(), _transfer_kf(code))
+    net = build_chain(code).network
+    return KfReport(code, code.canonical(), kirchhoff_index(net), resistance_sums(net))
 
 
 @dataclass(frozen=True)
@@ -148,14 +345,14 @@ def check_cap(n: int, cap: int):
 
 
 def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1) -> ExtremaTable:
-    """Exact min/max Kirchhoff classes over every code with n hexagons."""
+    """Exact min/max Kirchhoff classes over every code with n hexagons.
+
+    The transfer engine walks the code trie, so codes sharing a prefix share
+    its updates.  `jobs` is ignored; it is accepted for compatibility.
+    """
     check_cap(n, cap)
-    codes = list(enumerate_words(n))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(kf_of_code, codes, chunksize=max(1, len(codes) // (4 * jobs)))
-    else:
-        reports = [kf_of_code(c) for c in codes]
+    reports = [KfReport(code, code.canonical(), kf)
+               for code, kf in zip(enumerate_words(n), _transfer_kfs(n))]
     min_kf = min(r.kf for r in reports)
     max_kf = max(r.kf for r in reports)
     return ExtremaTable(
@@ -269,7 +466,7 @@ def verify_kink_flip(code: ChainCode, i: int) -> KinkFlipReport:
     delta = lemma4_delta(pair)
     identity_ok = (kf_original - kf_flipped == delta)
     new_code = flipped_code(code, i)
-    relabel_ok = (kirchhoff_index(build_chain(new_code).network) == kf_flipped)
+    relabel_ok = (kf_of_code(new_code).kf == kf_flipped)
     at_junction = i in junction_squares(code)
     decrease_ok = kf_flipped < kf_original
     passed = identity_ok and reconstruction_ok and relabel_ok and (decrease_ok or not at_junction)

@@ -7,11 +7,17 @@ resistances.  Two kinds of computation are kept deliberately separate:
   transform the network while preserving effective resistances among the
   surviving vertices, with a replayable trace;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
-  reverse Cuthill-McKee order, behind every resistance quantity: the
+  reverse Cuthill-McKee order, behind every resistance quantity here: the
   Kirchhoff index, grounded resistances, per-vertex resistance sums and
   the resistance matrix (solves, and selected inversion by the Takahashi
   recurrence).  It alone checks its input for the empty network, a
   missing ground and disconnection.
+
+The Kirchhoff index of a unit chain code (`kf_of_code`, `find_extrema`)
+comes from the two-port transfer engine in `extremal_search`, whose
+constants come from this factorization of four networks of at most 8
+vertices.  Weighted, rewired and non-chain networks, per-vertex sums and
+the resistance matrix are factored here directly.
 
 `effective_resistance` solves the dense Laplacian by rational Gaussian
 elimination instead.  It is the independent oracle the tests hold the

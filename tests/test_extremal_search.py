@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phenkf.chain_model import (
     ChainCode,
@@ -15,6 +16,8 @@ from phenkf.chain_model import (
 )
 from phenkf.extremal_search import (
     SearchCapExceeded,
+    _coefficients,
+    _transfer_constants,
     check_cap,
     check_lemma5,
     check_lemma6,
@@ -31,7 +34,7 @@ from phenkf.extremal_search import (
     verify_theorem1,
     weighted_hexagon_check,
 )
-from phenkf.resistance_engine import kirchhoff_index
+from phenkf.resistance_engine import _GroundedFactor, kirchhoff_index
 from phenkf.st_isomer import lemma4_delta
 
 
@@ -59,6 +62,62 @@ def test_kf_reference_values(n, word, expected):
     assert report.kf == expected
     assert report.vertex_count == 6 * n
     assert report.edge_count == 8 * n - 2
+
+
+def _factored_csv(n, kfs):
+    """The extrema CSV of n hexagons, written from Kf values given per code."""
+    lo, hi = min(kfs.values()), max(kfs.values())
+    lines = ["n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"]
+    for code, kf in kfs.items():
+        flags = (code.is_all_kink(), kf == lo, kf == hi)
+        lines.append(",".join([str(n), code.word, code.canonical().word, str(kf.numerator),
+                               str(kf.denominator), *(str(f).lower() for f in flags)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_transfer_engine_matches_factorization(n):
+    factored = {}
+    for code in enumerate_words(n):
+        net = build_chain(code).network
+        factored[code] = kirchhoff_index(net)
+        report = kf_of_code(code)
+        assert report.kf == factored[code]
+        assert (report.vertex_count, report.edge_count) == (net.num_vertices, net.num_edges)
+    assert find_extrema(n).to_csv() == _factored_csv(n, factored)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=28))
+def test_transfer_engine_matches_factorization_on_long_codes(word):
+    code = ChainCode(len(word) + 2, tuple(word))
+    assert kf_of_code(code).kf == kirchhoff_index(build_chain(code).network)
+
+
+def test_transfer_resistance_depends_only_on_depth():
+    # the trie search reads each depth's R off letter 0's coefficients
+    start, blocks = _transfer_constants()
+    r = start.r
+    for _ in range(30):
+        steps = [_coefficients(block, r) for block in blocks]
+        assert steps[0].r_next == steps[1].r_next == steps[2].r_next
+        r = steps[0].r_next
+
+
+def test_kf_of_codes_factors_only_small_blocks(monkeypatch):
+    sizes = []
+    factor = _GroundedFactor.__init__
+
+    def counting(self, net, ground=None):
+        sizes.append(net.num_vertices)
+        factor(self, net, ground)
+
+    monkeypatch.setattr(_GroundedFactor, "__init__", counting)
+    _transfer_constants.cache_clear()
+    find_extrema(7)
+    kf_of_code(helicene(30))
+    assert 1 <= len(sizes) <= 4
+    assert max(sizes) <= 8
 
 
 def test_kf_report_sums():
