@@ -48,6 +48,12 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
+# longest chain, in hexagons, that each kf route takes: plain kf and --sums
+# take about half a minute there; --matrix a few seconds, but its memory and
+# output (about 120 MB and 22 MB at the bound) grow as n^2
+MAX_KF_HEXAGONS = 3000
+MAX_SUMS_HEXAGONS = 1000
+MAX_MATRIX_HEXAGONS = 60
 
 
 def _emit(text: str):
@@ -99,6 +105,10 @@ def _cmd_kf(args) -> int:
     _refuse_unshown(args, "matrix", ("json",))
     _refuse_unshown(args, "sums", ("text", "json"))
     code = _parse_code(args)
+    route, limit = (("kf --matrix", MAX_MATRIX_HEXAGONS) if args.matrix else
+                    ("kf --sums", MAX_SUMS_HEXAGONS) if args.sums else ("kf", MAX_KF_HEXAGONS))
+    if code.n > limit:
+        raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
     report = kf_of_code(code, with_sums=args.sums)
     if args.format == "json":
         out = report.as_dict()
@@ -152,7 +162,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_extrema(args) -> int:
     _refuse_unshown(args, "approx", ("text",))
-    table = find_extrema(args.n, cap=_resolve_cap(args), jobs=args.jobs)
+    table = find_extrema(args.n, cap=_resolve_cap(args))
     if args.format == "json":
         _emit_json(table.as_dict())
     elif args.format == "csv":
@@ -273,7 +283,7 @@ def _cmd_verify_lemma6(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    report = verify_theorem1(args.n, cap=_resolve_cap(args), jobs=args.jobs)
+    report = verify_theorem1(args.n, cap=_resolve_cap(args))
     out = {"check": "theorem1", **report.as_dict()}
     lines = [
         f"min class: {' '.join(c.word for c in report.min_codes)}",
@@ -283,7 +293,7 @@ def _cmd_verify_theorem1(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    report = verify_conjecture(args.n, cap=_resolve_cap(args), jobs=args.jobs)
+    report = verify_conjecture(args.n, cap=_resolve_cap(args))
     out = {"check": "conjecture", **report.as_dict()}
     lines = [
         f"min kf: {format_rational(report.min_kf)}  class: {' '.join(c.word for c in report.min_codes)}",

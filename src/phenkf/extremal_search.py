@@ -344,11 +344,11 @@ def check_cap(n: int, cap: int):
         f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
 
 
-def find_extrema(n: int, cap=DEFAULT_CAP, jobs=1) -> ExtremaTable:
+def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     """Exact min/max Kirchhoff classes over every code with n hexagons.
 
     The transfer engine walks the code trie, so codes sharing a prefix share
-    its updates.  `jobs` is ignored; it is accepted for compatibility.
+    its updates.
     """
     check_cap(n, cap)
     reports = [KfReport(code, code.canonical(), kf)
@@ -485,9 +485,10 @@ def _unit_cycle(net: ResistanceNetwork, cycle) -> bool:
 
 
 def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
-    """(u, r(u, x), r(u, y)) per u in `vertices`: one solve grounded at x, one at y."""
-    from_x = grounded_resistances(chain.network, chain.x, targets=vertices)
-    from_y = grounded_resistances(chain.network, chain.y, targets=vertices)
+    """(u, r(u, x), r(u, y)) per u in `vertices`: one factorization grounded
+    at x, one at y."""
+    from_x = grounded_resistances(chain.network, chain.x)
+    from_y = grounded_resistances(chain.network, chain.y)
     return tuple((u, from_x[u], from_y[u]) for u in vertices)
 
 
@@ -528,11 +529,11 @@ class Lemma5Report:
 def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """Terminal-resistance inequalities on the square-first chain.
 
-    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) by grounded
-    solves, then runs the staged simplification and checks that every single
-    step preserves r(a_1, x) and r(a_1, y) exactly, that the final star obeys
-    0 < R_1 < 1, and (for a unit-weighted last hexagon) that the reduced
-    two-path form reproduces those values.
+    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) from grounded
+    factorizations, then runs the staged simplification and checks that
+    every single step preserves r(a_1, x) and r(a_1, y) exactly, that the
+    final star obeys 0 < R_1 < 1, and (for a unit-weighted last hexagon)
+    that the reduced two-path form reproduces those values.
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
@@ -542,19 +543,18 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     final, trace = simplify_chain_circuit(chain)
     steps_preserve_ok = True
     current = net
-    terminals = (chain.x, chain.y)
     for current in trace.networks(net):
-        held = grounded_resistances(current, chain.a1, targets=terminals)
+        held = grounded_resistances(current, chain.a1)
         if held[chain.x] != r_a1_x or held[chain.y] != r_a1_y:
             steps_preserve_ok = False
             break
     if steps_preserve_ok and current != final:
         steps_preserve_ok = False
 
-    hub = f"z{2 * n - 1}"
+    hubs = [s.new_vertex for s in trace if s.kind == "delta-wye"]
     b_n, k_n = chain.unit_edge
-    r1 = final.edges_between(hub, b_n)[0].r
-    r2 = final.edges_between(hub, k_n)[0].r
+    r1 = final.edges_between(hubs[-1], b_n)[0].r
+    r2 = final.edges_between(hubs[-1], k_n)[0].r
     star_range_ok = 0 < r1 < 1
 
     closed_form_ok = None
@@ -563,9 +563,9 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
         # hexagon: R_1 + 1 over the top, R_2 + 4 under the bottom
         pendant = Rational(0)
         prev = chain.a1
-        for t in range(1, 2 * n):
-            pendant += final.edges_between(prev, f"z{t}")[0].r
-            prev = f"z{t}"
+        for hub in hubs:
+            pendant += final.edges_between(prev, hub)[0].r
+            prev = hub
         denom = r1 + r2 + 5
         closed_form_ok = (
             r_a1_x == pendant + (r1 + 1) * (r2 + 4) / denom
@@ -728,9 +728,9 @@ class Theorem1Report:
         }
 
 
-def verify_theorem1(n: int, cap=DEFAULT_CAP, jobs=1) -> Theorem1Report:
+def verify_theorem1(n: int, cap=DEFAULT_CAP) -> Theorem1Report:
     """Every Kirchhoff-minimizing code must be all-kink."""
-    table = find_extrema(n, cap=cap, jobs=jobs)
+    table = find_extrema(n, cap=cap)
     violations = tuple(c for c in table.min_codes if not c.is_all_kink())
     return Theorem1Report(n, table.min_codes, violations, not violations)
 
@@ -759,10 +759,10 @@ class ConjectureReport:
         }
 
 
-def verify_conjecture(n: int, cap=DEFAULT_CAP, jobs=1) -> ConjectureReport:
+def verify_conjecture(n: int, cap=DEFAULT_CAP) -> ConjectureReport:
     """The minimum class must be exactly the all-left/all-right pair and the
     maximum class exactly the straight chain; min < max for n >= 3."""
-    table = find_extrema(n, cap=cap, jobs=jobs)
+    table = find_extrema(n, cap=cap)
     expected_min = helicene(n).orbit()
     expected_max = (linear(n),)
     passed = (

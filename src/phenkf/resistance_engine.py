@@ -7,10 +7,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
   transform the network while preserving effective resistances among the
   surviving vertices, with a replayable trace;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
-  reverse Cuthill-McKee order, behind every resistance quantity here: the
-  Kirchhoff index, grounded resistances, per-vertex resistance sums and
-  the resistance matrix (solves, and selected inversion by the Takahashi
-  recurrence).  It alone checks its input for the empty network, a
+  reverse Cuthill-McKee order, behind every resistance quantity here.
+  Each is read off the inverse by the Takahashi recurrence: grounded
+  resistances off its diagonal, the resistance matrix off all of it; the
+  Kirchhoff index and per-vertex resistance sums add one solve against the
+  all-ones vector.  It alone checks its input for the empty network, a
   missing ground and disconnection.
 
 The Kirchhoff index of a unit chain code (`kf_of_code`, `find_extrema`)
@@ -28,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .exact_arith import Rational, format_rational, parse_rational
+from .exact_arith import Rational, format_rational
 
 
 class NetworkError(ValueError):
@@ -137,9 +138,6 @@ class ResistanceNetwork:
         self.require_vertex(u)
         self.require_vertex(v)
         return tuple(e for e in self._adj[u] if {e.u, e.v} == {u, v})
-
-    def conductance_between(self, u, v) -> Rational:
-        return sum((1 / e.r for e in self.edges_between(u, v)), Rational(0))
 
     def is_connected(self) -> bool:
         if self.num_vertices <= 1:
@@ -571,9 +569,8 @@ class _GroundedFactor:
         """x = K^-1 rhs, with vectors indexed by elimination position."""
         x = list(rhs)
         for p, col in enumerate(self.cols):
-            if x[p]:
-                for q, l_q in col:
-                    x[q] += l_q * x[p]
+            for q, l_q in col:
+                x[q] += l_q * x[p]
         for p in range(len(x) - 1, -1, -1):
             x[p] = x[p] / self.pivots[p] + sum(l_q * x[q] for q, l_q in self.cols[p])
         return x
@@ -600,28 +597,17 @@ class _GroundedFactor:
         return z
 
 
-def grounded_resistances(net: ResistanceNetwork, ground, targets=None) -> dict:
-    """Effective resistances from `ground` to other vertices, in one factorization.
+def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
+    """r(ground, v) for every other vertex v, in vertex order.
 
     With the grounded Laplacian K (ground row and column deleted),
-    r(ground, v) = (K^-1)_vv.  With `targets=None`, returns r(ground, v) for
-    every other vertex from the Takahashi diagonal of K^-1.  With an
-    explicit iterable of `targets`, solves K phi = e_t for just those.
+    r(ground, v) = (K^-1)_vv, read off the Takahashi diagonal of one
+    factorization.
     """
     factor = _GroundedFactor(net, ground)
     pos = factor.pos
-    if targets is None:
-        z = factor.inverse()
-        return {v: z[pos[v]][pos[v]] for v in net.vertices if v != ground}
-    out = {}
-    for t in targets:
-        net.require_vertex(t)
-        if t == ground:
-            raise NetworkError("target coincides with the ground vertex")
-        unit = [0] * len(pos)
-        unit[pos[t]] = 1
-        out[t] = factor.solve(unit)[pos[t]]
-    return out
+    z = factor.inverse()
+    return {v: z[pos[v]][pos[v]] for v in net.vertices if v != ground}
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:
@@ -782,29 +768,7 @@ def simplify_chain_circuit(chain):
 
 
 # ---------------------------------------------------------------------------
-# interchange formats
-
-
-def parse_edge_list(text: str) -> ResistanceNetwork:
-    """Parse "u v r" lines (r as p/q or integer; missing r means 1).
-
-    Blank lines and '#' comments are skipped.  Numeric tokens become int
-    vertex ids, anything else a string id.
-    """
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise NetworkError(f"line {lineno}: expected 'u v r', got {raw!r}")
-        u, v = parts[0], parts[1]
-        u = int(u) if u.lstrip("+-").isdigit() else u
-        v = int(v) if v.lstrip("+-").isdigit() else v
-        r = parse_rational(parts[2]) if len(parts) == 3 else Rational(1)
-        edges.append((u, v, r))
-    return ResistanceNetwork(edges)
+# output formats
 
 
 def format_edge_list(net: ResistanceNetwork) -> str:

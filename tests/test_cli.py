@@ -141,6 +141,25 @@ def test_flags_the_format_drops_are_refused(args, flag, fmt):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("code, flags, message", [
+    ("0" * 2999, (), "kf takes at most 3000 hexagons, got n=3001"),
+    ("0" * 999, ("--sums",), "kf --sums takes at most 1000 hexagons, got n=1001"),
+    ("0" * 59, ("--matrix", "--format", "json"), "kf --matrix takes at most 60 hexagons, got n=61"),
+    ("0" * 59, ("--sums", "--matrix", "--format", "json"), "kf --matrix takes at most 60 hexagons"),
+], ids=["plain", "sums", "matrix", "sums-matrix"])
+def test_kf_refuses_chains_past_its_bound(code, flags, message):
+    # refused right after parsing, before any Kf, sum or matrix is computed
+    proc = run_cli("kf", "--code", code, *flags, check=False, timeout=2)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_extrema_ignores_jobs():
+    serial = run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "1").stdout
+    assert run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "2").stdout == serial
+
+
 @pytest.mark.parametrize("args, message", [
     (("extrema", "--n", "3", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
     (("verify", "lemma5", "--n", "2", "--samples", "-3"), "argument --samples: must be at least 0, got -3"),

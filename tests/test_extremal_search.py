@@ -34,7 +34,7 @@ from phenkf.extremal_search import (
     verify_theorem1,
     weighted_hexagon_check,
 )
-from phenkf.resistance_engine import _GroundedFactor, kirchhoff_index
+from phenkf.resistance_engine import _GroundedFactor, effective_resistance, kirchhoff_index
 from phenkf.st_isomer import lemma4_delta
 
 
@@ -161,10 +161,6 @@ def test_extrema_csv_shape():
     assert lines[0] == "n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"
     assert len(lines) == 4
     assert lines[1] == "3,0,0,99465,322,true,true,false"
-
-
-def test_parallel_jobs_match_serial():
-    assert find_extrema(4, jobs=2).to_csv() == find_extrema(4, jobs=1).to_csv()
 
 
 def test_cap_guard():
@@ -316,6 +312,58 @@ def test_lemma6_refuses_reweighted_unit_edge():
     unit_edge = build_chain(code).unit_edge
     with pytest.raises(ValueError, match="designated unit edge"):
         check_lemma6(4, weights={unit_edge: 2}, code=code)
+
+
+@pytest.mark.parametrize("n, seed", [(1, None), (2, None), (3, None), (3, 5)],
+                         ids=["1", "2", "3", "3-weighted"])
+def test_lemma5_values_match_dense_oracle(n, seed):
+    weights = None if seed is None else random_terminal_weights(n, random.Random(seed))
+    report = check_lemma5(n, weights)
+    chain = build_terminal_chain(n, weights)
+    assert (report.r_a1_x, report.r_a1_y, report.r_l1_x, report.r_l1_y) == tuple(
+        effective_resistance(chain.network, u, t)
+        for u in (chain.a1, chain.l1) for t in (chain.x, chain.y))
+
+
+@pytest.mark.parametrize("n, code, seed", [
+    (2, None, None), (3, None, None), (4, None, None), (4, ChainCode(4, (0, 1)), 5),
+], ids=["2", "3", "4", "4-weighted"])
+def test_lemma6_rows_match_dense_oracle(n, code, seed):
+    weights = None if code is None else random_chain_weights(code, random.Random(seed))
+    for inst in check_lemma6(n, weights, code).instances:
+        chain = build_chain(inst.code)
+        if weights:
+            chain = chain.reweighted(weights)
+        assert [u for u, _, _ in inst.resistances] == [
+            u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
+        for u, rx, ry in inst.resistances:
+            assert rx == effective_resistance(chain.network, u, chain.x)
+            assert ry == effective_resistance(chain.network, u, chain.y)
+
+
+def test_terminal_checks_read_one_factorization_per_ground(monkeypatch):
+    # each grounded read is one factorization and its Takahashi diagonal:
+    # two per lemma 6 chain (at x and at y), and for lemma 5 two plus one
+    # per reduction step, with no per-target solves
+    counts = {"factor": 0, "solve": 0}
+    factor, solve = _GroundedFactor.__init__, _GroundedFactor.solve
+
+    def counting_factor(self, net, ground=None):
+        counts["factor"] += 1
+        factor(self, net, ground)
+
+    def counting_solve(self, rhs):
+        counts["solve"] += 1
+        return solve(self, rhs)
+
+    monkeypatch.setattr(_GroundedFactor, "__init__", counting_factor)
+    monkeypatch.setattr(_GroundedFactor, "solve", counting_solve)
+    assert check_lemma6(5).passed
+    assert counts == {"factor": 2 * 27, "solve": 0}
+    counts.update(factor=0, solve=0)
+    report = check_lemma5(3)
+    assert report.passed and report.step_count == 18
+    assert counts == {"factor": 2 + 18, "solve": 0}
 
 
 # -- hexagon formula and headline results ------------------------------------

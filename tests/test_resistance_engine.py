@@ -23,7 +23,6 @@ from phenkf.resistance_engine import (
     kirchhoff_index,
     network_to_dot,
     parallel_reduce,
-    parse_edge_list,
     reduce_series_parallel,
     resistance_matrix,
     resistance_sum,
@@ -57,7 +56,6 @@ def test_network_accessors():
     assert net.degree("b") == 3
     assert set(net.neighbors("b")) == {"a", "c"}
     assert len(net.edges_between("a", "b")) == 2
-    assert net.conductance_between("a", "b") == 1
     assert net.is_connected()
 
 
@@ -258,18 +256,6 @@ def test_resistance_bounded_by_single_path():
     assert effective_resistance(net, 0, 2) <= 5
 
 
-def test_grounded_resistances_targets_match_full():
-    rng = random.Random(41)
-    net = random_network(rng, max_vertices=9)
-    ground = net.vertices[0]
-    full = grounded_resistances(net, ground)
-    some = [v for v in net.vertices if v != ground][:3]
-    part = grounded_resistances(net, ground, targets=some)
-    assert part == {v: full[v] for v in some}
-    with pytest.raises(NetworkError):
-        grounded_resistances(net, ground, targets=[ground])
-
-
 def test_disconnected_network_is_rejected():
     net = ResistanceNetwork([(0, 1, 1), (2, 3, 1)])
     with pytest.raises(ConnectivityError):
@@ -347,8 +333,6 @@ def test_factorization_matches_oracle_on_every_chain(n):
         size = net.num_vertices
         assert kirchhoff_index(net) == size * trace - sum(row.values())
         assert grounded_resistances(net, ground) == {v: g[v][v] for v in g}
-        targets = list(g)[::5]
-        assert grounded_resistances(net, ground, targets=targets) == {v: g[v][v] for v in targets}
         assert resistance_sum(net, ground) == trace
         sums = resistance_sums(net)
         assert sums[ground] == trace
@@ -432,24 +416,11 @@ def test_simplify_chain_final_star():
 # -- serialization -----------------------------------------------------------
 
 
-def test_edge_list_roundtrip():
-    net = ResistanceNetwork([("a", "b", Fraction(1, 2)), ("b", "c", 3), ("a", "b", 1)])
-    assert parse_edge_list(format_edge_list(net)) == net
-
-
-def test_parse_edge_list_grammar():
-    net = parse_edge_list("# comment\n a b 1/2 \n\nb c\n")
-    assert net.edges_between("b", "c")[0].r == 1  # missing weight means unit
-    assert net.edges_between("a", "b")[0].r == Fraction(1, 2)
-    with pytest.raises(NetworkError):
-        parse_edge_list("a b 1 extra\n")
-    with pytest.raises(InvalidNetworkError):
-        parse_edge_list("a b 0\n")
-
-
-def test_parse_edge_list_numeric_ids():
-    net = parse_edge_list("0 1 2\n")
-    assert net.vertices == (0, 1)
+def test_format_edge_list():
+    # one "u v r" line per edge, in the network's sorted edge order
+    net = ResistanceNetwork([("b", "c", 3), ("a", "b", 1), (2, "a", Fraction(1, 2))])
+    assert format_edge_list(net) == "2 a 1/2\na b 1\nb c 3\n"
+    assert format_edge_list(ResistanceNetwork(())) == ""
 
 
 def test_network_to_dot():
