@@ -54,6 +54,9 @@ JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
+# verify lemma5 replays 8n - 6 reduction steps, each rebuilding the network,
+# so with the default 5 samples it takes about half a minute at this bound
+MAX_LEMMA5_HEXAGONS = 100
 
 
 def _emit(text: str):
@@ -226,6 +229,8 @@ def _path_component(names):
 
 
 def _cmd_verify_lemma5(args) -> int:
+    if args.n > MAX_LEMMA5_HEXAGONS:
+        raise ValueError(f"verify lemma5 takes at most {MAX_LEMMA5_HEXAGONS} hexagons, got n={args.n}")
     rng = random.Random(args.seed)
     unit = check_lemma5(args.n)
     failures = []

@@ -29,6 +29,8 @@ from .resistance_engine import (
     resistance_sum,
     resistance_sums,
     simplify_chain_circuit,
+    step_preserves_resistances,
+    terminal_resistances,
 )
 from .st_isomer import STPair, lemma4_delta, make_st_pair
 
@@ -485,11 +487,10 @@ def _unit_cycle(net: ResistanceNetwork, cycle) -> bool:
 
 
 def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
-    """(u, r(u, x), r(u, y)) per u in `vertices`: one factorization grounded
-    at x, one at y."""
-    from_x = grounded_resistances(chain.network, chain.x)
-    from_y = grounded_resistances(chain.network, chain.y)
-    return tuple((u, from_x[u], from_y[u]) for u in vertices)
+    """(u, r(u, x), r(u, y)) per u in `vertices`, from one factorization
+    grounded at x and one solve (`terminal_resistances`)."""
+    rows = terminal_resistances(chain.network, chain.x, chain.y)
+    return tuple((u, *rows[u]) for u in vertices)
 
 
 @dataclass(frozen=True)
@@ -529,11 +530,16 @@ class Lemma5Report:
 def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """Terminal-resistance inequalities on the square-first chain.
 
-    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) from grounded
-    factorizations, then runs the staged simplification and checks that
-    every single step preserves r(a_1, x) and r(a_1, y) exactly, that the
-    final star obeys 0 < R_1 < 1, and (for a unit-weighted last hexagon)
-    that the reduced two-path form reproduces those values.
+    Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) from one
+    factorization grounded at x, then runs the staged simplification.  Each
+    replayed step must pass its local certificate
+    (`step_preserves_resistances`: the step's removed and added edges give
+    equal resistances among the vertices they share, so every resistance
+    among surviving vertices is kept) and keep a_1, x and y; one
+    factorization of the final network must then give back r(a_1, x) and
+    r(a_1, y).  Last, the final star must obey 0 < R_1 < 1 and (for a
+    unit-weighted last hexagon) the reduced two-path form must reproduce
+    those values.  No step factors the whole network.
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
@@ -541,15 +547,19 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     inequalities_ok = r_a1_x < r_a1_y and r_l1_x < r_l1_y
 
     final, trace = simplify_chain_circuit(chain)
+    ends = (chain.a1, chain.x, chain.y)
     steps_preserve_ok = True
-    current = net
-    for current in trace.networks(net):
-        held = grounded_resistances(current, chain.a1)
-        if held[chain.x] != r_a1_x or held[chain.y] != r_a1_y:
+    before = net
+    for step, after in zip(trace, trace.networks(net)):
+        if not (step_preserves_resistances(step, before, after)
+                and all(after.has_vertex(v) for v in ends)):
             steps_preserve_ok = False
             break
-    if steps_preserve_ok and current != final:
-        steps_preserve_ok = False
+        before = after
+    if steps_preserve_ok:
+        held = grounded_resistances(final, chain.a1)
+        steps_preserve_ok = (before == final and held[chain.x] == r_a1_x
+                             and held[chain.y] == r_a1_y)
 
     hubs = [s.new_vertex for s in trace if s.kind == "delta-wye"]
     b_n, k_n = chain.unit_edge

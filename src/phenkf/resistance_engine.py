@@ -5,13 +5,16 @@ resistances.  Two kinds of computation are kept deliberately separate:
 
 * local circuit reductions (series, parallel, delta-wye, star-mesh) that
   transform the network while preserving effective resistances among the
-  surviving vertices, with a replayable trace;
+  surviving vertices, with a replayable trace.  Each recorded step can be
+  certified on its own edges (`step_preserves_resistances`), without
+  solving the whole network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   Each is read off the inverse by the Takahashi recurrence: grounded
   resistances off its diagonal, the resistance matrix off all of it; the
   Kirchhoff index and per-vertex resistance sums add one solve against the
-  all-ones vector.  It alone checks its input for the empty network, a
+  all-ones vector, and resistances to two terminals one solve against a
+  unit vector.  It alone checks its input for the empty network, a
   missing ground and disconnection.
 
 The Kirchhoff index of a unit chain code (`kf_of_code`, `find_extrema`)
@@ -25,7 +28,7 @@ elimination instead.  It is the independent oracle the tests hold the
 factorization to; no verdict depends on it.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,11 +64,16 @@ class Edge(NamedTuple):
     r: Rational
 
 
+def _edge_order(e: Edge) -> tuple:
+    return vertex_key(e.u), vertex_key(e.v), e.r
+
+
 def _make_edge(u, v, r) -> Edge:
     if u == v:
         raise InvalidNetworkError(f"self-loop at {u!r}")
-    r = Rational(r)
-    if r <= 0:
+    if type(r) is not Rational:
+        r = Rational(r)
+    if r.numerator <= 0:
         raise InvalidNetworkError(f"resistance must be positive, got {r} on ({u!r}, {v!r})")
     if vertex_key(v) < vertex_key(u):
         u, v = v, u
@@ -99,7 +107,7 @@ class ResistanceNetwork:
         seen.update(extra_vertices)
         self.vertices = tuple(sorted(seen, key=vertex_key))
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = tuple(sorted(normalized, key=lambda e: (vertex_key(e.u), vertex_key(e.v), e.r)))
+        self.edges = tuple(sorted(normalized, key=_edge_order))
         adj = {v: [] for v in self.vertices}
         for e in self.edges:
             adj[e.u].append(e)
@@ -255,9 +263,12 @@ class ReductionTrace:
     def __iter__(self):
         return iter(self.steps)
 
-    def replay(self, network: ResistanceNetwork) -> ResistanceNetwork:
-        """Re-apply every step, checking each recorded edge change exactly."""
-        for idx, step in enumerate(self.steps):
+    def replay(self, network: ResistanceNetwork, start=0) -> ResistanceNetwork:
+        """Re-apply every step, checking each recorded edge change exactly.
+
+        Errors number the steps from `start`, the index of the first one.
+        """
+        for idx, step in enumerate(self.steps, start):
             before = network
             if step.kind == "series":
                 network = series_reduce(network, *step.site)
@@ -277,29 +288,64 @@ class ReductionTrace:
     def networks(self, network: ResistanceNetwork):
         """Yield the network after each step, the last one being `replay`'s.
 
-        Each step is replayed and checked on its own, as a one-step trace.
+        Each step is replayed and checked on its own, as a one-step trace
+        that reports its index in this one.
         """
-        for step in self.steps:
-            network = ReductionTrace([step]).replay(network)
+        for idx, step in enumerate(self.steps):
+            network = ReductionTrace([step]).replay(network, start=idx)
             yield network
+
+
+def _edge_key(e: Edge) -> tuple:
+    # hashing the ints is much cheaper than hashing the Fraction
+    return e.u, e.v, e.r.numerator, e.r.denominator
 
 
 def _edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):
     """Multiset difference of edges: (removed, added), each sorted."""
-    counts = defaultdict(int)
-    for e in before.edges:
-        counts[e] += 1
-    for e in after.edges:
-        counts[e] -= 1
-    removed = []
-    added = []
-    for e in sorted(counts, key=lambda e: (vertex_key(e.u), vertex_key(e.v), e.r)):
-        c = counts[e]
-        if c > 0:
-            removed.extend([e] * c)
-        elif c < 0:
-            added.extend([e] * (-c))
-    return tuple(removed), tuple(added)
+    counts = Counter(map(_edge_key, before.edges))
+    counts.subtract(map(_edge_key, after.edges))
+    changed = {Edge(u, v, Rational(p, q)): c for (u, v, p, q), c in counts.items() if c}
+    order = sorted(changed, key=_edge_order)
+    removed = tuple(e for e in order for _ in range(changed[e]))
+    added = tuple(e for e in order for _ in range(-changed[e]))
+    return removed, added
+
+
+def step_preserves_resistances(step: ReductionStep, before: ResistanceNetwork,
+                               after: ResistanceNetwork) -> bool:
+    """Local certificate that `step`, taking `before` to `after`, keeps every
+    effective resistance among the vertices both networks share.
+
+    Edges outside the step are common to both networks (`replay` checks the
+    recorded edges against the real change).  The step's vertices
+    split into eliminated ones (in `before` only), new ones (in `after` only)
+    and survivors.  Eliminated vertices must touch removed edges only and new
+    ones added edges only; then Kron-reducing each away leaves the common
+    edges plus the Schur complement of the removed side or of the added side
+    on the survivors.  Equal resistance matrices on the survivors mean equal
+    Schur complements, so the two reduced networks coincide.  Each side is
+    as small as the step (at most 4 vertices for series and delta-wye).  A
+    side that leaves survivors disconnected fails; one survivor or none
+    passes.
+    """
+    removed = {w for e in step.removed_edges for w in (e.u, e.v)}
+    added = {w for e in step.added_edges for w in (e.u, e.v)}
+    touched = removed | added
+    eliminated = {w for w in touched if not after.has_vertex(w)}
+    new = {w for w in touched if not before.has_vertex(w)}
+    if eliminated & added or new & removed:
+        return False
+    survivors = sorted(touched - eliminated - new, key=vertex_key)
+    if len(survivors) < 2:
+        return True
+    try:
+        sides = [resistance_matrix(ResistanceNetwork(edges, survivors))
+                 for edges in (step.removed_edges, step.added_edges)]
+    except ConnectivityError:
+        return False
+    return all(sides[0].resistance(u, v) == sides[1].resistance(u, v)
+               for i, u in enumerate(survivors) for v in survivors[i + 1:])
 
 
 def _record(trace, kind, site, before, after, new_vertex=None):
@@ -608,6 +654,30 @@ def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
     pos = factor.pos
     z = factor.inverse()
     return {v: z[pos[v]][pos[v]] for v in net.vertices if v != ground}
+
+
+def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
+    """(r(v, x), r(v, y)) for every vertex v, in vertex order.
+
+    One factorization grounded at x: r(v, x) = Z_vv off the Takahashi
+    diagonal of Z = K^-1, and one solve against e_y gives the column Z_vy,
+    so r(v, y) = Z_vv + Z_yy - 2 Z_vy (Z is zero in the row of x).
+    """
+    net.require_vertex(y)
+    if y == x:
+        raise NetworkError(f"terminals coincide at {x!r}")
+    factor = _GroundedFactor(net, x)
+    pos = factor.pos
+    z = factor.inverse()
+    e_y = [0] * len(pos)
+    e_y[pos[y]] = 1
+    col = factor.solve(e_y)
+    z_yy = z[pos[y]][pos[y]]
+    out = {}
+    for v in net.vertices:
+        p = pos.get(v)
+        out[v] = (Rational(0), z_yy) if p is None else (z[p][p], z[p][p] + z_yy - 2 * col[p])
+    return out
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:

@@ -6,6 +6,7 @@ and that sees ``PHENKF_MAX_CODES`` only when a test sets it.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -155,6 +156,14 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
     assert proc.stdout == ""
 
 
+def test_lemma5_refuses_chains_past_its_bound():
+    # refused before any chain is built; n = 100 itself takes about half a minute
+    proc = run_cli("verify", "lemma5", "--n", "101", check=False, timeout=2)
+    assert proc.returncode == 2
+    assert "verify lemma5 takes at most 100 hexagons, got n=101" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_extrema_ignores_jobs():
     serial = run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "1").stdout
     assert run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "2").stdout == serial
@@ -200,6 +209,18 @@ def test_verify_lemma6():
     proc = run_cli("verify", "lemma6", "--n", "2")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("verify", "lemma5", "--n", "4"), "ab945edb39091ba83b52f885b68a4bc0e16da24c0d216167961918b16f077333"),
+    (("verify", "lemma6", "--n", "4"), "c553f66115fc96b2da2b1299e5379c551419570f911f3bd8900b412f2010c916"),
+    (("verify", "lemma4",), "4e3fd464461d24721596ea7b7972a9eabed96639626e6c7d9c14aac9b64c8ff7"),
+], ids=["lemma5", "lemma6", "lemma4"])
+def test_lemma_reports_match_golden_digest(args, digest):
+    # sha256 of the full JSON report, default seed; a changed value, field or
+    # verdict anywhere in it changes the digest
+    proc = run_cli(*args, "--format", "json")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_verify_conjecture():

@@ -1,5 +1,6 @@
 """Tests for the extremal enumeration and the verification routines."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -34,7 +35,17 @@ from phenkf.extremal_search import (
     verify_theorem1,
     weighted_hexagon_check,
 )
-from phenkf.resistance_engine import _GroundedFactor, effective_resistance, kirchhoff_index
+from phenkf import resistance_engine
+from phenkf.resistance_engine import (
+    Edge,
+    ResistanceNetwork,
+    _GroundedFactor,
+    effective_resistance,
+    grounded_resistances,
+    kirchhoff_index,
+    simplify_chain_circuit,
+    step_preserves_resistances,
+)
 from phenkf.st_isomer import lemma4_delta
 
 
@@ -341,15 +352,16 @@ def test_lemma6_rows_match_dense_oracle(n, code, seed):
             assert ry == effective_resistance(chain.network, u, chain.y)
 
 
-def test_terminal_checks_read_one_factorization_per_ground(monkeypatch):
-    # each grounded read is one factorization and its Takahashi diagonal:
-    # two per lemma 6 chain (at x and at y), and for lemma 5 two plus one
-    # per reduction step, with no per-target solves
-    counts = {"factor": 0, "solve": 0}
+def test_terminal_checks_factor_once_and_certify_steps_locally(monkeypatch):
+    # each terminal read is one factorization grounded at x and one solve for
+    # the column at y: one per lemma 6 chain.  Lemma 5 factors the whole
+    # chain once for its rows and the final network once; every other
+    # factorization is a step side of at most 4 vertices, whatever n
+    sizes, counts = [], {"solve": 0}
     factor, solve = _GroundedFactor.__init__, _GroundedFactor.solve
 
     def counting_factor(self, net, ground=None):
-        counts["factor"] += 1
+        sizes.append(net.num_vertices)
         factor(self, net, ground)
 
     def counting_solve(self, rhs):
@@ -359,11 +371,110 @@ def test_terminal_checks_read_one_factorization_per_ground(monkeypatch):
     monkeypatch.setattr(_GroundedFactor, "__init__", counting_factor)
     monkeypatch.setattr(_GroundedFactor, "solve", counting_solve)
     assert check_lemma6(5).passed
-    assert counts == {"factor": 2 * 27, "solve": 0}
-    counts.update(factor=0, solve=0)
+    assert (len(sizes), counts["solve"]) == (27, 27)
+    for n in (3, 5):
+        sizes.clear()
+        counts["solve"] = 0
+        report = check_lemma5(n)
+        assert report.passed and report.step_count == 8 * n - 6
+        assert sum(size > 4 for size in sizes) == 2
+        assert len(sizes) == 2 + 2 * report.step_count
+        assert counts["solve"] == 1
+
+
+def _old_step_check(chain, network, r_a1_x, r_a1_y):
+    """The whole-network check the certificate replaced, kept as an oracle."""
+    held = grounded_resistances(network, chain.a1)
+    return held[chain.x] == r_a1_x and held[chain.y] == r_a1_y
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (1, 2, 3, 4) for seed in (None, 11)])
+def test_step_certificate_agrees_with_whole_network_check(n, seed):
+    weights = None if seed is None else random_terminal_weights(n, random.Random(seed))
+    chain = build_terminal_chain(n, weights)
+    r_a1_x, r_a1_y = (effective_resistance(chain.network, chain.a1, t) for t in (chain.x, chain.y))
+    _, trace = simplify_chain_circuit(chain)
+    before = chain.network
+    for step, after in zip(trace, trace.networks(chain.network)):
+        assert step_preserves_resistances(step, before, after)
+        assert _old_step_check(chain, after, r_a1_x, r_a1_y)
+        # one added weight off by one: both checks reject it
+        for i, e in enumerate(step.added_edges):
+            wrong = Edge(e.u, e.v, e.r + 1)
+            bad_step = dataclasses.replace(
+                step, added_edges=step.added_edges[:i] + (wrong,) + step.added_edges[i + 1:])
+            edges = list(after.edges)
+            edges.remove(e)
+            bad_after = ResistanceNetwork(edges + [wrong], after.vertices)
+            assert not step_preserves_resistances(bad_step, before, after)
+            assert not _old_step_check(chain, bad_after, r_a1_x, r_a1_y)
+        before = after
+
+
+def _tamper(monkeypatch, name, target, rewrite):
+    """Make the reduction op `name` pass its output at site `target` through
+    `rewrite(before, after)`, recording the rewritten step in the trace, so
+    that the reduction and its replay agree on the wrong network."""
+    real = getattr(resistance_engine, name)
+    kind = {"series_reduce": "series", "delta_y": "delta-wye"}[name]
+
+    def tampered(net, *site, trace=None, **kw):
+        out = real(net, *site, **kw)
+        if site == target:
+            out = rewrite(net, out)
+        resistance_engine._record(trace, kind, site, net, out, kw.get("new_vertex"))
+        return out
+
+    monkeypatch.setattr(resistance_engine, name, tampered)
+
+
+def _off_by_one(before, after):
+    # the step's first added edge gets resistance r + 1
+    _, added = resistance_engine._edge_delta(before, after)
+    e = added[0]
+    edges = list(after.edges)
+    edges.remove(e)
+    return ResistanceNetwork(edges + [(e.u, e.v, e.r + 1)], after.vertices)
+
+
+@pytest.mark.parametrize("name, kind, index", [
+    ("series_reduce", "series", 0), ("series_reduce", "series", -1),
+    ("delta_y", "delta-wye", 1), ("delta_y", "delta-wye", -1),
+], ids=["first-series", "last-series", "second-delta-wye", "last-delta-wye"])
+def test_lemma5_fails_on_a_wrong_reduction_weight(monkeypatch, name, kind, index):
+    _, trace = simplify_chain_circuit(build_terminal_chain(3))
+    target = [s.site for s in trace if s.kind == kind][index]
+    _tamper(monkeypatch, name, target, _off_by_one)
     report = check_lemma5(3)
-    assert report.passed and report.step_count == 18
-    assert counts == {"factor": 2 + 18, "solve": 0}
+    assert not report.steps_preserve_ok
+    assert not report.passed
+
+
+def test_lemma5_catches_a_step_that_keeps_the_terminal_values(monkeypatch):
+    # when z2 is made, z1 becomes a degree-2 vertex on the pendant path
+    # a1 - z1 - z2: moving it along the path keeps r(a1, x) and r(a1, y)
+    # (and the closed form) but changes r(a1, z1).  The old whole-network
+    # check on r(a1, x) and r(a1, y) passed every step; the certificate
+    # rejects the step that moves z1
+    chain = build_terminal_chain(3)
+
+    def move_z1(before, after):
+        p1 = after.edges_between(chain.a1, "z1")[0].r
+        p2 = after.edges_between("z1", "z2")[0].r
+        return after.reweighted({(chain.a1, "z1"): p1 + p2 / 2, ("z1", "z2"): p2 / 2})
+
+    _, trace = simplify_chain_circuit(chain)
+    target = next(s.site for s in trace if s.new_vertex == "z2")
+    _tamper(monkeypatch, "delta_y", target, move_z1)
+
+    r_a1_x, r_a1_y = (effective_resistance(chain.network, chain.a1, t) for t in (chain.x, chain.y))
+    _, trace = simplify_chain_circuit(chain)
+    assert all(_old_step_check(chain, after, r_a1_x, r_a1_y)
+               for after in trace.networks(chain.network))
+    report = check_lemma5(3)
+    assert report.inequalities_ok and report.star_range_ok and report.closed_form_ok
+    assert not report.steps_preserve_ok
+    assert not report.passed
 
 
 # -- hexagon formula and headline results ------------------------------------

@@ -1,5 +1,6 @@
 """Tests for networks, reduction steps, and the exact resistance solvers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enu
 from phenkf.resistance_engine import (
     _gauss_solve,
     ConnectivityError,
+    Edge,
     InvalidNetworkError,
     NetworkError,
     NotReducibleError,
@@ -30,6 +32,8 @@ from phenkf.resistance_engine import (
     series_reduce,
     simplify_chain_circuit,
     star_mesh_eliminate,
+    step_preserves_resistances,
+    terminal_resistances,
 )
 
 
@@ -47,6 +51,20 @@ def test_network_rejects_self_loops_and_bad_weights():
         ResistanceNetwork([(0, 1, Fraction(-1))])
     with pytest.raises(InvalidNetworkError):
         ResistanceNetwork([(0, 1, 0)])
+
+
+@pytest.mark.parametrize("r, stored", [
+    (2, Fraction(2)), ("3/4", Fraction(3, 4)), (0.5, Fraction(1, 2)), (Fraction(6, 4), Fraction(3, 2)),
+])
+def test_network_converts_weights_to_fractions(r, stored):
+    e = ResistanceNetwork([(1, 0, r)]).edges[0]
+    assert e == (0, 1, stored) and type(e.r) is Fraction
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 3), "-2", "0/5", -0.5])
+def test_network_rejects_nonpositive_weights_of_any_type(r):
+    with pytest.raises(InvalidNetworkError, match="resistance must be positive"):
+        ResistanceNetwork([(0, 1, r)])
 
 
 def test_network_accessors():
@@ -174,6 +192,80 @@ def test_trace_replay_reproduces_reduction():
         trace = ReductionTrace()
         reduced = reduce_series_parallel(net, keep=keep, trace=trace)
         assert trace.replay(net) == reduced
+
+
+@pytest.mark.parametrize("k", [0, 5, 17])
+def test_replay_mismatch_names_the_step(k):
+    chain = build_terminal_chain(3)
+    _, trace = simplify_chain_circuit(chain)
+    step = trace.steps[k]
+    e = step.added_edges[0]
+    wrong = dataclasses.replace(step, added_edges=(Edge(e.u, e.v, e.r + 1), *step.added_edges[1:]))
+    tampered = ReductionTrace(trace.steps[:k] + [wrong] + trace.steps[k + 1:])
+    message = f"replay mismatch at step {k}: "
+    with pytest.raises(NetworkError, match=message):
+        tampered.replay(chain.network)
+    with pytest.raises(NetworkError, match=message):
+        list(tampered.networks(chain.network))
+
+
+def _steps_with_networks(net, trace):
+    befores = [net, *trace.networks(net)]
+    return zip(trace, befores, befores[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
+    trace = ReductionTrace()
+    keep = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
+    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    for v in data.draw(st.permutations(reduced.vertices))[:-2]:
+        reduced = star_mesh_eliminate(reduced, v, trace=trace)
+    assert trace.replay(net) == reduced
+    for step, before, after in _steps_with_networks(net, trace):
+        assert step_preserves_resistances(step, before, after), step.describe()
+        if step.added_edges:
+            i = data.draw(st.integers(0, len(step.added_edges) - 1))
+            u, v, r = step.added_edges[i]
+            added = list(step.added_edges)
+            added[i] = Edge(u, v, r + data.draw(weights))
+            wrong = dataclasses.replace(step, added_edges=tuple(added))
+            assert not step_preserves_resistances(wrong, before, after), step.describe()
+
+
+def test_step_certificate_cases():
+    net = ResistanceNetwork([(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2)])
+    trace = ReductionTrace()
+    star = delta_y(net, 0, 1, 2, new_vertex="w", trace=trace)
+    pendant = star_mesh_eliminate(star, 3, trace=trace)
+    (wye, drop) = trace.steps
+    assert step_preserves_resistances(wye, net, star)
+    assert step_preserves_resistances(drop, star, pendant)  # one survivor
+    # dropping an edge between two survivors disconnects the added side
+    cut = dataclasses.replace(wye, added_edges=wye.added_edges[1:])
+    assert not step_preserves_resistances(cut, net, star)
+    # a survivor may not pass for eliminated, nor a new vertex for a survivor
+    assert not step_preserves_resistances(wye, net, star_mesh_eliminate(star, 0))
+    assert not step_preserves_resistances(wye, star, star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_terminal_resistances_match_oracle(net, data):
+    x, y = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
+    rows = terminal_resistances(net, x, y)
+    assert list(rows) == list(net.vertices)
+    assert all(rows[v] == (effective_resistance(net, v, x), effective_resistance(net, v, y))
+               for v in net.vertices)
+
+
+def test_terminal_resistances_refuse_bad_terminals():
+    net = cycle(4)
+    with pytest.raises(NetworkError, match="terminals coincide"):
+        terminal_resistances(net, 1, 1)
+    with pytest.raises(NetworkError, match="unknown vertex"):
+        terminal_resistances(net, 1, 9)
 
 
 def test_step_descriptions():
