@@ -40,7 +40,6 @@ from .resistance_engine import (
     ReductionTrace,
     ResistanceNetwork,
     format_edge_list,
-    kirchhoff_index,
     reduce_series_parallel,
     resistance_matrix,
 )
@@ -55,8 +54,11 @@ MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
 # verify lemma5 replays 8n - 6 reduction steps, each rebuilding the network,
-# so with the default 5 samples it takes about half a minute at this bound
+# so with the default 5 samples it takes about 17 s at this bound (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 100
+# reduce rescans and rebuilds the whole network at each of its O(n) steps,
+# so it takes about half a minute at this bound, with or without --trace
+MAX_REDUCE_HEXAGONS = 400
 
 
 def _emit(text: str):
@@ -324,13 +326,15 @@ def _cmd_verify_hexagon(args) -> int:
 
 def _cmd_reduce(args) -> int:
     code = _parse_code(args)
+    if code.n > MAX_REDUCE_HEXAGONS:
+        raise ValueError(f"reduce takes at most {MAX_REDUCE_HEXAGONS} hexagons, got n={code.n}")
     chain = build_chain(code)
     trace = ReductionTrace() if args.trace else None
     reduced = reduce_series_parallel(chain.network, trace=trace)
     if args.format == "json":
         out = {
             "code": {"n": code.n, "w": code.word},
-            "kf": format_rational(kirchhoff_index(chain.network)),
+            "kf": format_rational(kf_of_code(code).kf),
             "final_edges": [[e.u, e.v, format_rational(e.r)] for e in reduced.edges],
         }
         if trace is not None:

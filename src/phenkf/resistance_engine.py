@@ -5,9 +5,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
 
 * local circuit reductions (series, parallel, delta-wye, star-mesh) that
   transform the network while preserving effective resistances among the
-  surviving vertices, with a replayable trace.  Each recorded step can be
-  certified on its own edges (`step_preserves_resistances`), without
-  solving the whole network;
+  surviving vertices, with a replayable trace.  Each op splits the edges
+  into kept and removed once, and builds both its output and its recorded
+  step from that split; replay redoes the op and compares the steps.  Each
+  step can be certified on its own edges (`step_preserves_resistances`),
+  without solving the whole network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   Each is read off the inverse by the Takahashi recurrence: grounded
@@ -28,7 +30,7 @@ elimination instead.  It is the independent oracle the tests hold the
 factorization to; no verdict depends on it.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -264,24 +266,24 @@ class ReductionTrace:
         return iter(self.steps)
 
     def replay(self, network: ResistanceNetwork, start=0) -> ResistanceNetwork:
-        """Re-apply every step, checking each recorded edge change exactly.
+        """Redo every step, each into a scratch trace, and require the step
+        the op records there to equal the recorded one exactly.
 
         Errors number the steps from `start`, the index of the first one.
         """
         for idx, step in enumerate(self.steps, start):
-            before = network
+            redone = ReductionTrace()
             if step.kind == "series":
-                network = series_reduce(network, *step.site)
+                network = series_reduce(network, *step.site, trace=redone)
             elif step.kind == "parallel":
-                network = parallel_reduce(network, *step.site)
+                network = parallel_reduce(network, *step.site, trace=redone)
             elif step.kind == "delta-wye":
-                network = delta_y(network, *step.site, new_vertex=step.new_vertex)
+                network = delta_y(network, *step.site, new_vertex=step.new_vertex, trace=redone)
             elif step.kind == "star-mesh":
-                network = star_mesh_eliminate(network, *step.site)
+                network = star_mesh_eliminate(network, *step.site, trace=redone)
             else:
                 raise NetworkError(f"unknown step kind {step.kind!r}")
-            removed, added = _edge_delta(before, network)
-            if removed != step.removed_edges or added != step.added_edges:
+            if redone.steps != [step]:
                 raise NetworkError(f"replay mismatch at step {idx}: {step.describe()}")
         return network
 
@@ -296,29 +298,13 @@ class ReductionTrace:
             yield network
 
 
-def _edge_key(e: Edge) -> tuple:
-    # hashing the ints is much cheaper than hashing the Fraction
-    return e.u, e.v, e.r.numerator, e.r.denominator
-
-
-def _edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):
-    """Multiset difference of edges: (removed, added), each sorted."""
-    counts = Counter(map(_edge_key, before.edges))
-    counts.subtract(map(_edge_key, after.edges))
-    changed = {Edge(u, v, Rational(p, q)): c for (u, v, p, q), c in counts.items() if c}
-    order = sorted(changed, key=_edge_order)
-    removed = tuple(e for e in order for _ in range(changed[e]))
-    added = tuple(e for e in order for _ in range(-changed[e]))
-    return removed, added
-
-
 def step_preserves_resistances(step: ReductionStep, before: ResistanceNetwork,
                                after: ResistanceNetwork) -> bool:
     """Local certificate that `step`, taking `before` to `after`, keeps every
     effective resistance among the vertices both networks share.
 
-    Edges outside the step are common to both networks (`replay` checks the
-    recorded edges against the real change).  The step's vertices
+    Edges outside the step are common to both networks (`replay` redoes the
+    op and requires it to record the same edges).  The step's vertices
     split into eliminated ones (in `before` only), new ones (in `after` only)
     and survivors.  Eliminated vertices must touch removed edges only and new
     ones added edges only; then Kron-reducing each away leaves the common
@@ -348,14 +334,25 @@ def step_preserves_resistances(step: ReductionStep, before: ResistanceNetwork,
                for i, u in enumerate(survivors) for v in survivors[i + 1:])
 
 
-def _record(trace, kind, site, before, after, new_vertex=None):
-    if trace is not None:
-        removed, added = _edge_delta(before, after)
-        trace.append(ReductionStep(kind, tuple(site), removed, added, new_vertex))
-
-
 # ---------------------------------------------------------------------------
 # reduction operations
+
+
+def _rewrite(net, drop, new_edges, vertices, trace, kind, site, new_vertex=None):
+    """`net` with the edges `drop` picks replaced by `new_edges`, on `vertices`.
+
+    The op's own split gives the step as well: its removed edges come in the
+    order of `net.edges`, which is `_edge_order`, and its added edges are
+    sorted the same way.  With a trace, the step is appended to it.
+    """
+    kept, removed = [], []
+    for e in net.edges:
+        (removed if drop(e) else kept).append(e)
+    added = sorted((_make_edge(*t) for t in new_edges), key=_edge_order)
+    out = ResistanceNetwork(kept + added, vertices)
+    if trace is not None:
+        trace.append(ReductionStep(kind, site, tuple(removed), tuple(added), new_vertex))
+    return out
 
 
 def series_reduce(net: ResistanceNetwork, y, trace=None) -> ResistanceNetwork:
@@ -372,11 +369,8 @@ def series_reduce(net: ResistanceNetwork, y, trace=None) -> ResistanceNetwork:
     z = e2.v if e2.u == y else e2.u
     if x == z:
         raise NotReducibleError(f"vertex {y!r} has parallel edges to {x!r}; not a series site")
-    edges = [e for e in net.edges if y not in (e.u, e.v)]
-    edges.append(_make_edge(x, z, e1.r + e2.r))
-    out = ResistanceNetwork(edges, [v for v in net.vertices if v != y])
-    _record(trace, "series", (y,), net, out)
-    return out
+    return _rewrite(net, lambda e: y in (e.u, e.v), [(x, z, e1.r + e2.r)],
+                    [v for v in net.vertices if v != y], trace, "series", (y,))
 
 
 def parallel_reduce(net: ResistanceNetwork, x, y, trace=None) -> ResistanceNetwork:
@@ -385,11 +379,9 @@ def parallel_reduce(net: ResistanceNetwork, x, y, trace=None) -> ResistanceNetwo
     if len(bundle) < 2:
         raise NotReducibleError(f"need >= 2 parallel edges between {x!r} and {y!r}, found {len(bundle)}")
     conductance = sum(1 / e.r for e in bundle)
-    edges = [e for e in net.edges if {e.u, e.v} != {x, y}]
-    edges.append(_make_edge(x, y, 1 / conductance))
-    out = ResistanceNetwork(edges, net.vertices)
-    _record(trace, "parallel", tuple(sorted((x, y), key=vertex_key)), net, out)
-    return out
+    pair = bundle[0].u, bundle[0].v  # (x, y) in vertex order
+    return _rewrite(net, lambda e: (e.u, e.v) == pair, [(*pair, 1 / conductance)],
+                    net.vertices, trace, "parallel", pair)
 
 
 def delta_y(net: ResistanceNetwork, x, y, z, new_vertex=None, trace=None) -> ResistanceNetwork:
@@ -417,14 +409,11 @@ def delta_y(net: ResistanceNetwork, x, y, z, new_vertex=None, trace=None) -> Res
     r_b = sides[(x, z)].r
     r_c = sides[(x, y)].r
     total = r_a + r_b + r_c
-    drop = set(sides.values())  # three distinct endpoint pairs, one edge each
-    edges = [e for e in net.edges if e not in drop]
-    edges.append(_make_edge(x, new_vertex, r_b * r_c / total))
-    edges.append(_make_edge(y, new_vertex, r_a * r_c / total))
-    edges.append(_make_edge(z, new_vertex, r_a * r_b / total))
-    out = ResistanceNetwork(edges, (*net.vertices, new_vertex))
-    _record(trace, "delta-wye", corners, net, out, new_vertex=new_vertex)
-    return out
+    pairs = {(e.u, e.v) for e in sides.values()}  # one edge each
+    star = [(x, new_vertex, r_b * r_c / total), (y, new_vertex, r_a * r_c / total),
+            (z, new_vertex, r_a * r_b / total)]
+    return _rewrite(net, lambda e: (e.u, e.v) in pairs, star, (*net.vertices, new_vertex),
+                    trace, "delta-wye", corners, new_vertex)
 
 
 def star_mesh_eliminate(net: ResistanceNetwork, v, trace=None) -> ResistanceNetwork:
@@ -443,24 +432,14 @@ def star_mesh_eliminate(net: ResistanceNetwork, v, trace=None) -> ResistanceNetw
         by_neighbor[other] += 1 / e.r
     neighbors = sorted(by_neighbor, key=vertex_key)
     total = sum(by_neighbor.values())
-    new_conductance = defaultdict(lambda: Rational(0))
+    mesh = {}
     for i, p in enumerate(neighbors):
         for q in neighbors[i + 1:]:
-            new_conductance[(p, q)] = by_neighbor[p] * by_neighbor[q] / total
-    edges = []
-    for e in net.edges:
-        if v in (e.u, e.v):
-            continue
-        key = (e.u, e.v)
-        if key in new_conductance:
-            new_conductance[key] += 1 / e.r
-        else:
-            edges.append(e)
-    for (p, q), c in new_conductance.items():
-        edges.append(_make_edge(p, q, 1 / c))
-    out = ResistanceNetwork(edges, [w for w in net.vertices if w != v])
-    _record(trace, "star-mesh", (v,), net, out)
-    return out
+            mesh[(p, q)] = by_neighbor[p] * by_neighbor[q] / total + sum(
+                (1 / e.r for e in net.edges_between(p, q)), Rational(0))
+    return _rewrite(net, lambda e: v in (e.u, e.v) or (e.u, e.v) in mesh,
+                    [(p, q, 1 / c) for (p, q), c in mesh.items()],
+                    [w for w in net.vertices if w != v], trace, "star-mesh", (v,))
 
 
 def reduce_series_parallel(net: ResistanceNetwork, keep=(), trace=None) -> ResistanceNetwork:

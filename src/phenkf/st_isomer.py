@@ -10,8 +10,9 @@ Kf(S) - Kf(T) equals
 where r_X(v) is the sum of resistances from v within X alone and r_X(u, v)
 the effective resistance within X.  Every quantity is exact, and both sides
 come from the grounded factorization of `resistance_engine`: the Kirchhoff
-indices of S and T, and per component one grounded solve at its first mark
-(r_X(u, v) and the sum at u) plus the sum at the second mark.
+indices of S and T, and per component one factorization grounded at its
+first mark with one solve at its second (`terminal_resistances`), which
+gives both sums and r_X(u, v).
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from .exact_arith import Rational, format_rational
 from .resistance_engine import (
     ResistanceNetwork,
-    grounded_resistances,
     kirchhoff_index,
-    resistance_sum,
+    terminal_resistances,
 )
 
 
@@ -66,9 +66,10 @@ def make_st_pair(pair: STPair):
 
 
 def _marked_terms(comp: ResistanceNetwork, u, v):
-    """(r(u), r(v), r(u, v)) within `comp`, from two grounded factorizations."""
-    from_u = grounded_resistances(comp, u)
-    return sum(from_u.values(), Rational(0)), resistance_sum(comp, v), from_u[v]
+    """(r(u), r(v), r(u, v)) within `comp`, from one factorization and one solve."""
+    rows = terminal_resistances(comp, u, v)
+    sum_u, sum_v = (sum(col, Rational(0)) for col in zip(*rows.values()))
+    return sum_u, sum_v, rows[v][0]
 
 
 def lemma4_delta(pair: STPair) -> Rational:
@@ -110,20 +111,20 @@ def verify_lemma4(pair: STPair) -> STCheck:
 # randomized instances
 
 
-def random_connected_network(rng, max_vertices, min_vertices=2, offset=0,
-                             edge_prob=0.45) -> ResistanceNetwork:
+def random_connected_network(rng, max_vertices, offset=0) -> ResistanceNetwork:
     """Erdos-Renyi-style simple graph, resampled until connected.
 
-    Vertices are offset..offset+nv-1 with unit resistances, so two draws with
-    different offsets are vertex-disjoint.
+    Between 2 and `max_vertices` vertices, each pair joined with probability
+    0.45.  Vertices are offset..offset+nv-1 with unit resistances, so two
+    draws with different offsets are vertex-disjoint.
     """
     while True:
-        nv = rng.randint(min_vertices, max_vertices)
+        nv = rng.randint(2, max_vertices)
         vertices = range(offset, offset + nv)
         edges = []
         for i in range(offset, offset + nv):
             for j in range(i + 1, offset + nv):
-                if rng.random() < edge_prob:
+                if rng.random() < 0.45:
                     edges.append((i, j))
         net = ResistanceNetwork(edges, vertices)
         if net.is_connected():

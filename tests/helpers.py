@@ -1,10 +1,11 @@
 """Seeded generators shared by the randomized tests."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from phenkf.resistance_engine import ResistanceNetwork
+from phenkf.resistance_engine import ResistanceNetwork, vertex_key
 
 
 def random_weight(rng) -> Fraction:
@@ -28,6 +29,18 @@ def random_network(rng, max_vertices: int = 12) -> ResistanceNetwork:
         u, v, _ = edges[rng.randrange(len(edges))]
         edges.append((u, v, random_weight(rng)))
     return ResistanceNetwork(edges)
+
+
+def edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):
+    """Multiset difference of two networks' edges: (removed, added), each
+    sorted as network edges are.  An oracle for what a reduction step changed,
+    independent of how the reduction ops record it."""
+    counts = Counter(before.edges)
+    counts.subtract(after.edges)
+    order = sorted(counts, key=lambda e: (vertex_key(e.u), vertex_key(e.v), e.r))
+    removed = tuple(e for e in order for _ in range(counts[e]))
+    added = tuple(e for e in order for _ in range(-counts[e]))
+    return removed, added
 
 
 def path_network(labels, weight=Fraction(1)) -> ResistanceNetwork:

@@ -164,6 +164,14 @@ def test_lemma5_refuses_chains_past_its_bound():
     assert proc.stdout == ""
 
 
+def test_reduce_refuses_chains_past_its_bound():
+    # refused right after parsing; n = 400 itself takes about half a minute
+    proc = run_cli("reduce", "--code", "0" * 399, "--trace", check=False, timeout=2)
+    assert proc.returncode == 2
+    assert "reduce takes at most 400 hexagons, got n=401" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_extrema_ignores_jobs():
     serial = run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "1").stdout
     assert run_cli("extrema", "--n", "4", "--format", "csv", "--jobs", "2").stdout == serial
@@ -236,6 +244,19 @@ def test_verify_theorem1():
 def test_reduce_trace():
     proc = run_cli("reduce", "--code", "n=1", "--trace")
     assert "series" in proc.stdout
+
+
+@pytest.mark.parametrize("code, fmt, digest", [
+    ("021", "text", "625e30a994bfa44e85d5bf959dba150fcd3a39048c13e36c6c1eba0d6b6e9ff5"),
+    ("021", "json", "6a3425024fe6ee825885041461c4b16ca29975ed8c07c21189c36cc56adab3d6"),
+    ("20102", "text", "4642071b5b5f40ce8e2c8a45641d2fa91af3763350a320aa1818619e26038853"),
+    ("20102", "json", "6595cba82874d5d04e0230ea0b4dbaee1347aeb66a81b5c4faf7a486b302cd54"),
+], ids=["021-text", "021-json", "20102-text", "20102-json"])
+def test_reduce_trace_matches_golden_digest(code, fmt, digest):
+    # sha256 of the whole traced reduction: every step's kind and site and
+    # the final edges; json adds each step's removed and added edges and Kf
+    proc = run_cli("reduce", "--code", code, "--trace", "--format", fmt)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_export_dot():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import edge_delta
 from phenkf.chain_model import (
     ChainCode,
     build_chain,
@@ -38,6 +39,7 @@ from phenkf.extremal_search import (
 from phenkf import resistance_engine
 from phenkf.resistance_engine import (
     Edge,
+    ReductionStep,
     ResistanceNetwork,
     _GroundedFactor,
     effective_resistance,
@@ -422,7 +424,8 @@ def _tamper(monkeypatch, name, target, rewrite):
         out = real(net, *site, **kw)
         if site == target:
             out = rewrite(net, out)
-        resistance_engine._record(trace, kind, site, net, out, kw.get("new_vertex"))
+        if trace is not None:
+            trace.append(ReductionStep(kind, site, *edge_delta(net, out), kw.get("new_vertex")))
         return out
 
     monkeypatch.setattr(resistance_engine, name, tampered)
@@ -430,7 +433,7 @@ def _tamper(monkeypatch, name, target, rewrite):
 
 def _off_by_one(before, after):
     # the step's first added edge gets resistance r + 1
-    _, added = resistance_engine._edge_delta(before, after)
+    _, added = edge_delta(before, after)
     e = added[0]
     edges = list(after.edges)
     edges.remove(e)

@@ -1,13 +1,14 @@
 """Tests for networks, reduction steps, and the exact resistance solvers."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import networks, path_network, random_network, weights
+from helpers import edge_delta, networks, path_network, random_network, weights
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.resistance_engine import (
     _gauss_solve,
@@ -232,6 +233,39 @@ def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
             added[i] = Edge(u, v, r + data.draw(weights))
             wrong = dataclasses.replace(step, added_edges=tuple(added))
             assert not step_preserves_resistances(wrong, before, after), step.describe()
+
+
+def _triangles(net):
+    """Corner triples, in every order, whose three sides are single edges:
+    the delta-wye sites."""
+    return [corners for corners in itertools.permutations(net.vertices, 3)
+            if all(len(net.edges_between(p, q)) == 1
+                   for p, q in itertools.combinations(corners, 2))]
+
+
+def _one_step(op, net, *site):
+    trace = ReductionTrace()
+    after = op(net, *site, trace=trace)
+    (step,) = trace.steps
+    return step, net, after
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.data())
+def test_recorded_edges_are_the_edge_difference(net, data):
+    # each op records its removed and added edges from its own split; they
+    # must be exactly the multiset difference of the networks around the step
+    trace = ReductionTrace()
+    keep = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
+    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    for v in data.draw(st.permutations(reduced.vertices))[:-2]:
+        reduced = star_mesh_eliminate(reduced, v, trace=trace)
+    steps = list(_steps_with_networks(net, trace))
+    # star-mesh on the unreduced network also merges parallel edges
+    steps += [_one_step(star_mesh_eliminate, net, v) for v in net.vertices]
+    steps += [_one_step(delta_y, net, *corners) for corners in _triangles(net)]
+    for step, before, after in steps:
+        assert (step.removed_edges, step.added_edges) == edge_delta(before, after), step.describe()
 
 
 def test_step_certificate_cases():
