@@ -53,11 +53,15 @@ JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
-# verify lemma5 replays 8n - 6 reduction steps, each rebuilding the network,
-# so with the default 5 samples it takes about 17 s at this bound (2-vCPU host)
+# verify lemma4 draws O(m^2) edge coins per sample, so with the default 100
+# samples it takes about half a minute at this bound (2-vCPU host)
+MAX_LEMMA4_VERTICES = 40
+# verify lemma5 replays 8n - 6 reduction steps, each re-sorting the edges into
+# a new network, so with the default 5 samples it takes about 13 s at this
+# bound (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 100
-# reduce rescans and rebuilds the whole network at each of its O(n) steps,
-# so it takes about half a minute at this bound, with or without --trace
+# reduce re-sorts the edges into a new network at each of its O(n) steps, so
+# it takes about 11 s at this bound, with or without --trace (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 400
 
 
@@ -195,6 +199,8 @@ def _report_exit(report_dict, fmt, text_lines) -> int:
 
 
 def _cmd_verify_lemma4(args) -> int:
+    if args.max_vertices > MAX_LEMMA4_VERTICES:
+        raise ValueError(f"verify lemma4 takes --max-vertices at most {MAX_LEMMA4_VERTICES}, got {args.max_vertices}")
     rng = random.Random(args.seed)
     fixed_pair = STPair(
         # path a-l-m with l interior, and path b-k-p with k interior

@@ -60,61 +60,59 @@ def vertex_key(v):
     return (1, 0, str(v))
 
 
-class Edge(NamedTuple):
+class _EdgeFields(NamedTuple):
     u: object
     v: object
     r: Rational
+
+
+class Edge(_EdgeFields):
+    """An edge checked once, when made: no self-loop, r a positive Rational
+    (default 1), ends in `vertex_key` order.  `_make`, and `_replace` through
+    it, check too, so no Edge is ever checked again."""
+
+    __slots__ = ()
+
+    def __new__(cls, u, v, r=1):
+        if u == v:
+            raise InvalidNetworkError(f"self-loop at {u!r}")
+        if type(r) is not Rational:
+            r = Rational(r)
+        if r.numerator <= 0:
+            raise InvalidNetworkError(f"resistance must be positive, got {r} on ({u!r}, {v!r})")
+        if vertex_key(v) < vertex_key(u):
+            u, v = v, u
+        return tuple.__new__(cls, (u, v, r))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _edge_order(e: Edge) -> tuple:
     return vertex_key(e.u), vertex_key(e.v), e.r
 
 
-def _make_edge(u, v, r) -> Edge:
-    if u == v:
-        raise InvalidNetworkError(f"self-loop at {u!r}")
-    if type(r) is not Rational:
-        r = Rational(r)
-    if r.numerator <= 0:
-        raise InvalidNetworkError(f"resistance must be positive, got {r} on ({u!r}, {v!r})")
-    if vertex_key(v) < vertex_key(u):
-        u, v = v, u
-    return Edge(u, v, r)
-
-
 class ResistanceNetwork:
     """Immutable weighted multigraph.
 
-    Vertices are ints or strings.  Edge input items are (u, v, r) triples or
-    (u, v) pairs (unit resistance).  Vertices and edges are stored sorted, so
-    two networks with equal vertex sets and equal edge multisets compare equal
-    no matter the construction order.
+    Vertices are ints or strings.  Edge input items are `Edge`s, taken as
+    they are, or (u, v, r) triples and (u, v) pairs (unit resistance), each
+    made into an `Edge` and so checked.  Vertices and edges are stored
+    sorted, so two networks with equal vertex sets and equal edge multisets
+    compare equal no matter the construction order.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_index")
+    __slots__ = ("vertices", "edges", "_adj")
 
     def __init__(self, edges, extra_vertices=()):
-        seen = set()
-        normalized = []
-        for item in edges:
-            if len(item) == 2:
-                u, v = item
-                r = Rational(1)
-            else:
-                u, v, r = item
-            normalized.append(_make_edge(u, v, r))
-        for e in normalized:
-            seen.add(e.u)
-            seen.add(e.v)
-        seen.update(extra_vertices)
-        self.vertices = tuple(sorted(seen, key=vertex_key))
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = tuple(sorted(normalized, key=_edge_order))
-        adj = {v: [] for v in self.vertices}
+        self.edges = tuple(sorted((e if isinstance(e, Edge) else Edge(*e) for e in edges), key=_edge_order))
+        ends = {w for e in self.edges for w in (e.u, e.v)}
+        self.vertices = tuple(sorted(ends.union(extra_vertices), key=vertex_key))
+        self._adj = {v: [] for v in self.vertices}
         for e in self.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
-        self._adj = adj
+            self._adj[e.u].append(e)
+            self._adj[e.v].append(e)
 
     @property
     def num_vertices(self) -> int:
@@ -125,10 +123,10 @@ class ResistanceNetwork:
         return len(self.edges)
 
     def has_vertex(self, v) -> bool:
-        return v in self._index
+        return v in self._adj
 
     def require_vertex(self, v):
-        if v not in self._index:
+        if v not in self._adj:
             raise NetworkError(f"unknown vertex {v!r}")
 
     def incident(self, v) -> tuple:
@@ -184,11 +182,11 @@ class ResistanceNetwork:
         """
         wanted = {}
         for (u, v), r in dict(mapping).items():
-            e = _make_edge(u, v, r)
+            e = Edge(u, v, r)
             key = (e.u, e.v)
             if key in wanted:
                 raise InvalidNetworkError(f"pair ({u!r}, {v!r}) given twice")
-            wanted[key] = e.r
+            wanted[key] = e
         edges = []
         seen = set()
         for e in self.edges:
@@ -197,7 +195,7 @@ class ResistanceNetwork:
                 if key in seen:
                     raise NotReducibleError(f"parallel edges between {key[0]!r} and {key[1]!r}; reweight is ambiguous")
                 seen.add(key)
-                edges.append(Edge(e.u, e.v, wanted[key]))
+                edges.append(wanted[key])
             else:
                 edges.append(e)
         missing = set(wanted) - seen
@@ -342,13 +340,14 @@ def _rewrite(net, drop, new_edges, vertices, trace, kind, site, new_vertex=None)
     """`net` with the edges `drop` picks replaced by `new_edges`, on `vertices`.
 
     The op's own split gives the step as well: its removed edges come in the
-    order of `net.edges`, which is `_edge_order`, and its added edges are
-    sorted the same way.  With a trace, the step is appended to it.
+    order of `net.edges`, which is `_edge_order`, and its added `Edge`s are
+    sorted the same way.  No edge is checked again.  With a trace, the step
+    is appended to it.
     """
     kept, removed = [], []
     for e in net.edges:
         (removed if drop(e) else kept).append(e)
-    added = sorted((_make_edge(*t) for t in new_edges), key=_edge_order)
+    added = sorted(new_edges, key=_edge_order)
     out = ResistanceNetwork(kept + added, vertices)
     if trace is not None:
         trace.append(ReductionStep(kind, site, tuple(removed), tuple(added), new_vertex))
@@ -369,7 +368,7 @@ def series_reduce(net: ResistanceNetwork, y, trace=None) -> ResistanceNetwork:
     z = e2.v if e2.u == y else e2.u
     if x == z:
         raise NotReducibleError(f"vertex {y!r} has parallel edges to {x!r}; not a series site")
-    return _rewrite(net, lambda e: y in (e.u, e.v), [(x, z, e1.r + e2.r)],
+    return _rewrite(net, lambda e: y in (e.u, e.v), [Edge(x, z, e1.r + e2.r)],
                     [v for v in net.vertices if v != y], trace, "series", (y,))
 
 
@@ -380,7 +379,7 @@ def parallel_reduce(net: ResistanceNetwork, x, y, trace=None) -> ResistanceNetwo
         raise NotReducibleError(f"need >= 2 parallel edges between {x!r} and {y!r}, found {len(bundle)}")
     conductance = sum(1 / e.r for e in bundle)
     pair = bundle[0].u, bundle[0].v  # (x, y) in vertex order
-    return _rewrite(net, lambda e: (e.u, e.v) == pair, [(*pair, 1 / conductance)],
+    return _rewrite(net, lambda e: (e.u, e.v) == pair, [Edge(*pair, 1 / conductance)],
                     net.vertices, trace, "parallel", pair)
 
 
@@ -410,8 +409,8 @@ def delta_y(net: ResistanceNetwork, x, y, z, new_vertex=None, trace=None) -> Res
     r_c = sides[(x, y)].r
     total = r_a + r_b + r_c
     pairs = {(e.u, e.v) for e in sides.values()}  # one edge each
-    star = [(x, new_vertex, r_b * r_c / total), (y, new_vertex, r_a * r_c / total),
-            (z, new_vertex, r_a * r_b / total)]
+    star = [Edge(x, new_vertex, r_b * r_c / total), Edge(y, new_vertex, r_a * r_c / total),
+            Edge(z, new_vertex, r_a * r_b / total)]
     return _rewrite(net, lambda e: (e.u, e.v) in pairs, star, (*net.vertices, new_vertex),
                     trace, "delta-wye", corners, new_vertex)
 
@@ -438,32 +437,26 @@ def star_mesh_eliminate(net: ResistanceNetwork, v, trace=None) -> ResistanceNetw
             mesh[(p, q)] = by_neighbor[p] * by_neighbor[q] / total + sum(
                 (1 / e.r for e in net.edges_between(p, q)), Rational(0))
     return _rewrite(net, lambda e: v in (e.u, e.v) or (e.u, e.v) in mesh,
-                    [(p, q, 1 / c) for (p, q), c in mesh.items()],
+                    [Edge(p, q, 1 / c) for (p, q), c in mesh.items()],
                     [w for w in net.vertices if w != v], trace, "star-mesh", (v,))
 
 
 def reduce_series_parallel(net: ResistanceNetwork, keep=(), trace=None) -> ResistanceNetwork:
     """Greedily apply parallel then series reductions until none applies.
 
-    Vertices in `keep` are never series-eliminated.  Sites are chosen in
-    vertex order, so the result and the trace are deterministic.
+    Vertices in `keep` are never series-eliminated.  Sites are the least in
+    vertex order, found in one scan: a bundle is two neighbouring (sorted)
+    edges with equal ends; with none left the network is simple, so any
+    vertex of degree 2 outside `keep` is a series site.
     """
     keep = set(keep)
     while True:
-        bundles = sorted({(e.u, e.v) for e in net.edges if len(net.edges_between(e.u, e.v)) >= 2},
-                         key=lambda p: (vertex_key(p[0]), vertex_key(p[1])))
-        if bundles:
-            net = parallel_reduce(net, *bundles[0], trace=trace)
+        edges = net.edges
+        bundle = next(((e.u, e.v) for e, f in zip(edges, edges[1:]) if e[:2] == f[:2]), None)
+        if bundle is not None:
+            net = parallel_reduce(net, *bundle, trace=trace)
             continue
-        site = None
-        for v in net.vertices:
-            if v in keep or net.degree(v) != 2:
-                continue
-            inc = net.incident(v)
-            ends = {e.v if e.u == v else e.u for e in inc}
-            if len(ends) == 2:
-                site = v
-                break
+        site = next((v for v in net.vertices if v not in keep and net.degree(v) == 2), None)
         if site is None:
             return net
         net = series_reduce(net, site, trace=trace)

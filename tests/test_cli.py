@@ -157,7 +157,7 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
 
 
 def test_lemma5_refuses_chains_past_its_bound():
-    # refused before any chain is built; n = 100 itself takes about half a minute
+    # refused before any chain is built; n = 100 itself takes about 13 s
     proc = run_cli("verify", "lemma5", "--n", "101", check=False, timeout=2)
     assert proc.returncode == 2
     assert "verify lemma5 takes at most 100 hexagons, got n=101" in proc.stderr
@@ -165,10 +165,18 @@ def test_lemma5_refuses_chains_past_its_bound():
 
 
 def test_reduce_refuses_chains_past_its_bound():
-    # refused right after parsing; n = 400 itself takes about half a minute
+    # refused right after parsing; n = 400 itself takes about 11 s
     proc = run_cli("reduce", "--code", "0" * 399, "--trace", check=False, timeout=2)
     assert proc.returncode == 2
     assert "reduce takes at most 400 hexagons, got n=401" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_lemma4_refuses_components_past_its_bound():
+    # refused before any draw; 100 samples at m = 40 take about half a minute
+    proc = run_cli("verify", "lemma4", "--max-vertices", "41", check=False, timeout=2)
+    assert proc.returncode == 2
+    assert "verify lemma4 takes --max-vertices at most 40, got 41" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -35,6 +35,7 @@ from phenkf.resistance_engine import (
     star_mesh_eliminate,
     step_preserves_resistances,
     terminal_resistances,
+    vertex_key,
 )
 
 
@@ -66,6 +67,32 @@ def test_network_converts_weights_to_fractions(r, stored):
 def test_network_rejects_nonpositive_weights_of_any_type(r):
     with pytest.raises(InvalidNetworkError, match="resistance must be positive"):
         ResistanceNetwork([(0, 1, r)])
+
+
+def test_edge_checks_itself():
+    with pytest.raises(InvalidNetworkError, match="self-loop"):
+        Edge(1, 1)
+    for r in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(InvalidNetworkError, match="resistance must be positive"):
+            Edge(0, 1, r)
+    e = Edge(0, 1, 2)
+    assert type(e.r) is Fraction and e.r == 2
+    assert Edge(0, 1).r == 1 and type(Edge(0, 1).r) is Fraction
+    assert Edge("b", 3, 2) == (3, "b", 2) and Edge("b", 3, 2).u == 3
+    # the namedtuple builders go through the same check
+    assert Edge._make(("b", 3, 2)) == (3, "b", 2)
+    with pytest.raises(InvalidNetworkError):
+        Edge._make((2, 2, 1))
+    with pytest.raises(InvalidNetworkError):
+        e._replace(r=0)
+    assert e._replace(u=5) == (1, 5, 2)
+
+
+def test_network_takes_edges_as_they_are():
+    e = Edge("b", "a", 3)
+    net = ResistanceNetwork([e, (1, 0)])
+    assert net.edges[1] is e
+    assert net.edges[0] == Edge(0, 1) and type(net.edges[0]) is Edge
 
 
 def test_network_accessors():
@@ -183,6 +210,35 @@ def test_reduce_series_parallel_to_single_edge():
     out = reduce_series_parallel(net, keep=("s", "t"))
     assert out.num_vertices == 2
     assert out.edges_between("s", "t")[0].r == 1
+
+
+def _greedy_by_rescan(net, keep):
+    """The greedy rule with no use of edge order: the least pair, in
+    vertex_key order, among the pairs with two or more edges; failing that,
+    the first vertex not in `keep` with degree 2 and two distinct ends."""
+    trace = ReductionTrace()
+    while True:
+        bundles = sorted({(e.u, e.v) for e in net.edges if len(net.edges_between(e.u, e.v)) >= 2},
+                         key=lambda p: (vertex_key(p[0]), vertex_key(p[1])))
+        if bundles:
+            net = parallel_reduce(net, *bundles[0], trace=trace)
+            continue
+        sites = [v for v in net.vertices
+                 if v not in keep and net.degree(v) == 2 and len(net.neighbors(v)) == 2]
+        if not sites:
+            return net, trace
+        net = series_reduce(net, sites[0], trace=trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.data())
+def test_reduce_series_parallel_takes_the_greedy_sites(net, data):
+    keep = data.draw(st.sets(st.sampled_from(net.vertices)))
+    trace = ReductionTrace()
+    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    expected, expected_trace = _greedy_by_rescan(net, keep)
+    assert trace.steps == expected_trace.steps
+    assert reduced == expected
 
 
 def test_trace_replay_reproduces_reduction():
