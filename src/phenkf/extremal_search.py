@@ -70,6 +70,11 @@ def _code_json(code: ChainCode) -> dict:
 # in t whose coefficients depend on e alone.  Neither rho nor R' = r(a', l')
 # depends on e: the hexagon's two routes from its left edge to a' and l'
 # always have 4 edges together.  So R and t depend only on the depth.
+# Lemma 6 rides the same walk: each checked vertex u of the first hexagon
+# starts from its star (p_u, x_u) on the cut (a_1, l_1) and moves by
+# p' = alpha p + beta, x' = x + gamma + delta p - t p^2 per block.  After the
+# terminal letter-0 block, whose right corners (a', l') are the chain's x
+# and y, r(u, a') = x'_u + p'_u and r(u, l') = x'_u + R' - p'_u.
 
 _CELL = 6  # vertices a block adds: those of its hexagon
 
@@ -160,18 +165,20 @@ def _block(e: int) -> tuple:
 
 @cache
 def _transfer_constants() -> tuple:
-    """(state of the first hexagon, the blocks of letters 0, 1, 2).
+    """(state of the first hexagon, the blocks of letters 0, 1, 2, and the
+    star (p_u, x_u) of each first-hexagon vertex u on the cut (a_1, l_1), in
+    `hexagons[0]` order).
 
     Four factorizations of at most 8 vertices, made on first use.
     """
     first = build_chain(ChainCode(2, ()))
     hexagon = first.network.induced(first.hexagons[0])
     matrix = resistance_matrix(hexagon)
-    stars = [_star(matrix.resistance, first.a1, first.l1, u) for u in hexagon.vertices]
+    stars = tuple(_star(matrix.resistance, first.a1, first.l1, u) for u in first.hexagons[0])
     start = _Prefix(hexagon.num_vertices, matrix.resistance(first.a1, first.l1),
                     sum(x for _, x in stars), sum(p for p, _ in stars),
                     sum(p * p for p, _ in stars), matrix.total())
-    return start, tuple(_block(e) for e in (0, 1, 2))
+    return start, tuple(_block(e) for e in (0, 1, 2)), stars
 
 
 def _coefficients(block, r) -> _Step:
@@ -205,34 +212,78 @@ def _advance(s: _Prefix, c: _Step) -> _Prefix:
 
 def _transfer_kf(code: ChainCode) -> Rational:
     """Kf of the unit chain of `code`, one block per hexagon after the first."""
-    state, blocks = _transfer_constants()
+    state, blocks, _ = _transfer_constants()
     for e in code.full_entries()[1:]:
         state = _advance(state, _coefficients(blocks[e], state.r))
     return state.kf
 
 
-def _transfer_kfs(n: int) -> list:
-    """Kf of every code with n hexagons, in word order, by a depth-first
-    walk of the code trie that extends each prefix's state once."""
-    start, blocks = _transfer_constants()
-    if n == 1:
-        return [start.kf]
+def _levels(n: int) -> tuple:
+    """(levels, last) for codes with n >= 2 hexagons: levels[d] holds the
+    _Steps of letters 0, 1, 2 at interior depth d, and last is the step of
+    the terminal hexagon, which carries letter 0."""
+    start, blocks, _ = _transfer_constants()
     levels, r = [], start.r
     for _ in range(n - 2):
         levels.append(tuple(_coefficients(block, r) for block in blocks))
         r = levels[-1][0].r_next
-    last = _coefficients(blocks[0], r)  # terminal hexagons carry letter 0
-    out = []
+    return levels, _coefficients(blocks[0], r)
 
-    def walk(state, depth):
+
+def _walk(start, n: int, advance, finish) -> list:
+    """finish(state, last) for every code with n >= 2 hexagons, in word
+    order, by a depth-first walk of the code trie that extends each prefix's
+    state once with advance(state, step).
+
+    The walk keeps its own stack: a recursive closure would refer to itself,
+    and the cycle would keep the results alive until the next full garbage
+    collection.
+    """
+    levels, last = _levels(n)
+    out, todo = [], [(start, 0)]
+    while todo:
+        state, depth = todo.pop()
         if depth == len(levels):
-            out.append(_kf_after(state, last))
-            return
-        for step in levels[depth]:
-            walk(_advance(state, step), depth + 1)
-
-    walk(start, 0)
+            out.append(finish(state, last))
+        else:
+            todo.extend((advance(state, step), depth + 1) for step in reversed(levels[depth]))
     return out
+
+
+def _transfer_kfs(n: int) -> list:
+    """Kf of every code with n hexagons, in word order."""
+    start = _transfer_constants()[0]
+    return [start.kf] if n == 1 else _walk(start, n, _advance, _kf_after)
+
+
+def _move_feet(feet: tuple, c: _Step) -> tuple:
+    """Each (p_u, x_u) read at the right corners of the appended block."""
+    return tuple((c.alpha * p + c.beta, x + c.gamma + c.delta * p - c.t * p * p) for p, x in feet)
+
+
+def _transfer_lemma6(n: int) -> list:
+    """(u, r(u, x), r(u, y)) per first-hexagon vertex u other than a_1 and
+    l_1, in `hexagons[0]` order, for every code with n >= 2 hexagons in word
+    order."""
+    feet = _transfer_constants()[2]
+    # every code with n hexagons numbers its first and last hexagon alike
+    chain = build_chain(helicene(n))
+    first, last = chain.hexagons[0], chain.hexagons[-1]
+    # both carry letter 0, so the last one's right corners sit where the
+    # first one's, a_1 and l_1, do
+    a, l = (last[first.index(v)] for v in (chain.a1, chain.l1))
+    x_end, y_end = chain.x, chain.y
+    places = [i for i, u in enumerate(first) if u not in (chain.a1, chain.l1)]
+    checked = [first[i] for i in places]
+
+    def read(state, c):
+        rows = []
+        for u, (foot, pendant) in zip(checked, _move_feet(state, c)):
+            r = {a: pendant + foot, l: pendant + c.r_next - foot}
+            rows.append((u, r[x_end], r[y_end]))
+        return tuple(rows)
+
+    return _walk(tuple(feet[i] for i in places), n, _move_feet, read)
 
 
 # ---------------------------------------------------------------------------
@@ -623,29 +674,32 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
 
     For each chain: with x the degree-2 vertex of the last hexagon adjacent
     to b_(n-1) and y its other neighbor, every u in the first hexagon other
-    than a_1 and l_1 must satisfy r(u, x) < r(u, y).  Without an explicit
-    code, all codes with n hexagons are checked (unit weights only); the
-    chain's unit edge (b_(n-1), k_(n-1)) must keep weight 1.
+    than a_1 and l_1 must satisfy r(u, x) < r(u, y).
+
+    Without an explicit code, every code with n hexagons is checked at unit
+    weights, and no chain is factored: the transfer engine walks the code
+    trie with O(1) exact updates per trie node for each checked vertex.  An
+    explicit code, weighted or not, is checked on its own chain from one
+    factorization grounded at x and one solve; its unit edge
+    (b_(n-1), k_(n-1)) must keep weight 1.
     """
     if n < 2:
         raise ValueError("need n >= 2: the inequality involves two distinct hexagons")
     if code is None:
         if weights:
             raise ValueError("weights need an explicit code: vertex ids depend on it")
-        codes = list(enumerate_words(n))
+        per_code = zip(enumerate_words(n), _transfer_lemma6(n))
     else:
         if code.n != n:
             raise ValueError(f"code has n={code.n}, expected {n}")
-        codes = [code]
-    instances = []
-    for c in codes:
-        chain = build_chain(c)
+        chain = build_chain(code)
         if weights:
             chain = chain.reweighted(weights)
         checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
-        rows = _terminal_rows(chain, checked)
-        instances.append(Lemma6Instance(c, rows, all(rx < ry for _, rx, ry in rows)))
-    return Lemma6Report(n, tuple(instances), all(i.passed for i in instances))
+        per_code = [(code, _terminal_rows(chain, checked))]
+    instances = tuple(Lemma6Instance(c, rows, all(rx < ry for _, rx, ry in rows))
+                      for c, rows in per_code)
+    return Lemma6Report(n, instances, all(i.passed for i in instances))
 
 
 def random_terminal_weights(n: int, rng) -> dict:

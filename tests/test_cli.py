@@ -227,6 +227,14 @@ def test_verify_lemma6():
     assert "PASS" in proc.stdout
 
 
+def test_verify_lemma6_reaches_cap():
+    # n = 9 is the largest n the default cap admits: 2187 codes
+    proc = run_cli("verify", "lemma6", "--n", "9", timeout=60)
+    assert proc.returncode == 0
+    assert "unit weights: 2187 chains checked, pass: True" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "PASS"
+
+
 @pytest.mark.parametrize("args, digest", [
     (("verify", "lemma5", "--n", "4"), "ab945edb39091ba83b52f885b68a4bc0e16da24c0d216167961918b16f077333"),
     (("verify", "lemma6", "--n", "4"), "c553f66115fc96b2da2b1299e5379c551419570f911f3bd8900b412f2010c916"),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import edge_delta
 from phenkf.chain_model import (
     ChainCode,
+    LabeledChain,
     build_chain,
     build_terminal_chain,
     enumerate_words,
@@ -47,6 +48,7 @@ from phenkf.resistance_engine import (
     kirchhoff_index,
     simplify_chain_circuit,
     step_preserves_resistances,
+    terminal_resistances,
 )
 from phenkf.st_isomer import lemma4_delta
 
@@ -109,7 +111,7 @@ def test_transfer_engine_matches_factorization_on_long_codes(word):
 
 def test_transfer_resistance_depends_only_on_depth():
     # the trie search reads each depth's R off letter 0's coefficients
-    start, blocks = _transfer_constants()
+    start, blocks, _ = _transfer_constants()
     r = start.r
     for _ in range(30):
         steps = [_coefficients(block, r) for block in blocks]
@@ -354,10 +356,37 @@ def test_lemma6_rows_match_dense_oracle(n, code, seed):
             assert ry == effective_resistance(chain.network, u, chain.y)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_lemma6_engine_rows_match_factorization(n):
+    # the unit report's rows come from the transfer engine; each must equal
+    # the chain's own factorization: same vertices, same order, same values
+    report = check_lemma6(n)
+    assert [inst.code for inst in report.instances] == list(enumerate_words(n))
+    for inst in report.instances:
+        chain = build_chain(inst.code)
+        rows = terminal_resistances(chain.network, chain.x, chain.y)
+        checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
+        assert inst.resistances == tuple((u, *rows[u]) for u in checked)
+        assert inst.passed == all(rx < ry for _, rx, ry in inst.resistances)
+
+
+def test_lemma6_engine_takes_terminals_from_chain_landmarks(monkeypatch):
+    # with x and y swapped every checked vertex is closer to "y", so a route
+    # that names the terminals itself instead of asking the chain would pass
+    x, y = LabeledChain.x, LabeledChain.y
+    monkeypatch.setattr(LabeledChain, "x", y)
+    monkeypatch.setattr(LabeledChain, "y", x)
+    for n in range(2, 6):
+        report = check_lemma6(n)
+        assert not report.passed
+        assert not any(inst.passed for inst in report.instances)
+
+
 def test_terminal_checks_factor_once_and_certify_steps_locally(monkeypatch):
-    # each terminal read is one factorization grounded at x and one solve for
-    # the column at y: one per lemma 6 chain.  Lemma 5 factors the whole
-    # chain once for its rows and the final network once; every other
+    # unit lemma 6 factors no chain, only the engine's blocks of at most 8
+    # vertices; a single-code terminal read is one factorization grounded at
+    # x and one solve for the column at y.  Lemma 5 factors the whole chain
+    # once for its rows and the final network once; every other
     # factorization is a step side of at most 4 vertices, whatever n
     sizes, counts = [], {"solve": 0}
     factor, solve = _GroundedFactor.__init__, _GroundedFactor.solve
@@ -372,8 +401,14 @@ def test_terminal_checks_factor_once_and_certify_steps_locally(monkeypatch):
 
     monkeypatch.setattr(_GroundedFactor, "__init__", counting_factor)
     monkeypatch.setattr(_GroundedFactor, "solve", counting_solve)
+    _transfer_constants.cache_clear()
     assert check_lemma6(5).passed
-    assert (len(sizes), counts["solve"]) == (27, 27)
+    assert sizes and max(sizes) <= 8
+    code = ChainCode(5, (0, 2, 1))
+    sizes.clear()
+    counts["solve"] = 0
+    assert check_lemma6(5, random_chain_weights(code, random.Random(7)), code).passed
+    assert (len(sizes), counts["solve"]) == (1, 1)
     for n in (3, 5):
         sizes.clear()
         counts["solve"] = 0
