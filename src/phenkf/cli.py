@@ -7,6 +7,7 @@ Machine formats never round; --approx adds a labeled decimal column.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -56,9 +57,8 @@ MAX_MATRIX_HEXAGONS = 60
 # verify lemma4 draws O(m^2) edge coins per sample, so with the default 100
 # samples it takes about half a minute at this bound (2-vCPU host)
 MAX_LEMMA4_VERTICES = 40
-# verify lemma5 replays 8n - 6 reduction steps, each re-sorting the edges into
-# a new network, so with the default 5 samples it takes about 13 s at this
-# bound (2-vCPU host)
+# verify lemma5's reducer rebuilds the network at each of its 8n - 6 steps,
+# so with the default 5 samples it takes about 5 s here (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 100
 # reduce re-sorts the edges into a new network at each of its O(n) steps, so
 # it takes about 11 s at this bound, with or without --trace (2-vCPU host)
@@ -364,7 +364,10 @@ def _cmd_export_dot(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: each is a web of reference cycles, so one
+    built per call would be left for the cyclic garbage collector."""
     parser = argparse.ArgumentParser(
         prog="phenkf",
         description="Exact resistance distances and Kirchhoff indices of phenylene chains.")
@@ -455,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ChainCodeError, RationalParseError, NetworkError, SearchCapExceeded, ValueError) as exc:

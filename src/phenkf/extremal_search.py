@@ -22,13 +22,13 @@ from .chain_model import (
 )
 from .exact_arith import Rational, format_rational
 from .resistance_engine import (
+    NetworkError,
     ResistanceNetwork,
     grounded_resistances,
     kirchhoff_index,
     resistance_matrix,
     resistance_sums,
     simplify_chain_circuit,
-    step_preserves_resistances,
     terminal_resistances,
 )
 from .st_isomer import STPair, lemma4_delta, make_st_pair
@@ -581,13 +581,12 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """Terminal-resistance inequalities on the square-first chain.
 
     Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) from one
-    factorization grounded at x, then runs the staged simplification.  Each
-    replayed step must pass its local certificate
-    (`step_preserves_resistances`: the step's removed and added edges give
-    equal resistances among the vertices they share, so every resistance
-    among surviving vertices is kept) and keep a_1, x and y; one
-    factorization of the final network must then give back r(a_1, x) and
-    r(a_1, y).  Last, the final star must obey 0 < R_1 < 1 and (for a
+    factorization grounded at x, then runs the staged simplification.  Its
+    trace must replay (`ReductionTrace.replay`: each step's recorded edges
+    are applied and certified on their own, so every resistance among
+    surviving vertices is kept) to the reducer's final network; a_1, x and
+    y must be in it, and one factorization of it must give back r(a_1, x)
+    and r(a_1, y).  Last, the final star must obey 0 < R_1 < 1 and (for a
     unit-weighted last hexagon) the reduced two-path form must reproduce
     those values.  No step factors the whole network.
     """
@@ -597,19 +596,14 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     inequalities_ok = r_a1_x < r_a1_y and r_l1_x < r_l1_y
 
     final, trace = simplify_chain_circuit(chain)
-    ends = (chain.a1, chain.x, chain.y)
-    steps_preserve_ok = True
-    before = net
-    for step, after in zip(trace, trace.networks(net)):
-        if not (step_preserves_resistances(step, before, after)
-                and all(after.has_vertex(v) for v in ends)):
-            steps_preserve_ok = False
-            break
-        before = after
+    try:
+        steps_preserve_ok = (trace.replay(net) == final
+                             and all(final.has_vertex(v) for v in (chain.a1, chain.x, chain.y)))
+    except NetworkError:
+        steps_preserve_ok = False
     if steps_preserve_ok:
         held = grounded_resistances(final, chain.a1)
-        steps_preserve_ok = (before == final and held[chain.x] == r_a1_x
-                             and held[chain.y] == r_a1_y)
+        steps_preserve_ok = held[chain.x] == r_a1_x and held[chain.y] == r_a1_y
 
     hubs = [s.new_vertex for s in trace if s.kind == "delta-wye"]
     b_n, k_n = chain.unit_edge

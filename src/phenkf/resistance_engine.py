@@ -7,9 +7,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
   transform the network while preserving effective resistances among the
   surviving vertices, with a replayable trace.  Each op splits the edges
   into kept and removed once, and builds both its output and its recorded
-  step from that split; replay redoes the op and compares the steps.  Each
-  step can be certified on its own edges (`step_preserves_resistances`),
-  without solving the whole network;
+  step from that split.  `ReductionTrace.replay` checks a trace from the
+  recorded edges alone: it applies each step's removed and added edges to
+  one edge multiset and certifies the step on those edges
+  (`step_preserves_resistances`), without running an op or solving the
+  whole network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   Each is read off the inverse by the Takahashi recurrence: grounded
@@ -30,7 +32,7 @@ elimination instead.  It is the independent oracle the tests hold the
 factorization to; no verdict depends on it.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -221,7 +223,8 @@ class ResistanceNetwork:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One applied reduction: how to redo it, and what it changed."""
+    """One applied reduction: the edges it removed and added, and, for
+    reports, the op and site that made them."""
 
     kind: str               # "series" | "parallel" | "delta-wye" | "star-mesh"
     site: tuple             # the op's vertex arguments
@@ -248,9 +251,14 @@ class ReductionStep:
         return out
 
 
+def _refused(idx, step, reason) -> NetworkError:
+    return NetworkError(f"replay refused step {idx}: {step.describe()}: {reason}")
+
+
 @dataclass
 class ReductionTrace:
-    """Ordered record of reduction steps, replayable from the initial network."""
+    """Ordered record of reduction steps, checked by `replay` from the
+    initial network and the recorded edges alone."""
 
     steps: list = field(default_factory=list)
 
@@ -263,64 +271,59 @@ class ReductionTrace:
     def __iter__(self):
         return iter(self.steps)
 
-    def replay(self, network: ResistanceNetwork, start=0) -> ResistanceNetwork:
-        """Redo every step, each into a scratch trace, and require the step
-        the op records there to equal the recorded one exactly.
+    def replay(self, network: ResistanceNetwork) -> ResistanceNetwork:
+        """Apply each step's recorded edges to `network`, certify the step,
+        and return the network the last step leaves.
 
-        Errors number the steps from `start`, the index of the first one.
+        One edge multiset and a degree count stand for the network.  Every
+        removed edge must be present.  A vertex whose last edge a step
+        removes, and to which it adds none, is eliminated; a vertex an added
+        edge brings in is new, and may not have been in any earlier network,
+        so a vertex kept from the start was kept at every step.  The step
+        must then pass `step_preserves_resistances` on its survivors.  No
+        reduction op runs here: the ops and the choice of sites are trusted
+        for nothing.  Raises NetworkError naming the first step that fails.
         """
-        for idx, step in enumerate(self.steps, start):
-            redone = ReductionTrace()
-            if step.kind == "series":
-                network = series_reduce(network, *step.site, trace=redone)
-            elif step.kind == "parallel":
-                network = parallel_reduce(network, *step.site, trace=redone)
-            elif step.kind == "delta-wye":
-                network = delta_y(network, *step.site, new_vertex=step.new_vertex, trace=redone)
-            elif step.kind == "star-mesh":
-                network = star_mesh_eliminate(network, *step.site, trace=redone)
-            else:
-                raise NetworkError(f"unknown step kind {step.kind!r}")
-            if redone.steps != [step]:
-                raise NetworkError(f"replay mismatch at step {idx}: {step.describe()}")
-        return network
-
-    def networks(self, network: ResistanceNetwork):
-        """Yield the network after each step, the last one being `replay`'s.
-
-        Each step is replayed and checked on its own, as a one-step trace
-        that reports its index in this one.
-        """
+        edges = Counter(network.edges)
+        degree = Counter(w for e in network.edges for w in e[:2])
+        alive, seen = set(network.vertices), set(network.vertices)
         for idx, step in enumerate(self.steps):
-            network = ReductionTrace([step]).replay(network, start=idx)
-            yield network
+            removed = [w for e in step.removed_edges for w in e[:2]]
+            added = [w for e in step.added_edges for w in e[:2]]
+            edges.subtract(step.removed_edges)
+            degree.subtract(removed)
+            absent = next((e for e in step.removed_edges if edges[e] < 0), None)
+            if absent:
+                raise _refused(idx, step, f"removed edge {absent} is absent")
+            eliminated = {w for w in removed if not degree[w]}.difference(added)
+            new = set(added) - alive
+            if new & seen:
+                raise _refused(idx, step, f"new vertex {min(new & seen, key=vertex_key)!r} was used before")
+            if not step_preserves_resistances(step, {*removed, *added} - eliminated - new):
+                raise _refused(idx, step, "resistances among its survivors change")
+            edges.update(step.added_edges)
+            degree.update(added)
+            alive = alive - eliminated | new
+            seen |= new
+        return ResistanceNetwork(edges.elements(), alive)
 
 
-def step_preserves_resistances(step: ReductionStep, before: ResistanceNetwork,
-                               after: ResistanceNetwork) -> bool:
-    """Local certificate that `step`, taking `before` to `after`, keeps every
-    effective resistance among the vertices both networks share.
+def step_preserves_resistances(step: ReductionStep, survivors) -> bool:
+    """Local certificate that `step` keeps every effective resistance among
+    the vertices the network has both before and after it.
 
-    Edges outside the step are common to both networks (`replay` redoes the
-    op and requires it to record the same edges).  The step's vertices
-    split into eliminated ones (in `before` only), new ones (in `after` only)
-    and survivors.  Eliminated vertices must touch removed edges only and new
-    ones added edges only; then Kron-reducing each away leaves the common
-    edges plus the Schur complement of the removed side or of the added side
-    on the survivors.  Equal resistance matrices on the survivors mean equal
-    Schur complements, so the two reduced networks coincide.  Each side is
-    as small as the step (at most 4 vertices for series and delta-wye).  A
-    side that leaves survivors disconnected fails; one survivor or none
-    passes.
+    `survivors` are the step's vertices in both networks; the others are
+    eliminated (in removed edges only) or new (in added edges only), as
+    `replay` works them out.  Edges outside the step are common to both
+    networks, so Kron-reducing the eliminated and the new vertices away
+    leaves the common edges plus the Schur complement of the removed side or
+    of the added side on the survivors.  Equal resistance matrices on the
+    survivors mean equal Schur complements, so the two reduced networks
+    coincide.  Each side is as small as the step (at most 4 vertices for
+    series and delta-wye).  A side that leaves survivors disconnected fails;
+    one survivor or none passes.
     """
-    removed = {w for e in step.removed_edges for w in (e.u, e.v)}
-    added = {w for e in step.added_edges for w in (e.u, e.v)}
-    touched = removed | added
-    eliminated = {w for w in touched if not after.has_vertex(w)}
-    new = {w for w in touched if not before.has_vertex(w)}
-    if eliminated & added or new & removed:
-        return False
-    survivors = sorted(touched - eliminated - new, key=vertex_key)
+    survivors = tuple(survivors)
     if len(survivors) < 2:
         return True
     try:

@@ -43,6 +43,12 @@ def edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):
     return removed, added
 
 
+def survivors(step, before: ResistanceNetwork, after: ResistanceNetwork) -> set:
+    """The step's vertices that are in the network both before and after it."""
+    return {w for e in step.removed_edges + step.added_edges for w in (e.u, e.v)
+            if before.has_vertex(w) and after.has_vertex(w)}
+
+
 def path_network(labels, weight=Fraction(1)) -> ResistanceNetwork:
     pairs = zip(labels, labels[1:])
     return ResistanceNetwork([(u, v, weight) for u, v in pairs])

@@ -286,6 +286,23 @@ def test_unknown_subcommand():
     assert proc.returncode == 2
 
 
+def test_main_leaves_no_cyclic_garbage():
+    # after a warm-up call, a main call must free all it made by reference
+    # counting alone: a parser built per call would be left in cycles
+    script = (
+        "import gc, sys, phenkf.cli as cli\n"
+        "argv = ['verify', 'lemma5', '--n', '2', '--samples', '1']\n"
+        "cli.main(argv)\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "cli.main(argv)\n"
+        "print('cyclic:', gc.collect())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "cyclic: 0"
+
+
 def test_benchmark_tracer_names_resolve():
     # bench/tracer.py wraps these names by lookup; a rename or deletion in
     # phenkf breaks the benchmark's traced run, which tier-1 does not run

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_delta
+from helpers import edge_delta, survivors
 from phenkf.chain_model import (
     ChainCode,
     LabeledChain,
@@ -40,7 +40,9 @@ from phenkf.extremal_search import (
 from phenkf import resistance_engine
 from phenkf.resistance_engine import (
     Edge,
+    NetworkError,
     ReductionStep,
+    ReductionTrace,
     ResistanceNetwork,
     _GroundedFactor,
     effective_resistance,
@@ -425,15 +427,33 @@ def _old_step_check(chain, network, r_a1_x, r_a1_y):
     return held[chain.x] == r_a1_x and held[chain.y] == r_a1_y
 
 
+def _keep_outputs(monkeypatch):
+    """Make the two ops the staged simplification runs keep, in order, each
+    network they return; the list of them is returned."""
+    outputs = []
+
+    def keeping(op):
+        def run(*args, **kw):
+            outputs.append(op(*args, **kw))
+            return outputs[-1]
+        return run
+
+    for name in ("series_reduce", "delta_y"):
+        monkeypatch.setattr(resistance_engine, name, keeping(getattr(resistance_engine, name)))
+    return outputs
+
+
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (1, 2, 3, 4) for seed in (None, 11)])
-def test_step_certificate_agrees_with_whole_network_check(n, seed):
+def test_step_certificate_agrees_with_whole_network_check(monkeypatch, n, seed):
     weights = None if seed is None else random_terminal_weights(n, random.Random(seed))
     chain = build_terminal_chain(n, weights)
     r_a1_x, r_a1_y = (effective_resistance(chain.network, chain.a1, t) for t in (chain.x, chain.y))
+    outputs = _keep_outputs(monkeypatch)
     _, trace = simplify_chain_circuit(chain)
-    before = chain.network
-    for step, after in zip(trace, trace.networks(chain.network)):
-        assert step_preserves_resistances(step, before, after)
+    assert len(outputs) == len(trace)
+    for step, before, after in zip(trace, [chain.network, *outputs], outputs):
+        kept = survivors(step, before, after)
+        assert step_preserves_resistances(step, kept)
         assert _old_step_check(chain, after, r_a1_x, r_a1_y)
         # one added weight off by one: both checks reject it
         for i, e in enumerate(step.added_edges):
@@ -443,9 +463,8 @@ def test_step_certificate_agrees_with_whole_network_check(n, seed):
             edges = list(after.edges)
             edges.remove(e)
             bad_after = ResistanceNetwork(edges + [wrong], after.vertices)
-            assert not step_preserves_resistances(bad_step, before, after)
+            assert not step_preserves_resistances(bad_step, kept)
             assert not _old_step_check(chain, bad_after, r_a1_x, r_a1_y)
-        before = after
 
 
 def _tamper(monkeypatch, name, target, rewrite):
@@ -506,9 +525,13 @@ def test_lemma5_catches_a_step_that_keeps_the_terminal_values(monkeypatch):
     _tamper(monkeypatch, "delta_y", target, move_z1)
 
     r_a1_x, r_a1_y = (effective_resistance(chain.network, chain.a1, t) for t in (chain.x, chain.y))
+    outputs = _keep_outputs(monkeypatch)
     _, trace = simplify_chain_circuit(chain)
-    assert all(_old_step_check(chain, after, r_a1_x, r_a1_y)
-               for after in trace.networks(chain.network))
+    assert len(outputs) == len(trace)
+    assert all(_old_step_check(chain, after, r_a1_x, r_a1_y) for after in outputs)
+    moved = next(k for k, s in enumerate(trace) if s.new_vertex == "z2")
+    with pytest.raises(NetworkError, match=f"replay refused step {moved}: "):
+        trace.replay(chain.network)
     report = check_lemma5(3)
     assert report.inequalities_ok and report.star_range_ok and report.closed_form_ok
     assert not report.steps_preserve_ok

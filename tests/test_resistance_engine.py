@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_delta, networks, path_network, random_network, weights
+from helpers import edge_delta, networks, path_network, random_network, survivors, weights
+from phenkf import resistance_engine
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.resistance_engine import (
     _gauss_solve,
@@ -17,6 +18,7 @@ from phenkf.resistance_engine import (
     InvalidNetworkError,
     NetworkError,
     NotReducibleError,
+    ReductionStep,
     ReductionTrace,
     ResistanceNetwork,
     delta_y,
@@ -259,16 +261,23 @@ def test_replay_mismatch_names_the_step(k):
     e = step.added_edges[0]
     wrong = dataclasses.replace(step, added_edges=(Edge(e.u, e.v, e.r + 1), *step.added_edges[1:]))
     tampered = ReductionTrace(trace.steps[:k] + [wrong] + trace.steps[k + 1:])
-    message = f"replay mismatch at step {k}: "
-    with pytest.raises(NetworkError, match=message):
+    ReductionTrace(tampered.steps[:k]).replay(chain.network)
+    with pytest.raises(NetworkError, match=f"replay refused step {k}: "):
         tampered.replay(chain.network)
-    with pytest.raises(NetworkError, match=message):
-        list(tampered.networks(chain.network))
 
 
-def _steps_with_networks(net, trace):
-    befores = [net, *trace.networks(net)]
-    return zip(trace, befores, befores[1:])
+OPS = {"series": series_reduce, "parallel": parallel_reduce,
+       "delta-wye": delta_y, "star-mesh": star_mesh_eliminate}
+
+
+def _op_networks(net, trace):
+    """(step, before, after) per step, the networks made by running each
+    step's op again here: the reducer's own networks, not `replay`'s."""
+    nets = [net]
+    for step in trace:
+        kw = {"new_vertex": step.new_vertex} if step.kind == "delta-wye" else {}
+        nets.append(OPS[step.kind](nets[-1], *step.site, **kw))
+    return zip(trace, nets, nets[1:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,15 +289,16 @@ def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
     for v in data.draw(st.permutations(reduced.vertices))[:-2]:
         reduced = star_mesh_eliminate(reduced, v, trace=trace)
     assert trace.replay(net) == reduced
-    for step, before, after in _steps_with_networks(net, trace):
-        assert step_preserves_resistances(step, before, after), step.describe()
+    for step, before, after in _op_networks(net, trace):
+        kept = survivors(step, before, after)
+        assert step_preserves_resistances(step, kept), step.describe()
         if step.added_edges:
             i = data.draw(st.integers(0, len(step.added_edges) - 1))
             u, v, r = step.added_edges[i]
             added = list(step.added_edges)
             added[i] = Edge(u, v, r + data.draw(weights))
             wrong = dataclasses.replace(step, added_edges=tuple(added))
-            assert not step_preserves_resistances(wrong, before, after), step.describe()
+            assert not step_preserves_resistances(wrong, kept), step.describe()
 
 
 def _triangles(net):
@@ -316,7 +326,7 @@ def test_recorded_edges_are_the_edge_difference(net, data):
     reduced = reduce_series_parallel(net, keep=keep, trace=trace)
     for v in data.draw(st.permutations(reduced.vertices))[:-2]:
         reduced = star_mesh_eliminate(reduced, v, trace=trace)
-    steps = list(_steps_with_networks(net, trace))
+    steps = list(_op_networks(net, trace))
     # star-mesh on the unreduced network also merges parallel edges
     steps += [_one_step(star_mesh_eliminate, net, v) for v in net.vertices]
     steps += [_one_step(delta_y, net, *corners) for corners in _triangles(net)]
@@ -330,14 +340,89 @@ def test_step_certificate_cases():
     star = delta_y(net, 0, 1, 2, new_vertex="w", trace=trace)
     pendant = star_mesh_eliminate(star, 3, trace=trace)
     (wye, drop) = trace.steps
-    assert step_preserves_resistances(wye, net, star)
-    assert step_preserves_resistances(drop, star, pendant)  # one survivor
+    assert step_preserves_resistances(wye, {0, 1, 2})
+    assert step_preserves_resistances(drop, {2})  # one survivor
+    assert trace.replay(net) == pendant
     # dropping an edge between two survivors disconnects the added side
     cut = dataclasses.replace(wye, added_edges=wye.added_edges[1:])
-    assert not step_preserves_resistances(cut, net, star)
-    # a survivor may not pass for eliminated, nor a new vertex for a survivor
-    assert not step_preserves_resistances(wye, net, star_mesh_eliminate(star, 0))
-    assert not step_preserves_resistances(wye, star, star)
+    assert not step_preserves_resistances(cut, {0, 1, 2})
+    # a new vertex may not pass for a survivor: the removed side lacks it;
+    # replay finds the survivors itself, and the same step twice removes
+    # edges that are gone
+    assert not step_preserves_resistances(wye, {0, 1, 2, "w"})
+    _replay_error(net, [wye, wye], 1, "is absent")
+
+
+def _replay_error(net, steps, k, reason):
+    """Replay `steps` on `net`; it must refuse step k for `reason`."""
+    with pytest.raises(NetworkError, match=f"replay refused step {k}: .*{reason}"):
+        ReductionTrace(list(steps)).replay(net)
+
+
+def test_replay_refuses_an_absent_removed_edge():
+    chain = build_terminal_chain(2)
+    _, trace = simplify_chain_circuit(chain)
+    steps = trace.steps
+    k = 3
+    e = steps[k].removed_edges[0]
+    absent = dataclasses.replace(
+        steps[k], removed_edges=(Edge(e.u, e.v, e.r + 1), *steps[k].removed_edges[1:]))
+    _replay_error(chain.network, steps[:k] + [absent] + steps[k + 1:], k, "is absent")
+
+
+def test_replay_refuses_a_forged_series_step_at_a_degree_three_vertex():
+    # y keeps its edge to w, so it is no eliminated vertex but a survivor
+    # that the added side leaves cut off
+    net = ResistanceNetwork([("x", "y", 1), ("y", "z", 2), ("y", "w", 3), ("z", "w", 1),
+                             ("w", "v", 1), ("v", "u", 1)])
+    assert net.degree("y") == 3
+    trace = ReductionTrace()
+    series_reduce(net, "v", trace=trace)
+    forged = ReductionStep("series", ("y",), (Edge("x", "y", 1), Edge("y", "z", 2)),
+                           (Edge("x", "z", 3),))
+    _replay_error(net, trace.steps + [forged], 1, "resistances among its survivors change")
+
+
+def test_replay_refuses_an_off_by_one_added_weight():
+    net = ResistanceNetwork([(0, 1, 1), (1, 2, 2), (2, 0, 3), (2, 3, 1), (3, 4, 1)])
+    trace = ReductionTrace()
+    series_reduce(delta_y(net, 0, 1, 2, trace=trace), 3, trace=trace)
+    for k, step in enumerate(trace):
+        e = step.added_edges[-1]
+        wrong = dataclasses.replace(step, added_edges=(*step.added_edges[:-1], Edge(e.u, e.v, e.r + 1)))
+        steps = list(trace.steps)
+        steps[k] = wrong
+        _replay_error(net, steps, k, "resistances among its survivors change")
+
+
+def test_replay_refuses_a_reused_vertex_name():
+    # star-mesh removes 3; delta-wye's default fresh vertex is then 3 again,
+    # a hub that r(0, 3) sees at 7/23 where the network had 40/23
+    net = ResistanceNetwork([(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2), (3, 0, 5)])
+    trace = ReductionTrace()
+    out = delta_y(star_mesh_eliminate(net, 3, trace=trace), 0, 1, 2, trace=trace)
+    assert trace.steps[1].new_vertex == 3
+    assert (effective_resistance(net, 0, 3), effective_resistance(out, 0, 3)) == (
+        Fraction(40, 23), Fraction(7, 23))
+    _replay_error(net, trace.steps, 1, "new vertex 3 was used before")
+
+
+def test_replay_runs_no_reduction_op(monkeypatch):
+    chain = build_terminal_chain(3)
+    final, trace = simplify_chain_circuit(chain)
+    net = random_network(random.Random(5), max_vertices=8)
+    sp_trace = ReductionTrace()
+    reduced = reduce_series_parallel(net, keep=net.vertices[:2], trace=sp_trace)
+    for v in reduced.vertices[2:]:
+        reduced = star_mesh_eliminate(reduced, v, trace=sp_trace)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay ran a reduction op")
+
+    for name in ("series_reduce", "parallel_reduce", "delta_y", "star_mesh_eliminate"):
+        monkeypatch.setattr(resistance_engine, name, refuse)
+    assert trace.replay(chain.network) == final
+    assert sp_trace.replay(net) == reduced
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,8 +661,11 @@ def test_simplify_chain_step_counts():
         final, trace = simplify_chain_circuit(chain)
         assert len(trace) == 8 * n - 6
         assert trace.replay(chain.network) == final
-        steps = list(trace.networks(chain.network))
-        assert len(steps) == len(trace) and steps[-1] == final
+        afters = [after for _, _, after in _op_networks(chain.network, trace)]
+        assert len(afters) == len(trace) and afters[-1] == final
+        # every prefix replays to the network the reducer had after it
+        assert all(ReductionTrace(trace.steps[:k]).replay(chain.network) == after
+                   for k, after in enumerate(afters, start=1))
 
 
 def test_simplify_chain_final_star():
