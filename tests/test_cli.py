@@ -239,7 +239,8 @@ def test_verify_lemma6_reaches_cap():
     (("verify", "lemma5", "--n", "4"), "ab945edb39091ba83b52f885b68a4bc0e16da24c0d216167961918b16f077333"),
     (("verify", "lemma6", "--n", "4"), "c553f66115fc96b2da2b1299e5379c551419570f911f3bd8900b412f2010c916"),
     (("verify", "lemma4",), "4e3fd464461d24721596ea7b7972a9eabed96639626e6c7d9c14aac9b64c8ff7"),
-], ids=["lemma5", "lemma6", "lemma4"])
+    (("verify", "lemma5", "--n", "20"), "6a3c84bcc9bfe592eb4d92e1517536a573e85049cebc689d3b65ff35eb238865"),
+], ids=["lemma5", "lemma6", "lemma4", "lemma5-n20"])
 def test_lemma_reports_match_golden_digest(args, digest):
     # sha256 of the full JSON report, default seed; a changed value, field or
     # verdict anywhere in it changes the digest
@@ -267,7 +268,9 @@ def test_reduce_trace():
     ("021", "json", "6a3425024fe6ee825885041461c4b16ca29975ed8c07c21189c36cc56adab3d6"),
     ("20102", "text", "4642071b5b5f40ce8e2c8a45641d2fa91af3763350a320aa1818619e26038853"),
     ("20102", "json", "6595cba82874d5d04e0230ea0b4dbaee1347aeb66a81b5c4faf7a486b302cd54"),
-], ids=["021-text", "021-json", "20102-text", "20102-json"])
+    ("0" * 58, "text", "d85790b4e2b9d984e6a23dae193928b32a1c54bb638001a3e85f90729cfb0663"),
+    ("0" * 58, "json", "b93fb49f52328862d46b39d7d8f1dae4bd54319e0fdaabd1d86f9fc1e530e2af"),
+], ids=["021-text", "021-json", "20102-text", "20102-json", "helicene60-text", "helicene60-json"])
 def test_reduce_trace_matches_golden_digest(code, fmt, digest):
     # sha256 of the whole traced reduction: every step's kind and site and
     # the final edges; json adds each step's removed and added edges and Kf
