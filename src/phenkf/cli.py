@@ -38,7 +38,6 @@ from .extremal_search import (
 )
 from .resistance_engine import (
     NetworkError,
-    ReductionTrace,
     ResistanceNetwork,
     format_edge_list,
     reduce_series_parallel,
@@ -57,12 +56,15 @@ MAX_MATRIX_HEXAGONS = 60
 # verify lemma4 draws O(m^2) edge coins per sample, so with the default 100
 # samples it takes about half a minute at this bound (2-vCPU host)
 MAX_LEMMA4_VERTICES = 40
-# verify lemma5's reducer rebuilds the network at each of its 8n - 6 steps,
-# so with the default 5 samples it takes about 5 s here (2-vCPU host)
-MAX_LEMMA5_HEXAGONS = 100
-# reduce re-sorts the edges into a new network at each of its O(n) steps, so
-# it takes about 11 s at this bound, with or without --trace (2-vCPU host)
-MAX_REDUCE_HEXAGONS = 400
+# verify lemma5's exact terminal solve and per-step certificates work on
+# rationals whose size grows with n, so with the default 5 samples it takes
+# about 18 s at this bound and 28 s at n = 250, in text or json (2-vCPU host)
+MAX_LEMMA5_HEXAGONS = 200
+# reduce --trace --format json prints every step's edges, whose rationals
+# grow with n, so its output and memory grow as n^2: 24 MB and 140 MB at this
+# bound (5 s), 91 MB and 410 MB at n = 2000 (20 s).  Text takes under 1 s
+# here, json without --trace 3 s, most of it the Kf (2-vCPU host)
+MAX_REDUCE_HEXAGONS = 1000
 
 
 def _emit(text: str):
@@ -334,20 +336,18 @@ def _cmd_reduce(args) -> int:
     code = _parse_code(args)
     if code.n > MAX_REDUCE_HEXAGONS:
         raise ValueError(f"reduce takes at most {MAX_REDUCE_HEXAGONS} hexagons, got n={code.n}")
-    chain = build_chain(code)
-    trace = ReductionTrace() if args.trace else None
-    reduced = reduce_series_parallel(chain.network, trace=trace)
+    reduced, trace = reduce_series_parallel(build_chain(code).network)
     if args.format == "json":
         out = {
             "code": {"n": code.n, "w": code.word},
             "kf": format_rational(kf_of_code(code).kf),
             "final_edges": [[e.u, e.v, format_rational(e.r)] for e in reduced.edges],
         }
-        if trace is not None:
+        if args.trace:
             out["trace"] = [s.as_dict() for s in trace]
         _emit_json(out)
     else:
-        if trace is not None:
+        if args.trace:
             for idx, step in enumerate(trace, start=1):
                 _emit(f"step {idx}: {step.describe()}")
         _emit(format_edge_list(reduced).rstrip("\n"))

@@ -5,13 +5,14 @@ resistances.  Two kinds of computation are kept deliberately separate:
 
 * local circuit reductions (series, parallel, delta-wye, star-mesh) that
   transform the network while preserving effective resistances among the
-  surviving vertices, with a replayable trace.  Each op splits the edges
-  into kept and removed once, and builds both its output and its recorded
-  step from that split.  `ReductionTrace.replay` checks a trace from the
-  recorded edges alone: it applies each step's removed and added edges to
-  one edge multiset and certifies the step on those edges
-  (`step_preserves_resistances`), without running an op or solving the
-  whole network;
+  surviving vertices, with a replayable trace.  A `ReductionTrace` is the
+  network under reduction, and `ReductionTrace.apply` is the one routine
+  that changes it.  Each op builds its step from the edges it looked up
+  and applies it, so a step costs time in its own size.
+  `ReductionTrace.replay` checks a trace from the recorded edges alone: it
+  applies each step to a fresh trace of the initial network and certifies
+  it on those edges (`step_preserves_resistances`), without running an op
+  or solving the whole network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   Each is read off the inverse by the Takahashi recurrence: grounded
@@ -32,6 +33,7 @@ elimination instead.  It is the independent oracle the tests hold the
 factorization to; no verdict depends on it.
 """
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -95,7 +97,39 @@ def _edge_order(e: Edge) -> tuple:
     return vertex_key(e.u), vertex_key(e.v), e.r
 
 
-class ResistanceNetwork:
+class _Incidence:
+    """Readers of `_adj`, each vertex's incident edges: shared by a network
+    and by a trace, the network under reduction."""
+
+    __slots__ = ()
+
+    def has_vertex(self, v) -> bool:
+        return v in self._adj
+
+    def require_vertex(self, v):
+        if v not in self._adj:
+            raise NetworkError(f"unknown vertex {v!r}")
+
+    def incident(self, v) -> tuple:
+        self.require_vertex(v)
+        return tuple(self._adj[v])
+
+    def degree(self, v) -> int:
+        """Number of incident edge slots; parallel edges count separately."""
+        return len(self.incident(v))
+
+    def neighbors(self, v) -> tuple:
+        self.require_vertex(v)
+        out = {e.v if e.u == v else e.u for e in self._adj[v]}
+        return tuple(sorted(out, key=vertex_key))
+
+    def edges_between(self, u, v) -> tuple:
+        self.require_vertex(u)
+        self.require_vertex(v)
+        return tuple(e for e in self._adj[u] if {e.u, e.v} == {u, v})
+
+
+class ResistanceNetwork(_Incidence):
     """Immutable weighted multigraph.
 
     Vertices are ints or strings.  Edge input items are `Edge`s, taken as
@@ -124,31 +158,6 @@ class ResistanceNetwork:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_vertex(self, v) -> bool:
-        return v in self._adj
-
-    def require_vertex(self, v):
-        if v not in self._adj:
-            raise NetworkError(f"unknown vertex {v!r}")
-
-    def incident(self, v) -> tuple:
-        self.require_vertex(v)
-        return tuple(self._adj[v])
-
-    def degree(self, v) -> int:
-        """Number of incident edge slots; parallel edges count separately."""
-        return len(self.incident(v))
-
-    def neighbors(self, v) -> tuple:
-        self.require_vertex(v)
-        out = {e.v if e.u == v else e.u for e in self._adj[v]}
-        return tuple(sorted(out, key=vertex_key))
-
-    def edges_between(self, u, v) -> tuple:
-        self.require_vertex(u)
-        self.require_vertex(v)
-        return tuple(e for e in self._adj[u] if {e.u, e.v} == {u, v})
-
     def is_connected(self) -> bool:
         if self.num_vertices <= 1:
             return True
@@ -162,10 +171,6 @@ class ResistanceNetwork:
                     seen.add(other)
                     todo.append(other)
         return len(seen) == self.num_vertices
-
-    def fresh_vertex(self) -> int:
-        ints = [v for v in self.vertices if isinstance(v, int)]
-        return max(ints) + 1 if ints else 0
 
     def induced(self, vertices) -> "ResistanceNetwork":
         """Subnetwork on the given vertices and the edges inside them."""
@@ -223,8 +228,9 @@ class ResistanceNetwork:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One applied reduction: the edges it removed and added, and, for
-    reports, the op and site that made them."""
+    """One reduction: the op and site that made it, the edges it removed and
+    added, and the vertex it made, if any.  Applying it eliminates exactly
+    the site vertices it leaves without edges."""
 
     kind: str               # "series" | "parallel" | "delta-wye" | "star-mesh"
     site: tuple             # the op's vertex arguments
@@ -251,19 +257,21 @@ class ReductionStep:
         return out
 
 
-def _refused(idx, step, reason) -> NetworkError:
-    return NetworkError(f"replay refused step {idx}: {step.describe()}: {reason}")
+class ReductionTrace(_Incidence):
+    """A network under reduction and the steps applied to it so far.
 
+    Each vertex keeps its incident edges, read as a `ResistanceNetwork`'s
+    are, so a step costs time in its own size.  Only `apply` changes the
+    network; `network()` returns it as a `ResistanceNetwork`.
+    `fresh_vertex`, the default name of a new vertex, is one past every int
+    vertex the trace ever had.
+    """
 
-@dataclass
-class ReductionTrace:
-    """Ordered record of reduction steps, checked by `replay` from the
-    initial network and the recorded edges alone."""
-
-    steps: list = field(default_factory=list)
-
-    def append(self, step: ReductionStep):
-        self.steps.append(step)
+    def __init__(self, network: ResistanceNetwork):
+        self._adj = {v: list(inc) for v, inc in network._adj.items()}
+        self._seen = set(self._adj)
+        self.fresh_vertex = max((v + 1 for v in self._adj if isinstance(v, int)), default=0)
+        self.steps = []
 
     def __len__(self):
         return len(self.steps)
@@ -271,41 +279,60 @@ class ReductionTrace:
     def __iter__(self):
         return iter(self.steps)
 
-    def replay(self, network: ResistanceNetwork) -> ResistanceNetwork:
-        """Apply each step's recorded edges to `network`, certify the step,
-        and return the network the last step leaves.
+    def network(self) -> ResistanceNetwork:
+        return ResistanceNetwork((e for v, inc in self._adj.items() for e in inc if e.u == v), self._adj)
 
-        One edge multiset and a degree count stand for the network.  Every
-        removed edge must be present.  A vertex whose last edge a step
-        removes, and to which it adds none, is eliminated; a vertex an added
-        edge brings in is new, and may not have been in any earlier network,
-        so a vertex kept from the start was kept at every step.  The step
-        must then pass `step_preserves_resistances` on its survivors.  No
-        reduction op runs here: the ops and the choice of sites are trusted
-        for nothing.  Raises NetworkError naming the first step that fails.
+    def apply(self, step: ReductionStep) -> ReductionStep:
+        """Remove the step's removed edges, add its added edges, drop the site
+        vertices it leaves without edges, and record the step.
+
+        Refused with NotReducibleError, before any change, if a removed edge
+        is absent or if a new vertex (an end of an added edge that the
+        network lacks) is named like a vertex the trace ever had: so a
+        vertex kept from the start was kept at every step.
         """
-        edges = Counter(network.edges)
-        degree = Counter(w for e in network.edges for w in e[:2])
-        alive, seen = set(network.vertices), set(network.vertices)
+        adj = self._adj
+        for e, count in Counter(step.removed_edges).items():
+            if adj.get(e.u, ()).count(e) < count:
+                raise NotReducibleError(f"removed edge {e} is absent")
+        new = {w for e in step.added_edges for w in e[:2] if w not in adj}
+        if new & self._seen:
+            raise NotReducibleError(f"new vertex {min(new & self._seen, key=vertex_key)!r} was used before")
+        for e in step.removed_edges:
+            adj[e.u].remove(e)
+            adj[e.v].remove(e)
+        for e in step.added_edges:
+            adj.setdefault(e.u, []).append(e)
+            adj.setdefault(e.v, []).append(e)
+        for w in step.site:
+            if adj.get(w) == []:
+                del adj[w]
+        self._seen |= new
+        self.fresh_vertex = max([self.fresh_vertex, *(w + 1 for w in new if isinstance(w, int))])
+        self.steps.append(step)
+        return step
+
+    def replay(self, network: ResistanceNetwork) -> ResistanceNetwork:
+        """Apply each recorded step to a fresh trace of `network`, certify
+        it, and return the network the last step leaves.
+
+        `apply` refuses an absent removed edge and a reused vertex name; the
+        step must then pass `step_preserves_resistances` on its vertices
+        that the network has both before and after it.  No reduction op
+        runs here: the ops and the choice of sites are trusted for nothing.
+        Raises NetworkError naming the first step that fails.
+        """
+        checked = ReductionTrace(network)
         for idx, step in enumerate(self.steps):
-            removed = [w for e in step.removed_edges for w in e[:2]]
-            added = [w for e in step.added_edges for w in e[:2]]
-            edges.subtract(step.removed_edges)
-            degree.subtract(removed)
-            absent = next((e for e in step.removed_edges if edges[e] < 0), None)
-            if absent:
-                raise _refused(idx, step, f"removed edge {absent} is absent")
-            eliminated = {w for w in removed if not degree[w]}.difference(added)
-            new = set(added) - alive
-            if new & seen:
-                raise _refused(idx, step, f"new vertex {min(new & seen, key=vertex_key)!r} was used before")
-            if not step_preserves_resistances(step, {*removed, *added} - eliminated - new):
-                raise _refused(idx, step, "resistances among its survivors change")
-            edges.update(step.added_edges)
-            degree.update(added)
-            alive = alive - eliminated | new
-            seen |= new
-        return ResistanceNetwork(edges.elements(), alive)
+            ends = {w for e in step.removed_edges + step.added_edges for w in e[:2]}
+            before = {w for w in ends if checked.has_vertex(w)}
+            try:
+                checked.apply(step)
+                if not step_preserves_resistances(step, {w for w in before if checked.has_vertex(w)}):
+                    raise NotReducibleError("resistances among its survivors change")
+            except NotReducibleError as err:
+                raise NetworkError(f"replay refused step {idx}: {step.describe()}: {err}") from None
+        return checked.network()
 
 
 def step_preserves_resistances(step: ReductionStep, survivors) -> bool:
@@ -339,31 +366,19 @@ def step_preserves_resistances(step: ReductionStep, survivors) -> bool:
 # reduction operations
 
 
-def _rewrite(net, drop, new_edges, vertices, trace, kind, site, new_vertex=None):
-    """`net` with the edges `drop` picks replaced by `new_edges`, on `vertices`.
-
-    The op's own split gives the step as well: its removed edges come in the
-    order of `net.edges`, which is `_edge_order`, and its added `Edge`s are
-    sorted the same way.  No edge is checked again.  With a trace, the step
-    is appended to it.
-    """
-    kept, removed = [], []
-    for e in net.edges:
-        (removed if drop(e) else kept).append(e)
-    added = sorted(new_edges, key=_edge_order)
-    out = ResistanceNetwork(kept + added, vertices)
-    if trace is not None:
-        trace.append(ReductionStep(kind, site, tuple(removed), tuple(added), new_vertex))
-    return out
+def _step(kind, site, removed, added, new_vertex=None) -> ReductionStep:
+    """The step with each side in `_edge_order`, as a network stores edges."""
+    return ReductionStep(kind, site, tuple(sorted(removed, key=_edge_order)),
+                         tuple(sorted(added, key=_edge_order)), new_vertex)
 
 
-def series_reduce(net: ResistanceNetwork, y, trace=None) -> ResistanceNetwork:
+def series_reduce(trace: ReductionTrace, y) -> ReductionStep:
     """Replace x - y - z (y of degree 2, x != z) by one edge (x, z) with r1 + r2.
 
     The new edge is kept alongside any existing (x, z) edges; merge those with
     parallel_reduce explicitly.
     """
-    inc = net.incident(y)
+    inc = trace.incident(y)
     if len(inc) != 2:
         raise NotReducibleError(f"vertex {y!r} has degree {len(inc)}, need exactly 2")
     e1, e2 = inc
@@ -371,54 +386,49 @@ def series_reduce(net: ResistanceNetwork, y, trace=None) -> ResistanceNetwork:
     z = e2.v if e2.u == y else e2.u
     if x == z:
         raise NotReducibleError(f"vertex {y!r} has parallel edges to {x!r}; not a series site")
-    return _rewrite(net, lambda e: y in (e.u, e.v), [Edge(x, z, e1.r + e2.r)],
-                    [v for v in net.vertices if v != y], trace, "series", (y,))
+    return trace.apply(_step("series", (y,), inc, [Edge(x, z, e1.r + e2.r)]))
 
 
-def parallel_reduce(net: ResistanceNetwork, x, y, trace=None) -> ResistanceNetwork:
+def parallel_reduce(trace: ReductionTrace, x, y) -> ReductionStep:
     """Replace all k >= 2 edges between x and y by one with 1/r = sum(1/r_i)."""
-    bundle = net.edges_between(x, y)
+    bundle = trace.edges_between(x, y)
     if len(bundle) < 2:
         raise NotReducibleError(f"need >= 2 parallel edges between {x!r} and {y!r}, found {len(bundle)}")
     conductance = sum(1 / e.r for e in bundle)
     pair = bundle[0].u, bundle[0].v  # (x, y) in vertex order
-    return _rewrite(net, lambda e: (e.u, e.v) == pair, [Edge(*pair, 1 / conductance)],
-                    net.vertices, trace, "parallel", pair)
+    return trace.apply(_step("parallel", pair, bundle, [Edge(*pair, 1 / conductance)]))
 
 
-def delta_y(net: ResistanceNetwork, x, y, z, new_vertex=None, trace=None) -> ResistanceNetwork:
+def delta_y(trace: ReductionTrace, x, y, z, new_vertex=None) -> ReductionStep:
     """Replace triangle edges on {x, y, z} by a star through a new vertex.
 
     With R_a = r(y, z), R_b = r(x, z), R_c = r(x, y) and S = R_a + R_b + R_c,
     the star edges are (x, w, R_b*R_c/S), (y, w, R_a*R_c/S), (z, w, R_a*R_b/S).
-    Each triangle side must be a single edge; merge parallels first.
+    Each triangle side must be a single edge; merge parallels first.  The
+    new vertex defaults to the trace's `fresh_vertex`.
     """
     corners = (x, y, z)
     if len(set(corners)) != 3:
         raise NotReducibleError(f"triangle corners must be distinct: {corners!r}")
-    sides = {}
+    sides = []
     for p, q in ((y, z), (x, z), (x, y)):
-        bundle = net.edges_between(p, q)
+        bundle = trace.edges_between(p, q)
         if len(bundle) != 1:
             raise NotReducibleError(
                 f"need exactly one edge between {p!r} and {q!r}, found {len(bundle)}")
-        sides[(p, q)] = bundle[0]
+        sides += bundle
     if new_vertex is None:
-        new_vertex = net.fresh_vertex()
-    if net.has_vertex(new_vertex):
+        new_vertex = trace.fresh_vertex
+    if trace.has_vertex(new_vertex):
         raise NotReducibleError(f"new vertex {new_vertex!r} already present")
-    r_a = sides[(y, z)].r
-    r_b = sides[(x, z)].r
-    r_c = sides[(x, y)].r
+    r_a, r_b, r_c = (e.r for e in sides)
     total = r_a + r_b + r_c
-    pairs = {(e.u, e.v) for e in sides.values()}  # one edge each
     star = [Edge(x, new_vertex, r_b * r_c / total), Edge(y, new_vertex, r_a * r_c / total),
             Edge(z, new_vertex, r_a * r_b / total)]
-    return _rewrite(net, lambda e: (e.u, e.v) in pairs, star, (*net.vertices, new_vertex),
-                    trace, "delta-wye", corners, new_vertex)
+    return trace.apply(_step("delta-wye", corners, sides, star, new_vertex))
 
 
-def star_mesh_eliminate(net: ResistanceNetwork, v, trace=None) -> ResistanceNetwork:
+def star_mesh_eliminate(trace: ReductionTrace, v) -> ReductionStep:
     """Remove v and connect its neighborhood as a mesh.
 
     With per-neighbor conductances c_i (parallel edges to the same neighbor
@@ -427,42 +437,52 @@ def star_mesh_eliminate(net: ResistanceNetwork, v, trace=None) -> ResistanceNetw
     a pendant; degree 2 matches series plus a parallel merge; degree 3 matches
     wye-delta.
     """
-    inc = net.incident(v)
+    removed = list(trace.incident(v))
     by_neighbor = defaultdict(lambda: Rational(0))
-    for e in inc:
+    for e in removed:
         other = e.v if e.u == v else e.u
         by_neighbor[other] += 1 / e.r
     neighbors = sorted(by_neighbor, key=vertex_key)
     total = sum(by_neighbor.values())
-    mesh = {}
+    mesh = []
     for i, p in enumerate(neighbors):
         for q in neighbors[i + 1:]:
-            mesh[(p, q)] = by_neighbor[p] * by_neighbor[q] / total + sum(
-                (1 / e.r for e in net.edges_between(p, q)), Rational(0))
-    return _rewrite(net, lambda e: v in (e.u, e.v) or (e.u, e.v) in mesh,
-                    [Edge(p, q, 1 / c) for (p, q), c in mesh.items()],
-                    [w for w in net.vertices if w != v], trace, "star-mesh", (v,))
+            between = trace.edges_between(p, q)
+            removed += between
+            mesh.append(Edge(p, q, 1 / (by_neighbor[p] * by_neighbor[q] / total
+                                        + sum((1 / e.r for e in between), Rational(0)))))
+    return trace.apply(_step("star-mesh", (v,), removed, mesh))
 
 
-def reduce_series_parallel(net: ResistanceNetwork, keep=(), trace=None) -> ResistanceNetwork:
+def reduce_series_parallel(net: ResistanceNetwork, keep=()):
     """Greedily apply parallel then series reductions until none applies.
 
-    Vertices in `keep` are never series-eliminated.  Sites are the least in
-    vertex order, found in one scan: a bundle is two neighbouring (sorted)
-    edges with equal ends; with none left the network is simple, so any
-    vertex of degree 2 outside `keep` is a series site.
+    Vertices in `keep` are never series-eliminated.  Each site is the least
+    in vertex order.  First every parallel bundle is merged (a bundle's
+    edges are neighbours in `net.edges`), which leaves the network simple.
+    Then the vertices outside `keep` come off a heap, and each that has
+    degree 2 when popped is a series site.  A series step keeps its ends'
+    degrees unless they were already joined; the bundle it then makes is
+    merged at once, and that merge lowers the two ends' degrees, the only
+    degrees that ever change, so they go back on the heap.
+
+    Returns (network, trace).
     """
     keep = set(keep)
-    while True:
-        edges = net.edges
-        bundle = next(((e.u, e.v) for e, f in zip(edges, edges[1:]) if e[:2] == f[:2]), None)
-        if bundle is not None:
-            net = parallel_reduce(net, *bundle, trace=trace)
-            continue
-        site = next((v for v in net.vertices if v not in keep and net.degree(v) == 2), None)
-        if site is None:
-            return net
-        net = series_reduce(net, site, trace=trace)
+    trace = ReductionTrace(net)
+    edges = net.edges
+    for pair in dict.fromkeys(e[:2] for e, f in zip(edges, edges[1:]) if e[:2] == f[:2]):
+        parallel_reduce(trace, *pair)
+    heap = [(vertex_key(v), v) for v in net.vertices if v not in keep]  # sorted: a heap
+    while heap:
+        y = heapq.heappop(heap)[1]
+        if trace.has_vertex(y) and trace.degree(y) == 2:
+            (joined,) = series_reduce(trace, y).added_edges
+            if len(trace.edges_between(joined.u, joined.v)) > 1:
+                parallel_reduce(trace, joined.u, joined.v)
+                for w in {joined.u, joined.v} - keep:
+                    heapq.heappush(heap, (vertex_key(w), w))
+    return trace.network(), trace
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +818,17 @@ def simplify_chain_circuit(chain):
             hexagon = chain.hexagons[i]
             cells.append(hexagon)
             pairs.append((hexagon[1], hexagon[2]))
-    net = chain.network
-    trace = ReductionTrace()
+    trace = ReductionTrace(chain.network)
     anchor = a1
     for t, (cell, (p, q)) in enumerate(zip(cells, pairs), start=1):
         keep = {a1, p, q}
         for v in sorted(cell, key=vertex_key):
-            if v not in keep and net.has_vertex(v) and net.degree(v) == 2:
-                net = series_reduce(net, v, trace=trace)
+            if v not in keep and trace.has_vertex(v) and trace.degree(v) == 2:
+                series_reduce(trace, v)
         hub = f"z{t}"
-        net = delta_y(net, anchor, p, q, new_vertex=hub, trace=trace)
+        delta_y(trace, anchor, p, q, new_vertex=hub)
         anchor = hub
-    return net, trace
+    return trace.network(), trace
 
 
 # ---------------------------------------------------------------------------

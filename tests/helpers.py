@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from phenkf.resistance_engine import ResistanceNetwork, vertex_key
+from phenkf.resistance_engine import ReductionTrace, ResistanceNetwork, vertex_key
 
 
 def random_weight(rng) -> Fraction:
@@ -29,6 +29,13 @@ def random_network(rng, max_vertices: int = 12) -> ResistanceNetwork:
         u, v, _ = edges[rng.randrange(len(edges))]
         edges.append((u, v, random_weight(rng)))
     return ResistanceNetwork(edges)
+
+
+def after_op(op, net: ResistanceNetwork, *site, **kw) -> ResistanceNetwork:
+    """The network that one reduction op at `site` leaves of `net`."""
+    trace = ReductionTrace(net)
+    op(trace, *site, **kw)
+    return trace.network()
 
 
 def edge_delta(before: ResistanceNetwork, after: ResistanceNetwork):

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import path_network, random_network
+from helpers import after_op, path_network, random_network
 from phenkf.chain_model import ChainCode, enumerate_words, helicene, linear
 from phenkf.extremal_search import (
     DEFAULT_SEED,
@@ -45,19 +45,19 @@ def applicable_steps(net: ResistanceNetwork):
     """All sites where one of the four local reductions applies."""
     for v in net.vertices:
         if net.degree(v) == 2 and len(set(net.neighbors(v))) == 2:
-            yield "series", lambda v=v: series_reduce(net, v)
+            yield "series", lambda v=v: after_op(series_reduce, net, v)
     seen = set()
     for e in net.edges:
         key = (e.u, e.v)
         if key not in seen and len(net.edges_between(e.u, e.v)) >= 2:
             seen.add(key)
-            yield "parallel", lambda e=e: parallel_reduce(net, e.u, e.v)
+            yield "parallel", lambda e=e: after_op(parallel_reduce, net, e.u, e.v)
     for x, y, z in itertools.combinations(net.vertices, 3):
         if all(len(net.edges_between(u, v)) == 1
                for u, v in ((x, y), (y, z), (x, z))):
-            yield "delta_y", lambda x=x, y=y, z=z: delta_y(net, x, y, z)
+            yield "delta_y", lambda x=x, y=y, z=z: after_op(delta_y, net, x, y, z)
     for v in net.vertices:
-        yield "star_mesh", lambda v=v: star_mesh_eliminate(net, v)
+        yield "star_mesh", lambda v=v: after_op(star_mesh_eliminate, net, v)
 
 
 def test_criterion_1_reduction_soundness():

@@ -157,19 +157,31 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
 
 
 def test_lemma5_refuses_chains_past_its_bound():
-    # refused before any chain is built; n = 100 itself takes about 13 s
-    proc = run_cli("verify", "lemma5", "--n", "101", check=False, timeout=2)
+    # refused before any chain is built; n = 200 itself takes about 18 s
+    proc = run_cli("verify", "lemma5", "--n", "201", check=False, timeout=2)
     assert proc.returncode == 2
-    assert "verify lemma5 takes at most 100 hexagons, got n=101" in proc.stderr
+    assert "verify lemma5 takes at most 200 hexagons, got n=201" in proc.stderr
     assert proc.stdout == ""
 
 
 def test_reduce_refuses_chains_past_its_bound():
-    # refused right after parsing; n = 400 itself takes about 11 s
-    proc = run_cli("reduce", "--code", "0" * 399, "--trace", check=False, timeout=2)
+    # refused right after parsing; n = 1000 itself takes about 5 s in json
+    proc = run_cli("reduce", "--code", "0" * 999, "--trace", check=False, timeout=2)
     assert proc.returncode == 2
-    assert "reduce takes at most 400 hexagons, got n=401" in proc.stderr
+    assert "reduce takes at most 1000 hexagons, got n=1001" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_reduce_trace_finishes_at_its_bound():
+    # each step costs time in its own size, so the 1000-hexagon helicene's
+    # whole trace takes about a second (it took minutes when every step
+    # rebuilt the network)
+    proc = run_cli("reduce", "--code", "0" * 998, "--trace", timeout=60)
+    lines = proc.stdout.splitlines()
+    # 8n - 3 steps, then the one edge left between the last two vertices
+    assert len(lines) == 8 * 1000 - 3 + 1
+    assert lines[-2] == "step 7997: parallel at (5998, 5999)"
+    assert lines[-1].startswith("5998 5999 ")
 
 
 def test_lemma4_refuses_components_past_its_bound():

@@ -41,7 +41,6 @@ from phenkf import resistance_engine
 from phenkf.resistance_engine import (
     Edge,
     NetworkError,
-    ReductionStep,
     ReductionTrace,
     ResistanceNetwork,
     _GroundedFactor,
@@ -428,14 +427,15 @@ def _old_step_check(chain, network, r_a1_x, r_a1_y):
 
 
 def _keep_outputs(monkeypatch):
-    """Make the two ops the staged simplification runs keep, in order, each
-    network they return; the list of them is returned."""
+    """Make the two ops the staged simplification runs keep, in order, the
+    network each leaves in its trace; the list of them is returned."""
     outputs = []
 
     def keeping(op):
-        def run(*args, **kw):
-            outputs.append(op(*args, **kw))
-            return outputs[-1]
+        def run(trace, *args, **kw):
+            step = op(trace, *args, **kw)
+            outputs.append(trace.network())
+            return step
         return run
 
     for name in ("series_reduce", "delta_y"):
@@ -469,18 +469,18 @@ def test_step_certificate_agrees_with_whole_network_check(monkeypatch, n, seed):
 
 def _tamper(monkeypatch, name, target, rewrite):
     """Make the reduction op `name` pass its output at site `target` through
-    `rewrite(before, after)`, recording the rewritten step in the trace, so
+    `rewrite(before, after)` and apply the rewritten step to its trace, so
     that the reduction and its replay agree on the wrong network."""
     real = getattr(resistance_engine, name)
-    kind = {"series_reduce": "series", "delta_y": "delta-wye"}[name]
 
-    def tampered(net, *site, trace=None, **kw):
-        out = real(net, *site, **kw)
-        if site == target:
-            out = rewrite(net, out)
-        if trace is not None:
-            trace.append(ReductionStep(kind, site, *edge_delta(net, out), kw.get("new_vertex")))
-        return out
+    def tampered(trace, *site, **kw):
+        if site != target:
+            return real(trace, *site, **kw)
+        before = trace.network()
+        scratch = ReductionTrace(before)
+        step = real(scratch, *site, **kw)
+        removed, added = edge_delta(before, rewrite(before, scratch.network()))
+        return trace.apply(dataclasses.replace(step, removed_edges=removed, added_edges=added))
 
     monkeypatch.setattr(resistance_engine, name, tampered)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_delta, networks, path_network, random_network, survivors, weights
+from helpers import after_op, edge_delta, networks, path_network, random_network, survivors, weights
 from phenkf import resistance_engine
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.resistance_engine import (
@@ -125,32 +125,32 @@ def test_isolated_vertex_support():
 
 def test_series_two_units():
     net = path_network(["a", "b", "c"])
-    out = series_reduce(net, "b")
+    out = after_op(series_reduce, net, "b")
     assert out.edges_between("a", "c")[0].r == 2
 
 
 def test_series_adds_resistances():
     net = ResistanceNetwork([("a", "b", Fraction(1, 2)), ("b", "c", Fraction(1, 3))])
-    out = series_reduce(net, "b")
+    out = after_op(series_reduce, net, "b")
     assert out.edges_between("a", "c")[0].r == Fraction(5, 6)
 
 
 def test_series_requires_degree_two():
     star = ResistanceNetwork([("c", i, 1) for i in range(3)])
     with pytest.raises(NotReducibleError):
-        series_reduce(star, "c")
+        series_reduce(ReductionTrace(star), "c")
 
 
 def test_parallel_two_edges():
     net = ResistanceNetwork([("a", "b", 2), ("a", "b", 3)])
-    out = parallel_reduce(net, "a", "b")
+    out = after_op(parallel_reduce, net, "a", "b")
     assert out.edges_between("a", "b")[0].r == Fraction(6, 5)
 
 
 def test_parallel_three_units():
     # the whole bundle merges in one call
     net = ResistanceNetwork([("a", "b", 1)] * 3)
-    out = parallel_reduce(net, "a", "b")
+    out = after_op(parallel_reduce, net, "a", "b")
     assert len(out.edges_between("a", "b")) == 1
     assert out.edges_between("a", "b")[0].r == Fraction(1, 3)
 
@@ -158,12 +158,12 @@ def test_parallel_three_units():
 def test_parallel_requires_multiedge():
     net = ResistanceNetwork([("a", "b", 1)])
     with pytest.raises(NotReducibleError):
-        parallel_reduce(net, "a", "b")
+        parallel_reduce(ReductionTrace(net), "a", "b")
 
 
 def test_delta_y_unit_triangle():
     tri = cycle(3)
-    out = delta_y(tri, 0, 1, 2, new_vertex="hub")
+    out = after_op(delta_y, tri, 0, 1, 2, new_vertex="hub")
     for corner in (0, 1, 2):
         assert out.edges_between(corner, "hub")[0].r == Fraction(1, 3)
     # terminal pair resistances survive the transform
@@ -172,7 +172,7 @@ def test_delta_y_unit_triangle():
 
 def test_delta_y_weighted():
     tri = ResistanceNetwork([("y", "z", 1), ("x", "z", 2), ("x", "y", 3)])
-    out = delta_y(tri, "x", "y", "z", new_vertex="s")
+    out = after_op(delta_y, tri, "x", "y", "z", new_vertex="s")
     assert out.edges_between("x", "s")[0].r == 1
     assert out.edges_between("y", "s")[0].r == Fraction(1, 2)
     assert out.edges_between("z", "s")[0].r == Fraction(1, 3)
@@ -181,7 +181,7 @@ def test_delta_y_weighted():
 def test_delta_y_requires_triangle():
     net = path_network([0, 1, 2])
     with pytest.raises(NotReducibleError):
-        delta_y(net, 0, 1, 2)
+        delta_y(ReductionTrace(net), 0, 1, 2)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
@@ -191,7 +191,7 @@ def test_star_mesh_preserves_survivors(degree):
     edges += [(i, (i + 1) % degree, Fraction(1)) for i in range(degree)] if degree > 1 else []
     net = ResistanceNetwork(edges)
     before = resistance_matrix(net)
-    out = star_mesh_eliminate(net, "c")
+    out = after_op(star_mesh_eliminate, net, "c")
     assert "c" not in out.vertices
     if out.num_vertices > 1:
         after = resistance_matrix(out)
@@ -202,14 +202,13 @@ def test_star_mesh_preserves_survivors(degree):
 
 def test_star_mesh_degree_two_matches_series():
     net = ResistanceNetwork([("a", "b", 2), ("b", "c", 3)])
-    out = star_mesh_eliminate(net, "b")
-    assert out == series_reduce(net, "b")
+    assert after_op(star_mesh_eliminate, net, "b") == after_op(series_reduce, net, "b")
 
 
 def test_reduce_series_parallel_to_single_edge():
     # two unit paths of length 2 joined at the ends: 2 parallel 2 gives 1
     net = ResistanceNetwork([("s", "m1", 1), ("m1", "t", 1), ("s", "m2", 1), ("m2", "t", 1)])
-    out = reduce_series_parallel(net, keep=("s", "t"))
+    out, _ = reduce_series_parallel(net, keep=("s", "t"))
     assert out.num_vertices == 2
     assert out.edges_between("s", "t")[0].r == 1
 
@@ -218,26 +217,26 @@ def _greedy_by_rescan(net, keep):
     """The greedy rule with no use of edge order: the least pair, in
     vertex_key order, among the pairs with two or more edges; failing that,
     the first vertex not in `keep` with degree 2 and two distinct ends."""
-    trace = ReductionTrace()
+    trace = ReductionTrace(net)
     while True:
+        net = trace.network()
         bundles = sorted({(e.u, e.v) for e in net.edges if len(net.edges_between(e.u, e.v)) >= 2},
                          key=lambda p: (vertex_key(p[0]), vertex_key(p[1])))
         if bundles:
-            net = parallel_reduce(net, *bundles[0], trace=trace)
+            parallel_reduce(trace, *bundles[0])
             continue
         sites = [v for v in net.vertices
                  if v not in keep and net.degree(v) == 2 and len(net.neighbors(v)) == 2]
         if not sites:
             return net, trace
-        net = series_reduce(net, sites[0], trace=trace)
+        series_reduce(trace, sites[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.data())
 def test_reduce_series_parallel_takes_the_greedy_sites(net, data):
     keep = data.draw(st.sets(st.sampled_from(net.vertices)))
-    trace = ReductionTrace()
-    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    reduced, trace = reduce_series_parallel(net, keep=keep)
     expected, expected_trace = _greedy_by_rescan(net, keep)
     assert trace.steps == expected_trace.steps
     assert reduced == expected
@@ -248,8 +247,7 @@ def test_trace_replay_reproduces_reduction():
     for _ in range(10):
         net = random_network(rng, max_vertices=8)
         keep = tuple(rng.sample(net.vertices, 2))
-        trace = ReductionTrace()
-        reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+        reduced, trace = reduce_series_parallel(net, keep=keep)
         assert trace.replay(net) == reduced
 
 
@@ -260,35 +258,44 @@ def test_replay_mismatch_names_the_step(k):
     step = trace.steps[k]
     e = step.added_edges[0]
     wrong = dataclasses.replace(step, added_edges=(Edge(e.u, e.v, e.r + 1), *step.added_edges[1:]))
-    tampered = ReductionTrace(trace.steps[:k] + [wrong] + trace.steps[k + 1:])
-    ReductionTrace(tampered.steps[:k]).replay(chain.network)
+    tampered = trace.steps[:k] + [wrong] + trace.steps[k + 1:]
+    _forged(chain.network, tampered[:k]).replay(chain.network)
     with pytest.raises(NetworkError, match=f"replay refused step {k}: "):
-        tampered.replay(chain.network)
+        _forged(chain.network, tampered).replay(chain.network)
 
 
 OPS = {"series": series_reduce, "parallel": parallel_reduce,
        "delta-wye": delta_y, "star-mesh": star_mesh_eliminate}
 
 
+def _forged(net, steps):
+    """A trace of `net` that records `steps` without applying them: only
+    `replay` reads the record, so a forged trace reaches it this way."""
+    trace = ReductionTrace(net)
+    trace.steps = list(steps)
+    return trace
+
+
 def _op_networks(net, trace):
     """(step, before, after) per step, the networks made by running each
-    step's op again here: the reducer's own networks, not `replay`'s."""
+    step's op again here, on a trace of its own: not `replay`'s."""
+    rerun = ReductionTrace(net)
     nets = [net]
     for step in trace:
         kw = {"new_vertex": step.new_vertex} if step.kind == "delta-wye" else {}
-        nets.append(OPS[step.kind](nets[-1], *step.site, **kw))
+        assert OPS[step.kind](rerun, *step.site, **kw) == step
+        nets.append(rerun.network())
     return zip(trace, nets, nets[1:])
 
 
 @settings(max_examples=60, deadline=None)
 @given(networks(), st.data())
 def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
-    trace = ReductionTrace()
     keep = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
-    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    reduced, trace = reduce_series_parallel(net, keep=keep)
     for v in data.draw(st.permutations(reduced.vertices))[:-2]:
-        reduced = star_mesh_eliminate(reduced, v, trace=trace)
-    assert trace.replay(net) == reduced
+        star_mesh_eliminate(trace, v)
+    assert trace.replay(net) == trace.network()
     for step, before, after in _op_networks(net, trace):
         kept = survivors(step, before, after)
         assert step_preserves_resistances(step, kept), step.describe()
@@ -310,10 +317,10 @@ def _triangles(net):
 
 
 def _one_step(op, net, *site):
-    trace = ReductionTrace()
-    after = op(net, *site, trace=trace)
-    (step,) = trace.steps
-    return step, net, after
+    trace = ReductionTrace(net)
+    step = op(trace, *site)
+    assert trace.steps == [step]
+    return step, net, trace.network()
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,11 +328,10 @@ def _one_step(op, net, *site):
 def test_recorded_edges_are_the_edge_difference(net, data):
     # each op records its removed and added edges from its own split; they
     # must be exactly the multiset difference of the networks around the step
-    trace = ReductionTrace()
     keep = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
-    reduced = reduce_series_parallel(net, keep=keep, trace=trace)
+    reduced, trace = reduce_series_parallel(net, keep=keep)
     for v in data.draw(st.permutations(reduced.vertices))[:-2]:
-        reduced = star_mesh_eliminate(reduced, v, trace=trace)
+        star_mesh_eliminate(trace, v)
     steps = list(_op_networks(net, trace))
     # star-mesh on the unreduced network also merges parallel edges
     steps += [_one_step(star_mesh_eliminate, net, v) for v in net.vertices]
@@ -336,13 +342,13 @@ def test_recorded_edges_are_the_edge_difference(net, data):
 
 def test_step_certificate_cases():
     net = ResistanceNetwork([(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2)])
-    trace = ReductionTrace()
-    star = delta_y(net, 0, 1, 2, new_vertex="w", trace=trace)
-    pendant = star_mesh_eliminate(star, 3, trace=trace)
-    (wye, drop) = trace.steps
+    trace = ReductionTrace(net)
+    wye = delta_y(trace, 0, 1, 2, new_vertex="w")
+    drop = star_mesh_eliminate(trace, 3)
+    assert trace.steps == [wye, drop]
     assert step_preserves_resistances(wye, {0, 1, 2})
     assert step_preserves_resistances(drop, {2})  # one survivor
-    assert trace.replay(net) == pendant
+    assert trace.replay(net) == trace.network()
     # dropping an edge between two survivors disconnects the added side
     cut = dataclasses.replace(wye, added_edges=wye.added_edges[1:])
     assert not step_preserves_resistances(cut, {0, 1, 2})
@@ -356,7 +362,7 @@ def test_step_certificate_cases():
 def _replay_error(net, steps, k, reason):
     """Replay `steps` on `net`; it must refuse step k for `reason`."""
     with pytest.raises(NetworkError, match=f"replay refused step {k}: .*{reason}"):
-        ReductionTrace(list(steps)).replay(net)
+        _forged(net, steps).replay(net)
 
 
 def test_replay_refuses_an_absent_removed_edge():
@@ -376,8 +382,8 @@ def test_replay_refuses_a_forged_series_step_at_a_degree_three_vertex():
     net = ResistanceNetwork([("x", "y", 1), ("y", "z", 2), ("y", "w", 3), ("z", "w", 1),
                              ("w", "v", 1), ("v", "u", 1)])
     assert net.degree("y") == 3
-    trace = ReductionTrace()
-    series_reduce(net, "v", trace=trace)
+    trace = ReductionTrace(net)
+    series_reduce(trace, "v")
     forged = ReductionStep("series", ("y",), (Edge("x", "y", 1), Edge("y", "z", 2)),
                            (Edge("x", "z", 3),))
     _replay_error(net, trace.steps + [forged], 1, "resistances among its survivors change")
@@ -385,8 +391,9 @@ def test_replay_refuses_a_forged_series_step_at_a_degree_three_vertex():
 
 def test_replay_refuses_an_off_by_one_added_weight():
     net = ResistanceNetwork([(0, 1, 1), (1, 2, 2), (2, 0, 3), (2, 3, 1), (3, 4, 1)])
-    trace = ReductionTrace()
-    series_reduce(delta_y(net, 0, 1, 2, trace=trace), 3, trace=trace)
+    trace = ReductionTrace(net)
+    delta_y(trace, 0, 1, 2)
+    series_reduce(trace, 3)
     for k, step in enumerate(trace):
         e = step.added_edges[-1]
         wrong = dataclasses.replace(step, added_edges=(*step.added_edges[:-1], Edge(e.u, e.v, e.r + 1)))
@@ -396,25 +403,49 @@ def test_replay_refuses_an_off_by_one_added_weight():
 
 
 def test_replay_refuses_a_reused_vertex_name():
-    # star-mesh removes 3; delta-wye's default fresh vertex is then 3 again,
-    # a hub that r(0, 3) sees at 7/23 where the network had 40/23
+    # star-mesh removes 3; delta-wye's default new vertex is then 4, one
+    # past every int vertex the trace had.  A hub named 3 would read
+    # r(0, 3) = 7/23 where the network had 40/23: a forged step that names
+    # it so is refused
     net = ResistanceNetwork([(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2), (3, 0, 5)])
-    trace = ReductionTrace()
-    out = delta_y(star_mesh_eliminate(net, 3, trace=trace), 0, 1, 2, trace=trace)
-    assert trace.steps[1].new_vertex == 3
-    assert (effective_resistance(net, 0, 3), effective_resistance(out, 0, 3)) == (
-        Fraction(40, 23), Fraction(7, 23))
-    _replay_error(net, trace.steps, 1, "new vertex 3 was used before")
+    trace = ReductionTrace(net)
+    star_mesh_eliminate(trace, 3)
+    wye = delta_y(trace, 0, 1, 2)
+    out = trace.network()
+    assert wye.new_vertex == 4 and out.vertices == (0, 1, 2, 4)
+    assert trace.replay(net) == out
+    assert effective_resistance(net, 0, 3) == Fraction(40, 23)
+    renamed = [Edge(e.u, 3, e.r) for e in wye.added_edges]
+    assert effective_resistance(ResistanceNetwork(renamed), 0, 3) == Fraction(7, 23)
+    forged = dataclasses.replace(wye, added_edges=tuple(renamed), new_vertex=3)
+    _replay_error(net, [trace.steps[0], forged], 1, "new vertex 3 was used before")
+    # the op refuses the name too, and leaves its trace as it was
+    meshed = ReductionTrace(net)
+    star_mesh_eliminate(meshed, 3)
+    with pytest.raises(NotReducibleError, match="new vertex 3 was used before"):
+        delta_y(meshed, 0, 1, 2, new_vertex=3)
+    assert len(meshed) == 1 and meshed.network().vertices == (0, 1, 2)
+
+
+def test_op_and_replay_eliminate_the_same_vertices():
+    # a step eliminates exactly the site vertices it leaves without edges:
+    # star-mesh at 0 keeps the pendant end 1, and at an isolated vertex
+    # removes it
+    for net, v, left in ((ResistanceNetwork([(0, 1, 2)]), 0, (1,)),
+                         (ResistanceNetwork([(0, 1, 2)], extra_vertices=(5,)), 5, (0, 1))):
+        trace = ReductionTrace(net)
+        star_mesh_eliminate(trace, v)
+        assert trace.network().vertices == left
+        assert trace.replay(net) == trace.network()
 
 
 def test_replay_runs_no_reduction_op(monkeypatch):
     chain = build_terminal_chain(3)
     final, trace = simplify_chain_circuit(chain)
     net = random_network(random.Random(5), max_vertices=8)
-    sp_trace = ReductionTrace()
-    reduced = reduce_series_parallel(net, keep=net.vertices[:2], trace=sp_trace)
+    reduced, sp_trace = reduce_series_parallel(net, keep=net.vertices[:2])
     for v in reduced.vertices[2:]:
-        reduced = star_mesh_eliminate(reduced, v, trace=sp_trace)
+        star_mesh_eliminate(sp_trace, v)
 
     def refuse(*args, **kwargs):
         raise AssertionError("replay ran a reduction op")
@@ -422,7 +453,7 @@ def test_replay_runs_no_reduction_op(monkeypatch):
     for name in ("series_reduce", "parallel_reduce", "delta_y", "star_mesh_eliminate"):
         monkeypatch.setattr(resistance_engine, name, refuse)
     assert trace.replay(chain.network) == final
-    assert sp_trace.replay(net) == reduced
+    assert sp_trace.replay(net) == sp_trace.network()
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,8 +475,7 @@ def test_terminal_resistances_refuse_bad_terminals():
 
 
 def test_step_descriptions():
-    trace = ReductionTrace()
-    reduce_series_parallel(path_network([0, 1, 2]), keep=(0, 2), trace=trace)
+    _, trace = reduce_series_parallel(path_network([0, 1, 2]), keep=(0, 2))
     step = trace.steps[0]
     d = step.as_dict()
     assert d["kind"] == "series"
@@ -664,7 +694,7 @@ def test_simplify_chain_step_counts():
         afters = [after for _, _, after in _op_networks(chain.network, trace)]
         assert len(afters) == len(trace) and afters[-1] == final
         # every prefix replays to the network the reducer had after it
-        assert all(ReductionTrace(trace.steps[:k]).replay(chain.network) == after
+        assert all(_forged(chain.network, trace.steps[:k]).replay(chain.network) == after
                    for k, after in enumerate(afters, start=1))
 
 
