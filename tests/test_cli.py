@@ -247,16 +247,27 @@ def test_verify_lemma6_reaches_cap():
     assert proc.stdout.splitlines()[-1] == "PASS"
 
 
-@pytest.mark.parametrize("args, digest", [
-    (("verify", "lemma5", "--n", "4"), "ab945edb39091ba83b52f885b68a4bc0e16da24c0d216167961918b16f077333"),
-    (("verify", "lemma6", "--n", "4"), "c553f66115fc96b2da2b1299e5379c551419570f911f3bd8900b412f2010c916"),
-    (("verify", "lemma4",), "4e3fd464461d24721596ea7b7972a9eabed96639626e6c7d9c14aac9b64c8ff7"),
-    (("verify", "lemma5", "--n", "20"), "6a3c84bcc9bfe592eb4d92e1517536a573e85049cebc689d3b65ff35eb238865"),
-], ids=["lemma5", "lemma6", "lemma4", "lemma5-n20"])
-def test_lemma_reports_match_golden_digest(args, digest):
-    # sha256 of the full JSON report, default seed; a changed value, field or
-    # verdict anywhere in it changes the digest
-    proc = run_cli(*args, "--format", "json")
+@pytest.mark.parametrize("args, fmt, digest", [
+    (("verify", "lemma5", "--n", "4"), "json", "ab945edb39091ba83b52f885b68a4bc0e16da24c0d216167961918b16f077333"),
+    (("verify", "lemma6", "--n", "4"), "json", "c553f66115fc96b2da2b1299e5379c551419570f911f3bd8900b412f2010c916"),
+    (("verify", "lemma4",), "json", "4e3fd464461d24721596ea7b7972a9eabed96639626e6c7d9c14aac9b64c8ff7"),
+    (("verify", "lemma5", "--n", "20"), "json", "6a3c84bcc9bfe592eb4d92e1517536a573e85049cebc689d3b65ff35eb238865"),
+    (("verify", "lemma4",), "text", "a595522bb507ad6f754bf5cb546c5c968177d46c72682c34532e922be9c88d06"),
+    (("verify", "lemma5", "--n", "4"), "text", "eae68250bb05dcfe1530f01bbf5ac566b2113318062090e118ded57db0167ab6"),
+    (("verify", "lemma6", "--n", "4"), "text", "3defe8acf0ed753a1542c6ca678f76c6ad446549cc4824057a7cff20b9da8130"),
+    (("verify", "theorem1", "--n", "5"), "text", "d7c1e570fb0e1acf36310521e0eb0dab4d2003c669ac416c81243f8cc8edc47c"),
+    (("verify", "theorem1", "--n", "5"), "json", "2478b55476faf35676934549e04ff7802f6b14c23c11513e8f1d3a4a94e68c8d"),
+    (("verify", "conjecture", "--n", "5"), "text", "4143b0b6e1f94afcf638ddf987492cbac6154989a1ff64b37dac48305da12690"),
+    (("verify", "conjecture", "--n", "5"), "json", "d416630551fc98231d939553841537f1fba541d0376b112358a03c7ee07f653c"),
+    (("verify", "hexagon", "--r", "1/2"), "text", "66aa44ef05a5fe6b7664b58487c7389bf8d97f43925d8344d89bc0cbf25cd400"),
+    (("verify", "hexagon", "--r", "1/2"), "json", "3fe6fd553e71b9d171aa1f1febdba276fd6ba51ce5ea582a1503ae5f5e0f8dd4"),
+], ids=["lemma5", "lemma6", "lemma4", "lemma5-n20", "lemma4-text", "lemma5-text", "lemma6-text",
+        "theorem1-text", "theorem1-json", "conjecture-text", "conjecture-json", "hexagon-text",
+        "hexagon-json"])
+def test_lemma_reports_match_golden_digest(args, fmt, digest):
+    # sha256 of the whole report of every verify target, default seed; a
+    # changed value, field, line or verdict anywhere in it changes the digest
+    proc = run_cli(*args, "--format", fmt)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
