@@ -5,7 +5,9 @@ Every CLI run is a subprocess that imports phenkf from this checkout's
 and that sees ``PHENKF_MAX_CODES`` only when a test sets it.
 """
 
+import argparse
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import phenkf.cli as cli
 
 CLI = [sys.executable, "-m", "phenkf.cli"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -342,3 +346,122 @@ def test_benchmark_tracer_names_resolve():
             owner_name, _, attr = qualname.rpartition(".")
             owner = vars(getattr(home, owner_name)) if owner_name else vars(home)
             assert callable(owner.get(attr)), f"phenkf.{layer}.{qualname}"
+
+
+# (check name in phenkf.cli, argv, whether a call is a sample rather than the
+# unit or fixed check); the fixed Lemma 4 pair is the only one with str marks
+SAMPLED_VERDICTS = {
+    "lemma4": ("verify_lemma4", ["verify", "lemma4", "--samples", "6", "--seed", "3"],
+               lambda pair, **kw: pair.a != "a"),
+    "lemma5": ("check_lemma5", ["verify", "lemma5", "--n", "2", "--samples", "4"],
+               lambda n, weights=None: weights is not None),
+    "lemma6": ("check_lemma6", ["verify", "lemma6", "--n", "3", "--samples", "4"],
+               lambda n, weights=None, code=None: weights is not None),
+}
+
+
+def _fail_chosen(monkeypatch, target, fail_samples=(), fail_unit=False):
+    """Patch the check `cli` runs for `target` so that the chosen sample
+    draws (counted from 0) and, if asked, the unit check report FAIL; return
+    the list that collects the failing sample reports in call order."""
+    name, _, is_sample = SAMPLED_VERDICTS[target]
+    real = getattr(cli, name)
+    count = [0]
+    failed = []
+
+    def check(*args, **kw):
+        rep = real(*args, **kw)
+        if is_sample(*args, **kw):
+            idx = count[0]
+            count[0] += 1
+            if idx not in fail_samples:
+                return rep
+            rep = dataclasses.replace(rep, passed=False)
+            failed.append((idx, rep))
+        elif fail_unit:
+            rep = dataclasses.replace(rep, passed=False)
+        return rep
+
+    monkeypatch.setattr(cli, name, check)
+    return failed
+
+
+@pytest.mark.parametrize("target", sorted(SAMPLED_VERDICTS))
+def test_failing_draws_are_reported_in_draw_order(target, monkeypatch, capsys):
+    argv = SAMPLED_VERDICTS[target][1]
+    failed = _fail_chosen(monkeypatch, target, fail_samples=(3, 1))
+    assert cli.main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [i for i, _ in failed] == [1, 3]
+    assert doc["failures"] == [{"sample": i, **rep.as_dict()} for i, rep in failed]
+    assert doc["pass"] is False
+
+    _fail_chosen(monkeypatch, target, fail_samples=(3, 1))
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert lines[-2].endswith("failures: 2")
+
+
+@pytest.mark.parametrize("target", sorted(SAMPLED_VERDICTS))
+def test_failing_unit_check_alone_fails_the_verdict(target, monkeypatch, capsys):
+    argv = SAMPLED_VERDICTS[target][1]
+    _fail_chosen(monkeypatch, target, fail_unit=True)
+    assert cli.main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == []
+    assert doc["pass"] is False
+
+    _fail_chosen(monkeypatch, target, fail_unit=True)
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert lines[-2].endswith("failures: 0")
+
+
+def _options(parser):
+    """{option string: (default, required)} of a parser's own options, and
+    the choices of --format."""
+    return {opt: (action.default, action.required) + ((action.choices,) if action.choices else ())
+            for action in parser._actions
+            for opt in action.option_strings if opt not in ("-h", "--help")}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+ALL_FORMATS = {"--format": ("text", False, ("text", "json", "csv"))}
+TEXT_JSON = {"--format": ("text", False, ("text", "json"))}
+CODE_N = {"--code": (None, True), "--n": (None, False)}
+N_CAP_JOBS = {"--n": (None, True), "--cap": (None, False), "--jobs": (1, False)}
+SAMPLES_SEED = {"--samples": (5, False), "--seed": (1729, False)}
+FLAG_VOCABULARY = {
+    "kf": {**CODE_N, "--sums": (False, False), "--matrix": (False, False),
+           "--approx": (False, False), **ALL_FORMATS},
+    "enumerate": {"--n": (None, True), "--canonical": (False, False), **ALL_FORMATS},
+    "extrema": {**N_CAP_JOBS, "--approx": (False, False), **ALL_FORMATS},
+    "verify lemma4": {**SAMPLES_SEED, "--samples": (100, False), "--max-vertices": (8, False), **TEXT_JSON},
+    "verify lemma5": {"--n": (None, True), **SAMPLES_SEED, **TEXT_JSON},
+    "verify lemma6": {"--n": (None, True), **SAMPLES_SEED, **TEXT_JSON},
+    "verify theorem1": {**N_CAP_JOBS, **TEXT_JSON},
+    "verify conjecture": {**N_CAP_JOBS, **TEXT_JSON},
+    "verify hexagon": {"--r": (None, True), **TEXT_JSON},
+    "reduce": {**CODE_N, "--trace": (False, False), **TEXT_JSON},
+    "export-dot": CODE_N,
+}
+
+
+def test_flag_vocabulary():
+    # every subcommand's option strings, defaults, required flags and formats:
+    # --cap/--jobs only on the exhaustive commands, --samples/--seed only on
+    # the lemma targets, --max-vertices only on lemma4, --code with an
+    # optional --n on kf, reduce and export-dot
+    commands = {}
+    for name, sub in _subparsers(cli.build_parser()).items():
+        if name == "verify":
+            commands.update({f"verify {t}": p for t, p in _subparsers(sub).items()})
+        else:
+            commands[name] = sub
+    assert {name: _options(p) for name, p in commands.items()} == FLAG_VOCABULARY
