@@ -8,19 +8,14 @@ Machine formats never round; --approx adds a labeled decimal column.
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
 import sys
 
-from .chain_model import (
-    ChainCode,
-    ChainCodeError,
-    build_chain,
-    chain_to_dot,
-    enumerate_words,
-)
-from .exact_arith import RationalParseError, approx_text, format_rational, parse_rational
+from .chain_model import ChainCode, build_chain, chain_to_dot, enumerate_words
+from .exact_arith import approx_text, format_rational, parse_rational
 from .extremal_search import (
     DEFAULT_CAP,
     DEFAULT_SEED,
@@ -37,7 +32,6 @@ from .extremal_search import (
     weighted_hexagon_check,
 )
 from .resistance_engine import (
-    NetworkError,
     ResistanceNetwork,
     format_edge_list,
     reduce_series_parallel,
@@ -49,7 +43,7 @@ CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: plain kf and --sums
 # take about half a minute there; --matrix a few seconds, but its memory and
-# output (about 120 MB and 22 MB at the bound) grow as n^2
+# output (about 63 MB and 22 MB at the bound) grow as n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
@@ -61,10 +55,14 @@ MAX_LEMMA4_VERTICES = 40
 # about 18 s at this bound and 28 s at n = 250, in text or json (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 200
 # reduce --trace --format json prints every step's edges, whose rationals
-# grow with n, so its output and memory grow as n^2: 24 MB and 140 MB at this
-# bound (5 s), 91 MB and 410 MB at n = 2000 (20 s).  Text takes under 1 s
-# here, json without --trace 3 s, most of it the Kf (2-vCPU host)
+# grow with n, so its output grows as n^2: 24 MB at this bound, in about 4 s
+# and 58 MB peak RSS (the JSON text is streamed; the steps' dicts are held).
+# Text takes under 1 s here, json without --trace 3 s, most of it the Kf
+# (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 1000
+# pieces of encoded JSON joined per write: one write per piece is slow
+# through a pipe, the whole text at once costs its size in memory
+JSON_PIECES_PER_WRITE = 8192
 
 
 def _emit(text: str):
@@ -72,7 +70,11 @@ def _emit(text: str):
 
 
 def _emit_json(obj):
-    _emit(json.dumps(obj, indent=2))
+    """Write `obj` as json.dumps(obj, indent=2) would, without holding the text."""
+    pieces = json.JSONEncoder(indent=2).iterencode(obj)
+    while chunk := "".join(itertools.islice(pieces, JSON_PIECES_PER_WRITE)):
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
 
 
 def _resolve_cap(args) -> int:
@@ -200,38 +202,40 @@ def _report_exit(report_dict, fmt, text_lines) -> int:
     return 0 if report_dict["pass"] else 1
 
 
+def _sampled_verdict(args, unit, unit_fields, unit_lines, draw) -> int:
+    """Report a lemma target: its unit (or fixed) check `unit`, shown as
+    `unit_fields` and `unit_lines`, and `args.samples` checks drawn by
+    `draw(rng)` from one rng seeded with `args.seed`.  It passes when the
+    unit check and every drawn check pass; failing draws are listed by
+    their index."""
+    rng = random.Random(args.seed)
+    failures = []
+    for idx in range(args.samples):
+        rep = draw(rng)
+        if not rep.passed:
+            failures.append({"sample": idx, **rep.as_dict()})
+    out = {"check": args.target, **({"n": args.n} if "n" in vars(args) else {}),
+           "samples": args.samples, "seed": args.seed, **unit_fields,
+           "failures": failures, "pass": unit.passed and not failures}
+    lines = [*unit_lines, f"random samples: {args.samples} (seed {args.seed}), failures: {len(failures)}"]
+    return _report_exit(out, args.format, lines)
+
+
 def _cmd_verify_lemma4(args) -> int:
     if args.max_vertices > MAX_LEMMA4_VERTICES:
         raise ValueError(f"verify lemma4 takes --max-vertices at most {MAX_LEMMA4_VERTICES}, got {args.max_vertices}")
-    rng = random.Random(args.seed)
-    fixed_pair = STPair(
+    fixed = verify_lemma4(STPair(
         # path a-l-m with l interior, and path b-k-p with k interior
         comp_a=_path_component(("a", "l", "m")),
         a="a", l="l",
         comp_b=_path_component(("b", "k", "p")),
         b="b", k="k",
-    )
-    fixed = verify_lemma4(fixed_pair)
-    failures = []
-    for idx in range(args.samples):
-        check = verify_lemma4(random_st_pair(rng, max_vertices=args.max_vertices))
-        if not check.passed:
-            failures.append({"sample": idx, **check.as_dict()})
-    passed = fixed.passed and not failures
-    out = {
-        "check": "lemma4",
-        "samples": args.samples,
-        "seed": args.seed,
-        "fixed_instance": fixed.as_dict(),
-        "failures": failures,
-        "pass": passed,
-    }
-    lines = [
-        f"fixed instance: kf_s={format_rational(fixed.kf_s)} kf_t={format_rational(fixed.kf_t)} "
-        f"lhs={format_rational(fixed.lhs)} rhs={format_rational(fixed.rhs)}",
-        f"random samples: {args.samples} (seed {args.seed}), failures: {len(failures)}",
-    ]
-    return _report_exit(out, args.format, lines)
+    ))
+    line = (f"fixed instance: kf_s={format_rational(fixed.kf_s)} kf_t={format_rational(fixed.kf_t)} "
+            f"lhs={format_rational(fixed.lhs)} rhs={format_rational(fixed.rhs)}")
+    return _sampled_verdict(
+        args, fixed, {"fixed_instance": fixed.as_dict()}, [line],
+        lambda rng: verify_lemma4(random_st_pair(rng, max_vertices=args.max_vertices)))
 
 
 def _path_component(names):
@@ -241,60 +245,30 @@ def _path_component(names):
 def _cmd_verify_lemma5(args) -> int:
     if args.n > MAX_LEMMA5_HEXAGONS:
         raise ValueError(f"verify lemma5 takes at most {MAX_LEMMA5_HEXAGONS} hexagons, got n={args.n}")
-    rng = random.Random(args.seed)
     unit = check_lemma5(args.n)
-    failures = []
-    for idx in range(args.samples):
-        rep = check_lemma5(args.n, weights=random_terminal_weights(args.n, rng))
-        if not rep.passed:
-            failures.append({"sample": idx, **rep.as_dict()})
-    passed = unit.passed and not failures
-    out = {
-        "check": "lemma5",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "unit": unit.as_dict(),
-        "failures": failures,
-        "pass": passed,
-    }
     lines = [
         f"unit weights: r(a1,x)={format_rational(unit.r_a1_x)} < r(a1,y)={format_rational(unit.r_a1_y)}: "
         f"{unit.inequalities_ok}",
         f"steps: {unit.step_count}, per-step preservation: {unit.steps_preserve_ok}, "
         f"star R1={format_rational(unit.r1)} in (0,1): {unit.star_range_ok}",
-        f"random samples: {args.samples} (seed {args.seed}), failures: {len(failures)}",
     ]
-    return _report_exit(out, args.format, lines)
+    return _sampled_verdict(
+        args, unit, {"unit": unit.as_dict()}, lines,
+        lambda rng: check_lemma5(args.n, weights=random_terminal_weights(args.n, rng)))
 
 
 def _cmd_verify_lemma6(args) -> int:
     check_cap(args.n, _resolve_cap(args))
-    rng = random.Random(args.seed)
     unit = check_lemma6(args.n)
-    failures = []
     codes = [inst.code for inst in unit.instances]
-    for idx in range(args.samples):
+
+    def draw(rng):
         code = rng.choice(codes)
-        rep = check_lemma6(args.n, weights=random_chain_weights(code, rng), code=code)
-        if not rep.passed:
-            failures.append({"sample": idx, **rep.as_dict()})
-    passed = unit.passed and not failures
-    out = {
-        "check": "lemma6",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "unit_pass": unit.passed,
-        "unit_instances": len(unit.instances),
-        "failures": failures,
-        "pass": passed,
-    }
-    lines = [
-        f"unit weights: {len(unit.instances)} chains checked, pass: {unit.passed}",
-        f"random samples: {args.samples} (seed {args.seed}), failures: {len(failures)}",
-    ]
-    return _report_exit(out, args.format, lines)
+        return check_lemma6(args.n, weights=random_chain_weights(code, rng), code=code)
+
+    return _sampled_verdict(
+        args, unit, {"unit_pass": unit.passed, "unit_instances": len(unit.instances)},
+        [f"unit weights: {len(unit.instances)} chains checked, pass: {unit.passed}"], draw)
 
 
 def _cmd_verify_theorem1(args) -> int:
@@ -376,9 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("text", "json", "csv")):
         p.add_argument("--format", choices=choices, default="text")
 
+    def add_code(p):
+        p.add_argument("--code", required=True, help='chain code: "020", "0,2,0", or "n=5 w=020"')
+        p.add_argument("--n", type=int, help="hexagon count (needed for empty codes)")
+
+    def add_search(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
+        p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
+
+    def add_sampling(p, samples):
+        p.add_argument("--samples", type=_int_at_least(0), default=samples, help="random checks to draw")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
     p = sub.add_parser("kf", help="Kirchhoff index of one chain")
-    p.add_argument("--code", required=True, help='chain code: "020", "0,2,0", or "n=5 w=020"')
-    p.add_argument("--n", type=int, help="hexagon count (needed for empty codes)")
+    add_code(p)
     p.add_argument("--sums", action="store_true", help="include per-vertex resistance sums")
     p.add_argument("--matrix", action="store_true", help="include the full resistance matrix (json)")
     p.add_argument("--approx", action="store_true", help="add approximate decimal rendering")
@@ -392,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("extrema", help="exhaustive min/max Kirchhoff classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
+    add_search(p)
     p.add_argument("--approx", action="store_true")
     add_format(p)
     p.set_defaults(handler=_cmd_extrema)
@@ -403,37 +387,30 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     p = vsub.add_parser("lemma4", help="bridge-swap Kirchhoff difference identity")
-    p.add_argument("--samples", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_sampling(p, 100)
     p.add_argument("--max-vertices", type=_int_at_least(2), default=8)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma4)
 
     p = vsub.add_parser("lemma5", help="terminal-resistance inequalities, square-first chain")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=_int_at_least(0), default=5, help="random weight assignments")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_sampling(p, 5)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma5)
 
     p = vsub.add_parser("lemma6", help="first-hexagon terminal inequalities on chains")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=_int_at_least(0), default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_sampling(p, 5)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma6)
 
     p = vsub.add_parser("theorem1", help="all minimizers are all-kink")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
+    add_search(p)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_theorem1)
 
     p = vsub.add_parser("conjecture", help="exact extremal classes by exhaustive search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
+    add_search(p)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_conjecture)
 
@@ -443,15 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_hexagon)
 
     p = sub.add_parser("reduce", help="greedy series/parallel reduction of a chain")
-    p.add_argument("--code", required=True)
-    p.add_argument("--n", type=int)
+    add_code(p)
     p.add_argument("--trace", action="store_true", help="print every reduction step")
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("export-dot", help="DOT rendering of a chain")
-    p.add_argument("--code", required=True)
-    p.add_argument("--n", type=int)
+    add_code(p)
     p.set_defaults(handler=_cmd_export_dot)
 
     return parser
@@ -461,7 +436,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ChainCodeError, RationalParseError, NetworkError, SearchCapExceeded, ValueError) as exc:
+    except (SearchCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

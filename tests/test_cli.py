@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -186,6 +187,34 @@ def test_reduce_trace_finishes_at_its_bound():
     assert len(lines) == 8 * 1000 - 3 + 1
     assert lines[-2] == "step 7997: parallel at (5998, 5999)"
     assert lines[-1].startswith("5998 5999 ")
+
+
+def _peak_rss_and_stdout(*args):
+    """Run the CLI and return its peak RSS in bytes and its stdout, read
+    through a pipe.  A small launcher starts the CLI and reads its
+    ru_maxrss: a process's ru_maxrss counts its spawner's resident set at
+    exec, and the test process's is large and varies."""
+    launcher = ("import resource, subprocess, sys\n"
+                "rc = subprocess.run(sys.argv[1:]).returncode\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(rc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop(CAP_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", launcher, *CLI, *args], capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.splitlines()[-1]) * 1024, proc.stdout  # ru_maxrss is in KiB on Linux
+
+
+def test_reduce_json_streams_its_output():
+    # the JSON text is written as it is encoded, never held whole: peak RSS
+    # rises over a trivial command's by about 2x the output (steps' dicts),
+    # where building the text first took about 5x
+    base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
+    peak, out = _peak_rss_and_stdout("reduce", "--code", "0" * 498, "--trace", "--format", "json")
+    assert json.loads(out)["code"] == {"n": 500, "w": "0" * 498}
+    size = len(out)  # about 6.7 MB
+    assert peak - base < 3 * size
 
 
 def test_lemma4_refuses_components_past_its_bound():
@@ -366,14 +395,13 @@ def _fail_chosen(monkeypatch, target, fail_samples=(), fail_unit=False):
     the list that collects the failing sample reports in call order."""
     name, _, is_sample = SAMPLED_VERDICTS[target]
     real = getattr(cli, name)
-    count = [0]
+    draws = itertools.count()
     failed = []
 
     def check(*args, **kw):
         rep = real(*args, **kw)
         if is_sample(*args, **kw):
-            idx = count[0]
-            count[0] += 1
+            idx = next(draws)
             if idx not in fail_samples:
                 return rep
             rep = dataclasses.replace(rep, passed=False)
