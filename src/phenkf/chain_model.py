@@ -116,7 +116,10 @@ class ChainCode:
         return tuple(ChainCode(self.n, w) for w in sorted(images))
 
     def canonical(self) -> "ChainCode":
-        return self.orbit()[0]
+        """The least code of the orbit."""
+        w = self.w
+        flip = tuple(2 - e for e in w)
+        return ChainCode(self.n, min(w, w[::-1], flip, flip[::-1]))
 
     def is_canonical(self) -> bool:
         return self.w == self.canonical().w

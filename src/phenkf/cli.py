@@ -41,9 +41,10 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
-# longest chain, in hexagons, that each kf route takes: plain kf and --sums
-# take about half a minute there; --matrix a few seconds, but its memory and
-# output (about 63 MB and 22 MB at the bound) grow as n^2
+# longest chain, in hexagons, that each kf route takes: on a 2-vCPU host
+# plain kf takes about 4 s there and --sums about 40 s; --matrix a few
+# seconds, but its memory and output (about 63 MB and 22 MB at the bound)
+# grow as n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60

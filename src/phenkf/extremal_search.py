@@ -9,6 +9,7 @@ extremal claims are only meaningful when the enumeration is complete.
 
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
 from typing import NamedTuple
 
 from .chain_model import (
@@ -70,45 +71,82 @@ def _code_json(code: ChainCode) -> dict:
 # in t whose coefficients depend on e alone.  Neither rho nor R' = r(a', l')
 # depends on e: the hexagon's two routes from its left edge to a' and l'
 # always have 4 edges together.  So R and t depend only on the depth.
-# Lemma 6 rides the same walk: each checked vertex u of the first hexagon
+#
+# The state is kept fraction-free.  With tau the spanning-tree count of the
+# prefix, R tau is an integer, and so are sum x, sum p and Kf times
+# S = 2 tau, and sum p^2 times S^2; the engine keeps these five integers.
+# B is a hexagon with two pendant edges, so it has _TREES spanning trees,
+# and the 2-sum identity tau(A + B) = tau_A tau_B (R + rho) gives the next
+# scale S' = _TREES (R S) + _TREES rho S, and t = _TREES S / S'.  A
+# coefficient polynomial of degree k times S'^k is then a form in S and S'
+# over the blocks' common denominator D, so each update needs only
+# products and a division by D, D^2 or D S, each checked to be exact.
+# Lemma 6 rides the same step: each checked vertex u of the first hexagon
 # starts from its star (p_u, x_u) on the cut (a_1, l_1) and moves by
-# p' = alpha p + beta, x' = x + gamma + delta p - t p^2 per block.  After the
-# terminal letter-0 block, whose right corners (a', l') are the chain's x
-# and y, r(u, a') = x'_u + p'_u and r(u, l') = x'_u + R' - p'_u.
+# p' = alpha p + beta, x' = x + gamma + delta p - t p^2 per block, which is
+# the update of a one-vertex prefix (N = 1, sum p^2 = p^2) to which the
+# block adds no vertices.  After the terminal letter-0 block, whose right
+# corners (a', l') are the chain's x and y, r(u, a') = x'_u + p'_u and
+# r(u, l') = x'_u + R' - p'_u.
 
 _CELL = 6  # vertices a block adds: those of its hexagon
+_TREES = 6  # spanning trees of a hexagon (drop any one edge), so of a block
+_SCALE = 2 * _TREES  # S of the first hexagon
 
 
-class _Prefix(NamedTuple):
-    """The transfer state of a chain prefix, seen from its right corners."""
+class _Block(NamedTuple):
+    """Coefficients of appending a block with one letter, each a polynomial
+    in t = 1/(R + rho) given by its coefficients, constant term first."""
 
-    size: int
-    r: Rational        # R = r(a, l)
-    sum_x: Rational
-    sum_p: Rational
-    sum_pp: Rational   # sum of p_u^2
-    kf: Rational
+    r_next: tuple      # R of the longer prefix
+    alpha: tuple       # p'_u = alpha p_u + beta, where alpha = alpha_1 t
+    beta: tuple
+    gamma: tuple       # x'_u = x_u + gamma + delta p_u - t p_u^2
+    delta: tuple
+    new_x: tuple       # sums of x', p', p'^2 over the block's vertices
+    new_p: tuple
+    new_pp: tuple
+    kf_new: tuple      # Kf among the block's vertices
+    cross_n: tuple     # Kf between prefix and block, per prefix vertex ...
+    cross_p: tuple     # ... and per unit of sum p, besides 6 sum x - 6 t sum p^2
 
 
-class _Step(NamedTuple):
-    """Coefficients of appending one block at a given R, t = 1/(R + rho).
+class _Constants(NamedTuple):
+    """The engine's integers, made once by `_transfer_constants`."""
 
-    `_block` keeps each field as a polynomial in t; `_coefficients`
-    evaluates them.
+    start: tuple       # (sum x, sum p, sum p^2, Kf) of the first hexagon, scaled
+    r: int             # R S of the first hexagon
+    rho: int           # rho _TREES
+    den: int           # D, the blocks' common denominator
+    blocks: tuple      # _Blocks of letters 0, 1, 2, polynomials times D
+    feet: tuple        # (x_u, p_u, p_u^2), scaled, per first-hexagon vertex
+
+
+class _Level(NamedTuple):
+    """Appending one block at one depth, in integers.  From (x, p, q, k) =
+    (sum x, sum p, sum p^2, Kf) times (S, S, S^2, S) to the same over S':
+        x' = (dt x + dp p - dq q + x1) / ds,
+        p' = (a p + p1) / den,
+        q' = (a (a q + 2 b p) + q1) / den^2,
+        k' = (dt (k + 6 x) - dq ((N + 6) q - p^2) + kp p + k1) / ds.
     """
 
-    t: Rational
-    r_next: Rational   # R of the longer prefix
-    alpha: Rational    # p'_u = alpha p_u + beta
-    beta: Rational
-    gamma: Rational    # x'_u = x_u + gamma + delta p_u - t p_u^2
-    delta: Rational
-    new_x: Rational    # sums of x', p', p'^2 over the block's vertices
-    new_p: Rational
-    new_pp: Rational
-    kf_new: Rational   # Kf among the block's vertices
-    cross_n: Rational  # Kf between prefix and block, per prefix vertex ...
-    cross_p: Rational  # ... and per unit of sum p, besides 6 sum x - 6 t sum p^2
+    size: int          # N
+    den: int
+    den2: int          # den^2
+    ds: int            # den S
+    dt: int            # den S'
+    dq: int            # den _TREES
+    dp: int
+    x1: int
+    a: int
+    b: int
+    p1: int
+    q1: int
+    kp: int
+    k1: int
+    scale: int         # S'
+    r: int             # R' S'
 
 
 def _star(r, a, l, u):
@@ -117,11 +155,10 @@ def _star(r, a, l, u):
 
 
 def _block(e: int) -> tuple:
-    """(rho, _Step of polynomials in t) for a block with letter e.
+    """(rho, _Block of rational polynomials) for a block with letter e.
 
-    A polynomial is its coefficient tuple, constant term first.  The block
-    is square 1 and hexagon 2 of the chain with code (e,), less the edge
-    (a_1, l_1) of hexagon 1: one 8-vertex factorization.
+    The block is square 1 and hexagon 2 of the chain with code (e,), less
+    the edge (a_1, l_1) of hexagon 1: one 8-vertex factorization.
     """
     chain = build_chain(ChainCode(3, (e,)))
     a, _, _, l = chain.square_corners[0]
@@ -146,8 +183,7 @@ def _block(e: int) -> tuple:
         pendants.append(((ra0 + rl0 - c0) / 2, (ra1 + rl1 - c1) / 2))
     s1 = sum(s.values())
     s2 = sum(v * v for v in s.values())
-    return r(a, l), _Step(
-        t=(0, 1),
+    return r(a, l), _Block(
         r_next=(c0, c1),
         alpha=(0, sl - sa),
         beta=((y[a2] - y[l2] + sa - sl + c0) / 2, (c1 - sa * sa + sl * sl) / 2),
@@ -163,109 +199,159 @@ def _block(e: int) -> tuple:
         cross_p=(len(new), -2 * s1))
 
 
+def _integer(value, scale=1) -> int:
+    """value * scale, which must be an integer."""
+    scaled = Rational(value) * scale
+    if scaled.denominator != 1:
+        raise ArithmeticError(f"{value} * {scale} is not an integer")
+    return scaled.numerator
+
+
+def _exact(numerator: int, denominator: int) -> int:
+    """numerator / denominator, which must leave no remainder."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"inexact division by {denominator}")
+    return quotient
+
+
 @cache
-def _transfer_constants() -> tuple:
-    """(state of the first hexagon, the blocks of letters 0, 1, 2, and the
-    star (p_u, x_u) of each first-hexagon vertex u on the cut (a_1, l_1), in
-    `hexagons[0]` order).
+def _transfer_constants() -> _Constants:
+    """The engine's _Constants, with the feet in `hexagons[0]` order.
 
     Four factorizations of at most 8 vertices, made on first use.
     """
     first = build_chain(ChainCode(2, ()))
     hexagon = first.network.induced(first.hexagons[0])
     matrix = resistance_matrix(hexagon)
-    stars = tuple(_star(matrix.resistance, first.a1, first.l1, u) for u in first.hexagons[0])
-    start = _Prefix(hexagon.num_vertices, matrix.resistance(first.a1, first.l1),
-                    sum(x for _, x in stars), sum(p for p, _ in stars),
-                    sum(p * p for p, _ in stars), matrix.total())
-    return start, tuple(_block(e) for e in (0, 1, 2)), stars
+    stars = [_star(matrix.resistance, first.a1, first.l1, u) for u in first.hexagons[0]]
+    rhos, blocks = zip(*(_block(e) for e in (0, 1, 2)))
+    den = lcm(*(Rational(c).denominator for block in blocks for poly in block for c in poly))
+    return _Constants(
+        start=(_integer(sum(x for _, x in stars), _SCALE), _integer(sum(p for p, _ in stars), _SCALE),
+               _integer(sum(p * p for p, _ in stars), _SCALE ** 2),
+               _integer(matrix.total(), _SCALE)),
+        r=_integer(matrix.resistance(first.a1, first.l1), _SCALE),
+        rho=_integer(rhos[0], _TREES),
+        den=den,
+        blocks=tuple(_Block(*(tuple(_integer(c, den) for c in poly) for poly in block))
+                     for block in blocks),
+        feet=tuple((_integer(x, _SCALE), _integer(p, _SCALE), _integer(p * p, _SCALE ** 2))
+                   for p, x in stars))
 
 
-def _coefficients(block, r) -> _Step:
-    """The block's update coefficients when appended to a prefix with R = r."""
-    rho, polys = block
-    t = 1 / (r + rho)
-    values = []
-    for poly in polys:
-        value = 0
-        for k in reversed(poly):
-            value = value * t + k
-        values.append(value)
-    return _Step(*values)
+def _at(poly: tuple, t_den: int, t_num: int) -> int:
+    """poly(t_num / t_den) times t_den^(degree of poly)."""
+    degree = len(poly) - 1
+    return sum(c * t_num ** k * t_den ** (degree - k) for k, c in enumerate(poly))
 
 
-def _kf_after(s: _Prefix, c: _Step) -> Rational:
-    return (s.kf + _CELL * s.sum_x - c.t * ((s.size + _CELL) * s.sum_pp - s.sum_p * s.sum_p)
-            + c.cross_p * s.sum_p + s.size * c.cross_n + c.kf_new)
+def _scales(steps: int):
+    """(S, S', R' S') for each of `steps` blocks appended to the first
+    hexagon; neither S nor R depends on the letters."""
+    c = _transfer_constants()
+    s, r = _SCALE, c.r
+    for _ in range(steps):
+        s_next = _TREES * r + c.rho * s
+        r = _exact(_at(c.blocks[0].r_next, s_next, _TREES * s), c.den)
+        yield s, s_next, r
+        s = s_next
 
 
-def _advance(s: _Prefix, c: _Step) -> _Prefix:
-    p, pp = s.sum_p, s.sum_pp
-    return _Prefix(
-        s.size + _CELL,
-        c.r_next,
-        s.sum_x + s.size * c.gamma + c.delta * p - c.t * pp + c.new_x,
-        c.alpha * p + s.size * c.beta + c.new_p,
-        c.alpha * (c.alpha * pp + 2 * c.beta * p) + s.size * c.beta * c.beta + c.new_pp,
-        _kf_after(s, c))
+def _level(block: _Block, scales: tuple, size: int, den: int) -> _Level:
+    """The _Level of appending `block` at a depth with `scales` = (S, S',
+    R' S') to a prefix of `size` vertices."""
+    s, s_next, r = scales
+    u = _TREES * s  # t S'
+    b = _at(block.beta, s_next, u)
+    return _Level(
+        size=size, den=den, den2=den * den, ds=den * s, dt=den * s_next, dq=den * _TREES,
+        dp=_at(block.delta, s_next, u),
+        x1=s * (size * _at(block.gamma, s_next, u) + _at(block.new_x, s_next, u)),
+        a=_TREES * block.alpha[1], b=b,
+        p1=size * b + _at(block.new_p, s_next, u),
+        q1=size * b * b + den * _at(block.new_pp, s_next, u),
+        kp=_at(block.cross_p, s_next, u),
+        k1=s * (size * _at(block.cross_n, s_next, u) + _at(block.kf_new, s_next, u)),
+        scale=s_next, r=r)
+
+
+def _move(c: _Level, x: int, p: int, q: int) -> tuple:
+    """(x, p, q) of the prefix after appending the block of `c`."""
+    return (_exact(c.dt * x + c.dp * p - c.dq * q + c.x1, c.ds),
+            _exact(c.a * p + c.p1, c.den),
+            _exact(c.a * (c.a * q + 2 * c.b * p) + c.q1, c.den2))
+
+
+def _kf(c: _Level, x: int, p: int, q: int, k: int) -> int:
+    """k of the prefix after appending the block of `c`."""
+    return _exact(c.dt * (k + _CELL * x) - c.dq * ((c.size + _CELL) * q - p * p)
+                  + c.kp * p + c.k1, c.ds)
+
+
+def _advance(state: tuple, c: _Level) -> tuple:
+    """(x, p, q, k) of the prefix after appending the block of `c`."""
+    return (*_move(c, *state[:3]), _kf(c, *state))
 
 
 def _transfer_kf(code: ChainCode) -> Rational:
     """Kf of the unit chain of `code`, one block per hexagon after the first."""
-    state, blocks, _ = _transfer_constants()
-    for e in code.full_entries()[1:]:
-        state = _advance(state, _coefficients(blocks[e], state.r))
-    return state.kf
+    c = _transfer_constants()
+    state, scale = c.start, _SCALE
+    letters = code.full_entries()[1:]
+    for depth, (e, scales) in enumerate(zip(letters, _scales(len(letters)))):
+        level = _level(c.blocks[e], scales, _CELL * (depth + 1), c.den)
+        state, scale = _advance(state, level), level.scale
+    return Rational(state[3], scale)
 
 
-def _levels(n: int) -> tuple:
+def _levels(n: int, feet=False) -> tuple:
     """(levels, last) for codes with n >= 2 hexagons: levels[d] holds the
-    _Steps of letters 0, 1, 2 at interior depth d, and last is the step of
-    the terminal hexagon, which carries letter 0."""
-    start, blocks, _ = _transfer_constants()
-    levels, r = [], start.r
-    for _ in range(n - 2):
-        levels.append(tuple(_coefficients(block, r) for block in blocks))
-        r = levels[-1][0].r_next
-    return levels, _coefficients(blocks[0], r)
+    _Levels of letters 0, 1, 2 at interior depth d, and last is the level of
+    the terminal hexagon, which carries letter 0.  With `feet` the levels
+    move one vertex, and the block adds no vertices."""
+    c = _transfer_constants()
+    blocks = c.blocks
+    if feet:
+        blocks = [b._replace(new_x=(), new_p=(), new_pp=()) for b in blocks]
+    levels = [tuple(_level(b, scales, 1 if feet else _CELL * (depth + 1), c.den) for b in blocks)
+              for depth, scales in enumerate(_scales(n - 1))]
+    return levels[:-1], levels[-1][0]
 
 
-def _walk(start, n: int, advance, finish) -> list:
-    """finish(state, last) for every code with n >= 2 hexagons, in word
-    order, by a depth-first walk of the code trie that extends each prefix's
-    state once with advance(state, step).
+def _walk(start, levels: tuple, advance, finish) -> list:
+    """finish(state, last) for every code, in word order, by a depth-first
+    walk of the code trie over `levels` = (levels, last) of `_levels` that
+    extends each prefix's state once with advance(state, level).
 
     The walk keeps its own stack: a recursive closure would refer to itself,
     and the cycle would keep the results alive until the next full garbage
     collection.
     """
-    levels, last = _levels(n)
+    levels, last = levels
     out, todo = [], [(start, 0)]
     while todo:
         state, depth = todo.pop()
         if depth == len(levels):
             out.append(finish(state, last))
         else:
-            todo.extend((advance(state, step), depth + 1) for step in reversed(levels[depth]))
+            todo.extend((advance(state, level), depth + 1) for level in reversed(levels[depth]))
     return out
 
 
 def _transfer_kfs(n: int) -> list:
     """Kf of every code with n hexagons, in word order."""
-    start = _transfer_constants()[0]
-    return [start.kf] if n == 1 else _walk(start, n, _advance, _kf_after)
-
-
-def _move_feet(feet: tuple, c: _Step) -> tuple:
-    """Each (p_u, x_u) read at the right corners of the appended block."""
-    return tuple((c.alpha * p + c.beta, x + c.gamma + c.delta * p - c.t * p * p) for p, x in feet)
+    start = _transfer_constants().start
+    if n == 1:
+        return [Rational(start[3], _SCALE)]
+    return _walk(start, _levels(n), _advance, lambda state, c: Rational(_kf(c, *state), c.scale))
 
 
 def _transfer_lemma6(n: int) -> list:
     """(u, r(u, x), r(u, y)) per first-hexagon vertex u other than a_1 and
     l_1, in `hexagons[0]` order, for every code with n >= 2 hexagons in word
     order."""
-    feet = _transfer_constants()[2]
+    feet = _transfer_constants().feet
     # every code with n hexagons numbers its first and last hexagon alike
     chain = build_chain(helicene(n))
     first, last = chain.hexagons[0], chain.hexagons[-1]
@@ -276,14 +362,17 @@ def _transfer_lemma6(n: int) -> list:
     places = [i for i, u in enumerate(first) if u not in (chain.a1, chain.l1)]
     checked = [first[i] for i in places]
 
+    def move(state, c):
+        return tuple(_move(c, *foot) for foot in state)
+
     def read(state, c):
         rows = []
-        for u, (foot, pendant) in zip(checked, _move_feet(state, c)):
-            r = {a: pendant + foot, l: pendant + c.r_next - foot}
+        for u, (pendant, foot, _) in zip(checked, move(state, c)):
+            r = {a: Rational(pendant + foot, c.scale), l: Rational(pendant + c.r - foot, c.scale)}
             rows.append((u, r[x_end], r[y_end]))
         return tuple(rows)
 
-    return _walk(tuple(feet[i] for i in places), n, _move_feet, read)
+    return _walk(tuple(feet[i] for i in places), _levels(n, feet=True), move, read)
 
 
 # ---------------------------------------------------------------------------

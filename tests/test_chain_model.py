@@ -78,6 +78,12 @@ def test_canonical_examples():
     assert not ChainCode(5, (2, 0, 0)).is_canonical()
 
 
+def test_canonical_is_least_of_orbit():
+    for n in range(1, 8):
+        for code in enumerate_words(n):
+            assert code.canonical() == code.orbit()[0]
+
+
 def test_all_kink():
     assert ChainCode(4, (0, 2)).is_all_kink()
     assert not ChainCode(4, (0, 1)).is_all_kink()

@@ -368,6 +368,20 @@ def test_main_leaves_no_cyclic_garbage():
     assert proc.stdout.splitlines()[-1] == "cyclic: 0"
 
 
+def test_import_factors_no_transfer_blocks():
+    # the engine's block factorizations wait for the first Kf: importing the
+    # CLI and building its parser must not make them
+    script = (
+        "import phenkf.cli as cli\n"
+        "from phenkf.extremal_search import _transfer_constants\n"
+        "cli.build_parser()\n"
+        "print('cached:', _transfer_constants.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "cached: 0"
+
+
 def test_benchmark_tracer_names_resolve():
     # bench/tracer.py wraps these names by lookup; a rename or deletion in
     # phenkf breaks the benchmark's traced run, which tier-1 does not run

@@ -19,7 +19,10 @@ from phenkf.chain_model import (
 )
 from phenkf.extremal_search import (
     SearchCapExceeded,
-    _coefficients,
+    _TREES,
+    _at,
+    _block,
+    _scales,
     _transfer_constants,
     check_cap,
     check_lemma5,
@@ -37,7 +40,7 @@ from phenkf.extremal_search import (
     verify_theorem1,
     weighted_hexagon_check,
 )
-from phenkf import resistance_engine
+from phenkf import extremal_search, resistance_engine
 from phenkf.resistance_engine import (
     Edge,
     NetworkError,
@@ -111,13 +114,51 @@ def test_transfer_engine_matches_factorization_on_long_codes(word):
 
 
 def test_transfer_resistance_depends_only_on_depth():
-    # the trie search reads each depth's R off letter 0's coefficients
-    start, blocks, _ = _transfer_constants()
-    r = start.r
-    for _ in range(30):
-        steps = [_coefficients(block, r) for block in blocks]
-        assert steps[0].r_next == steps[1].r_next == steps[2].r_next
-        r = steps[0].r_next
+    # the engine reads rho, and each depth's R S off letter 0's block
+    assert {_block(e)[0] for e in (0, 1, 2)} == {Fraction(17, 6)}
+    c = _transfer_constants()
+    assert c.blocks[0].r_next == c.blocks[1].r_next == c.blocks[2].r_next
+    for s, s_next, r in _scales(30):
+        assert {_at(block.r_next, s_next, _TREES * s) for block in c.blocks} == {c.den * r}
+
+
+def _spanning_trees(net):
+    """The spanning-tree count of a unit network: the product of the pivots
+    of its grounded Laplacian."""
+    tau = Fraction(1)
+    for pivot in _GroundedFactor(net).pivots:
+        tau *= pivot
+    return tau
+
+
+def test_transfer_scale_is_twice_the_spanning_tree_count():
+    # S of a prefix of d + 1 hexagons must be 2 tau, whatever its letters
+    levels = list(_scales(12))
+    scales = [levels[0][0]] + [s_next for _, s_next, _ in levels]
+    for depth, s in enumerate(scales):
+        assert s == 2 * _spanning_trees(build_chain(helicene(depth + 1)).network)
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        code = ChainCode(n, tuple(rng.randint(0, 2) for _ in range(n - 2)))
+        assert scales[n - 1] == 2 * _spanning_trees(build_chain(code).network)
+
+
+def test_transfer_engine_refuses_a_wrong_scale(monkeypatch):
+    # one scale off by one at depth 1 must make some step inexact
+    scales = extremal_search._scales
+
+    def tampered(steps):
+        for depth, (s, s_next, r) in enumerate(scales(steps)):
+            yield s, s_next + (depth == 1), r
+
+    monkeypatch.setattr(extremal_search, "_scales", tampered)
+    with pytest.raises(ArithmeticError):
+        kf_of_code(helicene(6))
+    with pytest.raises(ArithmeticError):
+        find_extrema(5)
+    with pytest.raises(ArithmeticError):
+        check_lemma6(5)
 
 
 def test_kf_of_codes_factors_only_small_blocks(monkeypatch):
