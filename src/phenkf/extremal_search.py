@@ -199,7 +199,7 @@ def _block(e: int) -> tuple:
         cross_p=(len(new), -2 * s1))
 
 
-def _integer(value, scale=1) -> int:
+def _integer(value, scale: int) -> int:
     """value * scale, which must be an integer."""
     scaled = Rational(value) * scale
     if scaled.denominator != 1:
