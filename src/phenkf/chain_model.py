@@ -101,13 +101,6 @@ class ChainCode:
     def __str__(self):
         return f"n={self.n} w={self.word}" if self.w else f"n={self.n}"
 
-    def reversed_(self) -> "ChainCode":
-        return ChainCode(self.n, self.w[::-1])
-
-    def complemented(self) -> "ChainCode":
-        """Swap the two kink directions (0 <-> 2)."""
-        return ChainCode(self.n, tuple(2 - e for e in self.w))
-
     def orbit(self) -> tuple:
         """The symmetry class: reversal and mirror give congruent chains."""
         images = {self.w, self.w[::-1]}

@@ -53,8 +53,9 @@ MAX_MATRIX_HEXAGONS = 60
 MAX_LEMMA4_VERTICES = 40
 # verify lemma5's exact terminal solve and per-step certificates work on
 # rationals whose size grows with n, so with the default 5 samples it takes
-# about 18 s at this bound and 28 s at n = 250, in text or json (2-vCPU host)
-MAX_LEMMA5_HEXAGONS = 200
+# about 14 s at this bound, 11 s at n = 200 and 25 s at n = 300, in text or
+# json (2-vCPU host)
+MAX_LEMMA5_HEXAGONS = 225
 # reduce --trace --format json prints every step's edges, whose rationals
 # grow with n, so its output grows as n^2: 24 MB at this bound, in about 4 s
 # and 58 MB peak RSS (the JSON text is streamed; the steps' dicts are held).

@@ -11,8 +11,8 @@ resistances.  Two kinds of computation are kept deliberately separate:
   and applies it, so a step costs time in its own size.
   `ReductionTrace.replay` checks a trace from the recorded edges alone: it
   applies each step to a fresh trace of the initial network and certifies
-  it on those edges (`step_preserves_resistances`), without running an op
-  or solving the whole network;
+  it by Kron reduction of those edges (`step_preserves_resistances`),
+  without running an op or factoring any network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   Each is read off the inverse by the Takahashi recurrence: grounded
@@ -21,6 +21,10 @@ resistances.  Two kinds of computation are kept deliberately separate:
   all-ones vector, and resistances to two terminals one solve against a
   unit vector.  It alone checks its input for the empty network, a
   missing ground and disconnection.
+
+Both rest on one star-mesh elimination, `_eliminate`: it makes the
+factorization's pivots, `star_mesh_eliminate`'s mesh and the certificate's
+Kron reduction.
 
 The Kirchhoff index of a unit chain code (`kf_of_code`, `find_extrema`)
 comes from the two-port transfer engine in `extremal_search`, whose
@@ -34,7 +38,7 @@ factorization to; no verdict depends on it.
 """
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -342,24 +346,24 @@ def step_preserves_resistances(step: ReductionStep, survivors) -> bool:
     `survivors` are the step's vertices in both networks; the others are
     eliminated (in removed edges only) or new (in added edges only), as
     `replay` works them out.  Edges outside the step are common to both
-    networks, so Kron-reducing the eliminated and the new vertices away
-    leaves the common edges plus the Schur complement of the removed side or
-    of the added side on the survivors.  Equal resistance matrices on the
-    survivors mean equal Schur complements, so the two reduced networks
-    coincide.  Each side is as small as the step (at most 4 vertices for
-    series and delta-wye).  A side that leaves survivors disconnected fails;
-    one survivor or none passes.
+    networks, so Kron reduction of the removed side and of the added side
+    (`_eliminate` of every other vertex) must leave equal conductances among
+    the survivors.  Each side is as small as the step (at most 4 vertices
+    for series and delta-wye).  A side that leaves survivors disconnected,
+    or a component without one (a zero pivot), fails; one survivor or none
+    passes.
     """
-    survivors = tuple(survivors)
+    survivors = set(survivors)
     if len(survivors) < 2:
         return True
-    try:
-        sides = [resistance_matrix(ResistanceNetwork(edges, survivors))
-                 for edges in (step.removed_edges, step.added_edges)]
-    except ConnectivityError:
-        return False
-    return all(sides[0].resistance(u, v) == sides[1].resistance(u, v)
-               for i, u in enumerate(survivors) for v in survivors[i + 1:])
+    sides = [_conductance_graph(edges, survivors) for edges in (step.removed_edges, step.added_edges)]
+    for graph in sides:
+        for w in [w for w in graph if w not in survivors]:
+            if not _eliminate(graph, w)[0]:
+                return False
+        if len(_rcm_order(graph)) < len(graph):
+            return False
+    return sides[0] == sides[1]
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +433,21 @@ def delta_y(trace: ReductionTrace, x, y, z, new_vertex=None) -> ReductionStep:
 
 
 def star_mesh_eliminate(trace: ReductionTrace, v) -> ReductionStep:
-    """Remove v and connect its neighborhood as a mesh.
+    """Remove v and connect its neighborhood as a mesh (`_eliminate`).
 
-    With per-neighbor conductances c_i (parallel edges to the same neighbor
-    summed) and C = sum(c_i), each neighbor pair (u_i, u_j) gains conductance
-    c_i*c_j / C, merged into any existing (u_i, u_j) edges.  Degree 1 removes
-    a pendant; degree 2 matches series plus a parallel merge; degree 3 matches
+    Each neighbor pair gains conductance c_p*c_q / C, merged with any
+    existing edges between them into one edge.  Degree 1 removes a pendant;
+    degree 2 matches series plus a parallel merge; degree 3 matches
     wye-delta.
     """
     removed = list(trace.incident(v))
-    by_neighbor = defaultdict(lambda: Rational(0))
-    for e in removed:
-        other = e.v if e.u == v else e.u
-        by_neighbor[other] += 1 / e.r
-    neighbors = sorted(by_neighbor, key=vertex_key)
-    total = sum(by_neighbor.values())
-    mesh = []
-    for i, p in enumerate(neighbors):
-        for q in neighbors[i + 1:]:
-            between = trace.edges_between(p, q)
-            removed += between
-            mesh.append(Edge(p, q, 1 / (by_neighbor[p] * by_neighbor[q] / total
-                                        + sum((1 / e.r for e in between), Rational(0)))))
+    neighbors = trace.neighbors(v)
+    pairs = [(p, q) for i, p in enumerate(neighbors) for q in neighbors[i + 1:]]
+    for p, q in pairs:
+        removed += trace.edges_between(p, q)
+    graph = _conductance_graph(removed, (v,))
+    _eliminate(graph, v)
+    mesh = [Edge(p, q, 1 / graph[p][q]) for p, q in pairs]
     return trace.apply(_step("star-mesh", (v,), removed, mesh))
 
 
@@ -489,13 +486,32 @@ def reduce_series_parallel(net: ResistanceNetwork, keep=()):
 # exact linear algebra
 
 
-def _conductance_graph(net: ResistanceNetwork) -> dict:
-    """Vertex -> {neighbor: conductance}, parallel edges summed."""
-    graph = {v: {} for v in net.vertices}
-    for e in net.edges:
-        c = graph[e.u].get(e.v, 0) + 1 / e.r
-        graph[e.u][e.v] = graph[e.v][e.u] = c
+def _conductance_graph(edges, vertices=()) -> dict:
+    """Vertex -> {neighbor: conductance} over `vertices` and the edges' ends."""
+    graph = {v: {} for v in vertices}
+    for e in edges:
+        c = graph.setdefault(e.u, {}).get(e.v, 0) + 1 / e.r
+        graph[e.u][e.v] = graph.setdefault(e.v, {})[e.u] = c
     return graph
+
+
+def _eliminate(graph: dict, v) -> tuple:
+    """Star-mesh elimination of v from a conductance graph, in place.
+
+    Each pair p, q of v's neighbors gains conductance c_p c_q / C, where C
+    sums v's conductances: a Schur complement step with pivot C.  Returns C
+    and the list of (q, c_q / C); an isolated v gives (0, []).
+    """
+    star = graph.pop(v)
+    total = sum(star.values())
+    ratios = [(q, c / total) for q, c in star.items()]
+    for i, (q, _) in enumerate(ratios):
+        row_q = graph[q]
+        del row_q[v]
+        c_q = star[q]
+        for s, l_s in ratios[i + 1:]:
+            row_q[s] = graph[s][q] = row_q.get(s, 0) + c_q * l_s
+    return total, ratios
 
 
 def _gauss_solve(rows, rhs_list):
@@ -537,7 +553,7 @@ def _gauss_solve(rows, rhs_list):
 
 
 def _rcm_order(graph: dict) -> list:
-    """Reverse Cuthill-McKee order of a connected graph's vertices.
+    """Reverse Cuthill-McKee order of the least vertex's component.
 
     Breadth-first search visits each vertex's unvisited neighbors by
     increasing degree (ties by vertex_key).  It starts from a far vertex:
@@ -562,15 +578,14 @@ class _GroundedFactor:
     """Exact K = L D L^T of the grounded Laplacian K of a connected network.
 
     K is the conductance Laplacian with the ground vertex's row and column
-    deleted.  The other vertices are eliminated in reverse Cuthill-McKee
-    order over sparse rows; eliminating p is a star-mesh step on the Schur
-    complement: each pair q, s of p's remaining neighbors gains conductance
-    c_qp c_sp / D_p.  K is positive definite, so every pivot D_p must be
-    positive; a pivot that is not raises ArithmeticError.
+    deleted.  The other vertices are eliminated by `_eliminate` in reverse
+    Cuthill-McKee order; the pivot D_p is the conductance at p when it goes.
+    K is positive definite, so every pivot must be positive; a pivot that is
+    not raises ArithmeticError.
 
-    `cols[p]` lists (q, l_qp) for the later neighbors q of p, with
-    l_qp = c_qp / D_p = -L_qp.  Without a given ground the last vertex of
-    the order, the far end of the breadth-first search, is grounded.  A
+    `cols[p]` lists (q, l_qp) for the later neighbors q of p but the ground,
+    with l_qp = c_qp / D_p = -L_qp.  Without a given ground the last vertex
+    of the order, the far end of the breadth-first search, is grounded.  A
     one-vertex network factors to nothing: K and its inverse are empty.
     """
 
@@ -579,32 +594,21 @@ class _GroundedFactor:
             raise NetworkError("empty network")
         if ground is not None:
             net.require_vertex(ground)
-        if not net.is_connected():
-            raise ConnectivityError("network is not connected")
-        graph = _conductance_graph(net)
+        graph = _conductance_graph(net.edges, net.vertices)
         order = _rcm_order(graph)
+        if len(order) < len(graph):
+            raise ConnectivityError("network is not connected")
         if ground is None:
             ground = order[-1]
         order.remove(ground)
-        pos = {v: p for p, v in enumerate(order)}
-        diag = [sum(graph[v].values()) for v in order]
-        rows = [{pos[w]: c for w, c in graph[v].items() if w != ground} for v in order]
-        self.pos = pos
-        self.pivots = diag
-        self.cols = []
-        for p, row in enumerate(rows):
-            d = diag[p]
-            if d <= 0:
-                raise ArithmeticError(f"non-positive pivot {d} at {order[p]!r}")
-            col = [(q, c / d) for q, c in row.items()]
-            for i, (q, l_q) in enumerate(col):
-                row_q = rows[q]
-                del row_q[p]
-                diag[q] -= l_q * row[q]
-                for s, _ in col[i + 1:]:
-                    c = row_q.get(s, 0) + l_q * row[s]
-                    row_q[s] = rows[s][q] = c
-            self.cols.append(col)
+        self.pos = pos = {v: p for p, v in enumerate(order)}
+        self.pivots, self.cols = [], []
+        for v in order:
+            pivot, ratios = _eliminate(graph, v)
+            if pivot <= 0:
+                raise ArithmeticError(f"non-positive pivot {pivot} at {v!r}")
+            self.pivots.append(pivot)
+            self.cols.append([(pos[q], l_q) for q, l_q in ratios if q != ground])
 
     def solve(self, rhs) -> list:
         """x = K^-1 rhs, with vectors indexed by elimination position."""
@@ -726,7 +730,7 @@ def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
         return Rational(0)
     if not net.is_connected():
         raise ConnectivityError("network is not connected")
-    graph = _conductance_graph(net)
+    graph = _conductance_graph(net.edges, net.vertices)
     order = [w for w in net.vertices if w != v]
     index = {w: i for i, w in enumerate(order)}
     rows = []

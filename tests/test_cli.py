@@ -162,10 +162,10 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
 
 
 def test_lemma5_refuses_chains_past_its_bound():
-    # refused before any chain is built; n = 200 itself takes about 18 s
-    proc = run_cli("verify", "lemma5", "--n", "201", check=False, timeout=2)
+    # refused before any chain is built; n = 225 itself takes about 14 s
+    proc = run_cli("verify", "lemma5", "--n", "226", check=False, timeout=2)
     assert proc.returncode == 2
-    assert "verify lemma5 takes at most 200 hexagons, got n=201" in proc.stderr
+    assert "verify lemma5 takes at most 225 hexagons, got n=226" in proc.stderr
     assert proc.stdout == ""
 
 

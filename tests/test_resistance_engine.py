@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import after_op, edge_delta, networks, path_network, random_network, survivors, weights
 from phenkf import resistance_engine
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
+from phenkf.extremal_search import random_terminal_weights
 from phenkf.resistance_engine import (
     _gauss_solve,
     ConnectivityError,
@@ -288,24 +289,58 @@ def _op_networks(net, trace):
     return zip(trace, nets, nets[1:])
 
 
-@settings(max_examples=60, deadline=None)
-@given(networks(), st.data())
-def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
+def _drawn_steps(net, data):
+    """(step, survivors, perturbed) for each step of a drawn reduction of
+    `net`: series-parallel with two kept vertices, then star-mesh of all but
+    two in a drawn order.  `perturbed` is the step with one drawn added
+    weight raised, or None if it adds no edge."""
     keep = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
     reduced, trace = reduce_series_parallel(net, keep=keep)
     for v in data.draw(st.permutations(reduced.vertices))[:-2]:
         star_mesh_eliminate(trace, v)
     assert trace.replay(net) == trace.network()
+    out = []
     for step, before, after in _op_networks(net, trace):
-        kept = survivors(step, before, after)
-        assert step_preserves_resistances(step, kept), step.describe()
+        wrong = None
         if step.added_edges:
             i = data.draw(st.integers(0, len(step.added_edges) - 1))
             u, v, r = step.added_edges[i]
             added = list(step.added_edges)
             added[i] = Edge(u, v, r + data.draw(weights))
             wrong = dataclasses.replace(step, added_edges=tuple(added))
+        out.append((step, survivors(step, before, after), wrong))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_reduction_steps_certify_and_perturbed_ones_do_not(net, data):
+    for step, kept, wrong in _drawn_steps(net, data):
+        assert step_preserves_resistances(step, kept), step.describe()
+        if wrong is not None:
             assert not step_preserves_resistances(wrong, kept), step.describe()
+
+
+def _dense_certificate(step, kept) -> bool:
+    """The step certificate by the dense oracle: each side a network of its
+    own, equal effective resistances among the survivors.  A disconnected
+    side fails; one survivor or none passes."""
+    kept = sorted(kept, key=vertex_key)
+    if len(kept) < 2:
+        return True
+    sides = [ResistanceNetwork(edges, kept) for edges in (step.removed_edges, step.added_edges)]
+    if not all(side.is_connected() for side in sides):
+        return False
+    return all(effective_resistance(sides[0], u, v) == effective_resistance(sides[1], u, v)
+               for u, v in itertools.combinations(kept, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_step_certificate_agrees_with_dense_oracle(net, data):
+    for step, kept, wrong in _drawn_steps(net, data):
+        for s in (step, wrong) if wrong is not None else (step,):
+            assert step_preserves_resistances(s, kept) == _dense_certificate(s, kept), s.describe()
 
 
 def _triangles(net):
@@ -357,6 +392,15 @@ def test_step_certificate_cases():
     # edges that are gone
     assert not step_preserves_resistances(wye, {0, 1, 2, "w"})
     _replay_error(net, [wye, wye], 1, "is absent")
+    # a removed side with a component that holds no survivor fails, though
+    # the resistance between the survivors holds; so do two equal sides that
+    # leave the survivors disconnected
+    stray = ReductionStep("series", (1,), (Edge(0, 1), Edge(1, 2), Edge(3, 4)), (Edge(0, 2, 2),))
+    apart = (Edge(0, 1), Edge(2, 3))
+    for step, kept in ((stray, {0, 2}), (ReductionStep("series", (5,), apart, apart), {0, 1, 2, 3})):
+        assert not step_preserves_resistances(step, kept)
+        assert not _dense_certificate(step, kept)
+    assert step_preserves_resistances(dataclasses.replace(stray, removed_edges=stray.removed_edges[:2]), {0, 2})
 
 
 def _replay_error(net, steps, k, reason):
@@ -440,19 +484,22 @@ def test_op_and_replay_eliminate_the_same_vertices():
 
 
 def test_replay_runs_no_reduction_op(monkeypatch):
-    chain = build_terminal_chain(3)
-    final, trace = simplify_chain_circuit(chain)
+    # nor any factorization: each step is certified by Kron reduction
+    chains = [build_terminal_chain(4), build_terminal_chain(4, random_terminal_weights(4, random.Random(3)))]
+    reduced_chains = [simplify_chain_circuit(chain) for chain in chains]
     net = random_network(random.Random(5), max_vertices=8)
     reduced, sp_trace = reduce_series_parallel(net, keep=net.vertices[:2])
     for v in reduced.vertices[2:]:
         star_mesh_eliminate(sp_trace, v)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("replay ran a reduction op")
+        raise AssertionError("replay ran a reduction op or a factorization")
 
     for name in ("series_reduce", "parallel_reduce", "delta_y", "star_mesh_eliminate"):
         monkeypatch.setattr(resistance_engine, name, refuse)
-    assert trace.replay(chain.network) == final
+    monkeypatch.setattr(resistance_engine._GroundedFactor, "__init__", refuse)
+    for chain, (final, trace) in zip(chains, reduced_chains):
+        assert trace.replay(chain.network) == final
     assert sp_trace.replay(net) == sp_trace.network()
 
 
