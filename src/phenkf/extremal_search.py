@@ -382,7 +382,6 @@ def _transfer_lemma6(n: int) -> list:
 @dataclass(frozen=True)
 class KfReport:
     code: ChainCode
-    canonical: ChainCode
     kf: Rational
     per_vertex_sums: object = None  # optional dict vertex -> Rational
 
@@ -397,7 +396,7 @@ class KfReport:
     def as_dict(self) -> dict:
         out = {
             "code": _code_json(self.code),
-            "canonical": self.canonical.word,
+            "canonical": self.code.canonical().word,
             "kf": format_rational(self.kf),
             "kf_num": self.kf.numerator,
             "kf_den": self.kf.denominator,
@@ -422,9 +421,9 @@ def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     are not an independent check of that Kf.
     """
     if not with_sums:
-        return KfReport(code, code.canonical(), _transfer_kf(code))
+        return KfReport(code, _transfer_kf(code))
     net = build_chain(code).network
-    return KfReport(code, code.canonical(), kirchhoff_index(net), resistance_sums(net))
+    return KfReport(code, kirchhoff_index(net), resistance_sums(net))
 
 
 @dataclass(frozen=True)
@@ -455,7 +454,7 @@ class ExtremaTable:
             lines.append(",".join([
                 str(self.n),
                 r.code.word,
-                r.canonical.word,
+                r.code.canonical().word,
                 str(r.kf.numerator),
                 str(r.kf.denominator),
                 str(r.code.is_all_kink()).lower(),
@@ -492,8 +491,8 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     its updates.
     """
     check_cap(n, cap)
-    reports = [KfReport(code, code.canonical(), kf)
-               for code, kf in zip(enumerate_words(n), _transfer_kfs(n))]
+    codes = list(enumerate_words(n))  # validates n before the walk runs
+    reports = [KfReport(code, kf) for code, kf in zip(codes, _transfer_kfs(n))]
     min_kf = min(r.kf for r in reports)
     max_kf = max(r.kf for r in reports)
     return ExtremaTable(
@@ -551,14 +550,7 @@ def kink_flip_pair(chain: LabeledChain, i: int) -> STPair:
     (a, b, k, l), top, bottom = _square(chain, i)
     net = chain.network
     cut = ResistanceNetwork([e for e in net.edges if e not in {top, bottom}], net.vertices)
-    side_a = set()
-    todo = [a]
-    while todo:
-        v = todo.pop()
-        if v in side_a:
-            continue
-        side_a.add(v)
-        todo.extend(cut.neighbors(v))
+    side_a = cut.component(a)
     if l not in side_a or b in side_a or k in side_a:
         raise LabelingError(f"square {i} does not separate the chain as labeled")
     side_b = [v for v in net.vertices if v not in side_a]

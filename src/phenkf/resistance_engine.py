@@ -15,8 +15,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
   without running an op or factoring any network;
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
-  Each is read off the inverse by the Takahashi recurrence: grounded
-  resistances off its diagonal, the resistance matrix off all of it; the
+  It alone knows the elimination order and the ground: it reads off
+  Z = K^-1 by the Takahashi recurrence, keyed by vertex and extended by
+  zeros at the ground, and solves over vertex-keyed maps.  Every reader is
+  then the identity r(u, v) = Z_uu + Z_vv - 2 Z_uv: grounded resistances
+  off the diagonal of Z, the resistance matrix off all of it; the
   Kirchhoff index and per-vertex resistance sums add one solve against the
   all-ones vector, and resistances to two terminals one solve against a
   unit vector.  It alone checks its input for the empty network, a
@@ -162,11 +165,11 @@ class ResistanceNetwork(_Incidence):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        todo = [self.vertices[0]]
-        seen = {self.vertices[0]}
+    def component(self, v) -> set:
+        """The vertices reachable from v, v included."""
+        self.require_vertex(v)
+        seen = {v}
+        todo = [v]
         while todo:
             w = todo.pop()
             for e in self._adj[w]:
@@ -174,7 +177,10 @@ class ResistanceNetwork(_Incidence):
                 if other not in seen:
                     seen.add(other)
                     todo.append(other)
-        return len(seen) == self.num_vertices
+        return seen
+
+    def is_connected(self) -> bool:
+        return self.num_vertices <= 1 or len(self.component(self.vertices[0])) == self.num_vertices
 
     def induced(self, vertices) -> "ResistanceNetwork":
         """Subnetwork on the given vertices and the edges inside them."""
@@ -583,10 +589,14 @@ class _GroundedFactor:
     K is positive definite, so every pivot must be positive; a pivot that is
     not raises ArithmeticError.
 
-    `cols[p]` lists (q, l_qp) for the later neighbors q of p but the ground,
-    with l_qp = c_qp / D_p = -L_qp.  Without a given ground the last vertex
-    of the order, the far end of the breadth-first search, is grounded.  A
-    one-vertex network factors to nothing: K and its inverse are empty.
+    `order` lists the eliminated vertices, `pivots` their pivots in that
+    order, and `cols[p]` the pairs (q, l_qp) for the later neighbors q of
+    the p-th vertex but the ground, with l_qp = c_qp / D_p = -L_qp.  Without
+    a given ground the last vertex of the order, the far end of the
+    breadth-first search, is grounded.  Only this class knows the order and
+    the ground: `solve` and `inverse` take and give maps keyed by vertex,
+    zero at the ground, so r(u, v) = Z_uu + Z_vv - 2 Z_uv for every pair.  A
+    one-vertex network factors to nothing: Z is zero.
     """
 
     def __init__(self, net: ResistanceNetwork, ground=None):
@@ -601,44 +611,54 @@ class _GroundedFactor:
         if ground is None:
             ground = order[-1]
         order.remove(ground)
-        self.pos = pos = {v: p for p, v in enumerate(order)}
+        self.ground, self.order = ground, order
         self.pivots, self.cols = [], []
         for v in order:
             pivot, ratios = _eliminate(graph, v)
             if pivot <= 0:
                 raise ArithmeticError(f"non-positive pivot {pivot} at {v!r}")
             self.pivots.append(pivot)
-            self.cols.append([(pos[q], l_q) for q, l_q in ratios if q != ground])
+            self.cols.append([(q, l_q) for q, l_q in ratios if q != ground])
 
-    def solve(self, rhs) -> list:
-        """x = K^-1 rhs, with vectors indexed by elimination position."""
-        x = list(rhs)
-        for p, col in enumerate(self.cols):
+    def solve(self, rhs: dict) -> dict:
+        """x = K^-1 rhs over vertex -> value maps: a vertex missing from
+        `rhs` counts as 0 and the ground's entry is ignored; x is 0 at the
+        ground."""
+        x = {v: rhs.get(v, 0) for v in self.order}
+        for v, col in zip(self.order, self.cols):
+            x_v = x[v]
             for q, l_q in col:
-                x[q] += l_q * x[p]
-        for p in range(len(x) - 1, -1, -1):
-            x[p] = x[p] / self.pivots[p] + sum(l_q * x[q] for q, l_q in self.cols[p])
+                x[q] += l_q * x_v
+        for v, pivot, col in zip(reversed(self.order), reversed(self.pivots), reversed(self.cols)):
+            x[v] = x[v] / pivot + sum(l_q * x[q] for q, l_q in col)
+        x[self.ground] = Rational(0)
         return x
 
-    def inverse(self, full=False) -> list:
-        """Entries of Z = K^-1 by the Takahashi recurrence, last column first.
+    def inverse(self, full=False) -> dict:
+        """Z = K^-1 by the Takahashi recurrence, last column first, keyed by
+        vertex and extended by zeros at the ground.
 
-        Z_qp = sum over (s, l_sp) in cols[p] of Z_qs l_sp for q > p, and
-        Z_pp = 1/D_p + sum of l_qp Z_qp.  The recurrence only reads Z on the
-        filled pattern (the later neighbors of p form a clique once p is
-        eliminated), so by default only those entries are computed, in
-        O(V b^2) for bandwidth b; `full` computes all of Z, in O(V^2 b).
-        Returns z with z[p][q] = Z_pq, symmetric, diagonal included.
+        Z_qp = sum over (s, l_sp) in cols[p] of Z_qs l_sp for q later than
+        p, and Z_pp = 1/D_p + sum of l_qp Z_qp.  The recurrence only reads Z
+        on the filled pattern (the later neighbors of p form a clique once p
+        is eliminated), so by default only those entries are computed, in
+        O(V b^2) for bandwidth b, and Z_gg = 0 at the ground g; `full`
+        computes all of Z, in O(V^2 b), with a zero row and column at g.
+        Returns z with z[u][v] = Z_uv, symmetric, diagonal included.
         """
-        m = len(self.cols)
-        z = [{} for _ in range(m)]
-        for p in range(m - 1, -1, -1):
-            col = self.cols[p]
-            z_p = z[p]
-            for q in (range(p + 1, m) if full else (q for q, _ in col)):
+        order, g, zero = self.order, self.ground, Rational(0)
+        z = {v: {} for v in order}
+        for p in range(len(order) - 1, -1, -1):
+            v, col = order[p], self.cols[p]
+            z_v = z[v]
+            for q in (order[p + 1:] if full else (q for q, _ in col)):
                 z_q = z[q]
-                z_p[q] = z_q[p] = sum(z_q[s] * l_s for s, l_s in col)
-            z_p[p] = 1 / self.pivots[p] + sum(l_q * z_p[q] for q, l_q in col)
+                z_v[q] = z_q[v] = sum(z_q[s] * l_s for s, l_s in col)
+            z_v[v] = 1 / self.pivots[p] + sum(l_q * z_v[q] for q, l_q in col)
+        z[g] = {g: zero}
+        if full:
+            for v in order:
+                z[v][g] = z[g][v] = zero
         return z
 
 
@@ -649,10 +669,8 @@ def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
     r(ground, v) = (K^-1)_vv, read off the Takahashi diagonal of one
     factorization.
     """
-    factor = _GroundedFactor(net, ground)
-    pos = factor.pos
-    z = factor.inverse()
-    return {v: z[pos[v]][pos[v]] for v in net.vertices if v != ground}
+    z = _GroundedFactor(net, ground).inverse()
+    return {v: z[v][v] for v in net.vertices if v != ground}
 
 
 def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
@@ -666,17 +684,10 @@ def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
     if y == x:
         raise NetworkError(f"terminals coincide at {x!r}")
     factor = _GroundedFactor(net, x)
-    pos = factor.pos
     z = factor.inverse()
-    e_y = [0] * len(pos)
-    e_y[pos[y]] = 1
-    col = factor.solve(e_y)
-    z_yy = z[pos[y]][pos[y]]
-    out = {}
-    for v in net.vertices:
-        p = pos.get(v)
-        out[v] = (Rational(0), z_yy) if p is None else (z[p][p], z[p][p] + z_yy - 2 * col[p])
-    return out
+    col = factor.solve({y: 1})
+    z_yy = z[y][y]
+    return {v: (z[v][v], z[v][v] + z_yy - 2 * col[v]) for v in net.vertices}
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:
@@ -687,33 +698,28 @@ def resistance_sum(net: ResistanceNetwork, x) -> Rational:
 def resistance_sums(net: ResistanceNetwork) -> dict:
     """Per-vertex sums of effective resistances to every other vertex.
 
-    With G = K^-1 grounded at g and extended by zeros at g,
-    r(u, v) = G_uu + G_vv - 2 G_uv, so the sum at u is
-    N G_uu + tr(G) - 2 (G 1)_u: one selected inversion and one solve.
+    With Z = K^-1 grounded at any vertex and extended by zeros there,
+    r(u, v) = Z_uu + Z_vv - 2 Z_uv, so the sum at u is
+    N Z_uu + tr(Z) - 2 (Z 1)_u: one selected inversion and one solve.
     """
     n = net.num_vertices
     factor = _GroundedFactor(net)
     z = factor.inverse()
-    row = factor.solve([1] * (n - 1))
-    trace = sum((z[p][p] for p in range(n - 1)), Rational(0))
-    out = {}
-    for v in net.vertices:
-        p = factor.pos.get(v)
-        out[v] = trace if p is None else n * z[p][p] + trace - 2 * row[p]
-    return out
+    row = factor.solve(dict.fromkeys(net.vertices, 1))
+    trace = sum((z[v][v] for v in net.vertices), Rational(0))
+    return {v: n * z[v][v] + trace - 2 * row[v] for v in net.vertices}
 
 
 def kirchhoff_index(net: ResistanceNetwork) -> Rational:
     """Sum of effective resistances over unordered pairs of vertices.
 
-    Grounding any vertex, Kf = N * tr(K^-1) - 1^T K^-1 1: the trace from the
-    Takahashi diagonal, the quadratic form from one solve.
+    Grounding any vertex, Kf = N * tr(Z) - 1^T Z 1 for Z = K^-1: the trace
+    from the Takahashi diagonal, the quadratic form from one solve.
     """
-    n = net.num_vertices
     factor = _GroundedFactor(net)
     z = factor.inverse()
-    trace = sum((z[p][p] for p in range(n - 1)), Rational(0))
-    return n * trace - sum(factor.solve([1] * (n - 1)))
+    trace = sum((z[v][v] for v in net.vertices), Rational(0))
+    return net.num_vertices * trace - sum(factor.solve(dict.fromkeys(net.vertices, 1)).values())
 
 
 def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
@@ -777,21 +783,19 @@ class ResistanceMatrix:
 def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     """All pairwise effective resistances from one factorization.
 
-    The full Takahashi recurrence gives every entry of G = K^-1 (grounded,
-    extended by zeros at the ground); then r(u, v) = G_uu + G_vv - 2 G_uv.
+    The full Takahashi recurrence gives every entry of Z = K^-1 (grounded,
+    extended by zeros at the ground); then r(u, v) = Z_uu + Z_vv - 2 Z_uv.
     """
-    n = net.num_vertices
-    factor = _GroundedFactor(net)
-    z = factor.inverse(full=True)
-    at = [factor.pos.get(v) for v in net.vertices]
-    diag = [Rational(0) if p is None else z[p][p] for p in at]
+    vs = net.vertices
+    n = len(vs)
+    z = _GroundedFactor(net).inverse(full=True)
+    diag = [z[v][v] for v in vs]
     values = [[Rational(0)] * n for _ in range(n)]
     for i in range(n):
-        z_i = z[at[i]] if at[i] is not None else None
+        z_i, d_i = z[vs[i]], diag[i]
         for j in range(i + 1, n):
-            cross = 0 if z_i is None or at[j] is None else z_i[at[j]]
-            values[i][j] = values[j][i] = diag[i] + diag[j] - 2 * cross
-    return ResistanceMatrix(net.vertices, tuple(map(tuple, values)))
+            values[i][j] = values[j][i] = d_i + diag[j] - 2 * z_i[vs[j]]
+    return ResistanceMatrix(vs, tuple(map(tuple, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_enumerating_commands_refused_by_cap(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [("extrema",), ("verify", "theorem1"), ("verify", "conjecture")],
+                         ids=["extrema", "theorem1", "conjecture"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_exhaustive_commands_refuse_fewer_than_one_hexagon(args, n):
+    # a usage error, not a failing verdict (exit 1) or a traceback
+    proc = run_cli(*args, "--n", str(n), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: need at least one hexagon, got n={n}\n"
+    assert proc.stdout == ""
+
+
 def test_extrema_huge_n_refused_by_cap():
     # 3^(n-2) has tens of millions of digits; the refusal must not compute it
     proc = run_cli("extrema", "--n", "100000000", check=False)

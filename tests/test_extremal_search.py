@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import edge_delta, survivors
 from phenkf.chain_model import (
     ChainCode,
+    ChainCodeError,
     LabeledChain,
     build_chain,
     build_terminal_chain,
@@ -210,6 +211,13 @@ def test_find_extrema_n4():
     assert table.max_kf == Fraction(1869410, 2651)
     assert sorted(c.word for c in table.min_codes) == ["00", "22"]
     assert [c.word for c in table.max_codes] == ["11"]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_find_extrema_refuses_fewer_than_one_hexagon(n):
+    # the codes are validated before the transfer walk indexes its levels
+    with pytest.raises(ChainCodeError, match=f"need at least one hexagon, got n={n}"):
+        find_extrema(n)
 
 
 def test_extrema_csv_shape():

@@ -119,6 +119,10 @@ def test_isolated_vertex_support():
     net = ResistanceNetwork([(0, 1, 1)], extra_vertices=(7,))
     assert 7 in net.vertices
     assert not net.is_connected()
+    assert net.component(0) == {0, 1}
+    assert net.component(7) == {7}
+    with pytest.raises(NetworkError):
+        net.component(2)
 
 
 # -- local reductions --------------------------------------------------------

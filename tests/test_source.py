@@ -32,3 +32,45 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_a_dead_name():
     tree = ast.parse("import os\nfrom sys import argv, path\nprint(path)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "argv")]
+
+
+def _private_definitions(tree):
+    """Module-level functions and classes whose name starts with "_"."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def _read_names(tree):
+    """Names a tree reads: as a name, as an attribute or as an imported name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _dead_private_names(trees):
+    """(module, line, name) of each private definition that no module reads."""
+    read = set().union(*map(_read_names, trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in _private_definitions(tree).items() if name not in read)
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(_private_definitions(tree)) for tree in trees.values()) > 0
+    assert _dead_private_names(trees) == []
+
+
+def test_dead_private_name_check_sees_a_dead_name():
+    trees = {
+        "a.py": ast.parse("def _called(): pass\ndef _dead(): pass\nclass _Read: pass\n"
+                          "def _imported(): pass\n_called()\n"),
+        "b.py": ast.parse("import a\nfrom a import _imported\na._Read\n_dead = 1\n"),
+    }
+    assert _dead_private_names(trees) == [("a.py", 2, "_dead")]
