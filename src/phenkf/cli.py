@@ -42,20 +42,26 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: on a 2-vCPU host
-# plain kf takes about 4 s there and --sums about 40 s; --matrix a few
-# seconds, but its memory and output (about 63 MB and 22 MB at the bound)
-# grow as n^2
+# plain kf takes about 4 s there and --sums about 9 s; --matrix under 2 s,
+# but its memory and output (about 63 MB and 22 MB at the bound) grow as
+# n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
 # verify lemma4 draws O(m^2) edge coins per sample, so with the default 100
-# samples it takes about half a minute at this bound (2-vCPU host)
+# samples it takes about 3 s at this bound (2-vCPU host)
 MAX_LEMMA4_VERTICES = 40
-# verify lemma5's exact terminal solve and per-step certificates work on
-# rationals whose size grows with n, so with the default 5 samples it takes
-# about 14 s at this bound, 11 s at n = 200 and 25 s at n = 300, in text or
-# json (2-vCPU host)
+# verify lemma5's weighted terminal solves and per-step certificates work
+# on rationals whose size grows with n, so with the default 5 samples it
+# takes about 11.5 s at this bound, 9-10 s at n = 200 and 21 s at n = 300,
+# in text or json (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 225
+# random checks verify lemma4|5|6 draw, refused at parse time.  At this
+# bound lemma4 at its --max-vertices bound takes about 37 s and lemma6 at
+# n = 9 about 8 s; lemma5's weighted samples are rational solves of about
+# 2.3 s each at its hexagon bound, so there it takes about 40 minutes
+# (2-vCPU host)
+MAX_SAMPLES = 1000
 # reduce --trace --format json prints every step's edges, whose rationals
 # grow with n, so its output grows as n^2: 24 MB at this bound, in about 4 s
 # and 58 MB peak RSS (the JSON text is streamed; the steps' dicts are held).
@@ -91,12 +97,15 @@ def _resolve_cap(args) -> int:
         raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def _int_at_least(low):
-    """argparse type: an int no smaller than `low`."""
+def _int_at_least(low, most=None):
+    """argparse type: an int no smaller than `low` and, if `most` is given,
+    no larger than it."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -362,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
 
     def add_sampling(p, samples):
-        p.add_argument("--samples", type=_int_at_least(0), default=samples, help="random checks to draw")
+        p.add_argument("--samples", type=_int_at_least(0, MAX_SAMPLES), default=samples,
+                       help="random checks to draw")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("kf", help="Kirchhoff index of one chain")

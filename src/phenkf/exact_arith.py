@@ -37,10 +37,21 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(q) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    q = Rational(q)
+    if type(q) is not Rational:
+        q = Rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _exact(numerator: int, denominator: int) -> int:
+    """numerator / denominator, which must leave no remainder: the one checked
+    division of the package's fraction-free integer arithmetic.  Raises
+    ArithmeticError if it is inexact."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"inexact division by {denominator}")
+    return quotient
 
 
 def approx_text(q, digits: int = 12) -> str:

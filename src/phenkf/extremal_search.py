@@ -21,7 +21,7 @@ from .chain_model import (
     helicene,
     linear,
 )
-from .exact_arith import Rational, format_rational
+from .exact_arith import Rational, _exact, format_rational
 from .resistance_engine import (
     NetworkError,
     ResistanceNetwork,
@@ -205,14 +205,6 @@ def _integer(value, scale: int) -> int:
     if scaled.denominator != 1:
         raise ArithmeticError(f"{value} * {scale} is not an integer")
     return scaled.numerator
-
-
-def _exact(numerator: int, denominator: int) -> int:
-    """numerator / denominator, which must leave no remainder."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"inexact division by {denominator}")
-    return quotient
 
 
 @cache

@@ -16,18 +16,25 @@ resistances.  Two kinds of computation are kept deliberately separate:
 * one exact sparse factorization K = L D L^T of the grounded Laplacian, in
   reverse Cuthill-McKee order, behind every resistance quantity here.
   It alone knows the elimination order and the ground: it reads off
-  Z = K^-1 by the Takahashi recurrence, keyed by vertex and extended by
-  zeros at the ground, and solves over vertex-keyed maps.  Every reader is
-  then the identity r(u, v) = Z_uu + Z_vv - 2 Z_uv: grounded resistances
-  off the diagonal of Z, the resistance matrix off all of it; the
-  Kirchhoff index and per-vertex resistance sums add one solve against the
-  all-ones vector, and resistances to two terminals one solve against a
-  unit vector.  It alone checks its input for the empty network, a
-  missing ground and disconnection.
+  W = s Z for Z = K^-1 by the Takahashi recurrence, keyed by vertex and
+  extended by zeros at the ground, and solves over vertex-keyed maps.
+  Every reader is then the identity r(u, v) = (W_uu + W_vv - 2 W_uv) / s,
+  one Rational per value returned: grounded resistances off the diagonal
+  of W, the resistance matrix off all of it; the Kirchhoff index and
+  per-vertex resistance sums add one solve against the all-ones vector,
+  and resistances to two terminals one solve against a unit vector.  It
+  alone checks its input for the empty network, a missing ground and
+  disconnection.
 
-Both rest on one star-mesh elimination, `_eliminate`: it makes the
-factorization's pivots, `star_mesh_eliminate`'s mesh and the certificate's
-Kron reduction.
+The factorization has two representations, picked from the merged
+conductances alone.  When every one is an integer (unit chains, the unit
+S/T pairs of Lemma 4, the kink flips) it is fraction-free (Bareiss 1968):
+each stored entry is an integer, the conductance times the leading minor
+of the steps so far, every division is checked to be exact, and the scale
+s is det K, so W = adj K.  Otherwise (weighted samples, reduced networks)
+it runs over the rationals with s = 1, on the star-mesh elimination
+`_eliminate` that also makes `star_mesh_eliminate`'s mesh and the
+certificate's Kron reduction.
 
 The Kirchhoff index of a unit chain code (`kf_of_code`, `find_extrema`)
 comes from the two-port transfer engine in `extremal_search`, whose
@@ -43,9 +50,10 @@ factorization to; no verdict depends on it.
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import truediv
 from typing import NamedTuple
 
-from .exact_arith import Rational, format_rational
+from .exact_arith import Rational, _exact, format_rational
 
 
 class NetworkError(ValueError):
@@ -506,7 +514,7 @@ def _eliminate(graph: dict, v) -> tuple:
 
     Each pair p, q of v's neighbors gains conductance c_p c_q / C, where C
     sums v's conductances: a Schur complement step with pivot C.  Returns C
-    and the list of (q, c_q / C); an isolated v gives (0, []).
+    and v's star {q: c_q}; an isolated v gives (0, {}).
     """
     star = graph.pop(v)
     total = sum(star.values())
@@ -517,7 +525,7 @@ def _eliminate(graph: dict, v) -> tuple:
         c_q = star[q]
         for s, l_s in ratios[i + 1:]:
             row_q[s] = graph[s][q] = row_q.get(s, 0) + c_q * l_s
-    return total, ratios
+    return total, star
 
 
 def _gauss_solve(rows, rhs_list):
@@ -584,19 +592,38 @@ class _GroundedFactor:
     """Exact K = L D L^T of the grounded Laplacian K of a connected network.
 
     K is the conductance Laplacian with the ground vertex's row and column
-    deleted.  The other vertices are eliminated by `_eliminate` in reverse
-    Cuthill-McKee order; the pivot D_p is the conductance at p when it goes.
-    K is positive definite, so every pivot must be positive; a pivot that is
-    not raises ArithmeticError.
+    deleted.  The other vertices are eliminated in reverse Cuthill-McKee
+    order; without a given ground the last vertex of the order, the far end
+    of the breadth-first search, is grounded.  K is positive definite, so
+    every pivot must be positive; a pivot that is not raises
+    ArithmeticError.  Only this class knows the order and the ground:
+    `solve` and `inverse` take and give maps keyed by vertex, zero at the
+    ground, and scaled by `scale`, so r(u, v) = (W_uu + W_vv - 2 W_uv) /
+    scale for W = scale Z, Z = K^-1, and every pair.  A one-vertex network
+    factors to nothing: W is zero and the scale 1.
 
-    `order` lists the eliminated vertices, `pivots` their pivots in that
-    order, and `cols[p]` the pairs (q, l_qp) for the later neighbors q of
-    the p-th vertex but the ground, with l_qp = c_qp / D_p = -L_qp.  Without
-    a given ground the last vertex of the order, the far end of the
-    breadth-first search, is grounded.  Only this class knows the order and
-    the ground: `solve` and `inverse` take and give maps keyed by vertex,
-    zero at the ground, so r(u, v) = Z_uu + Z_vv - 2 Z_uv for every pair.  A
-    one-vertex network factors to nothing: Z is zero.
+    The representation is picked from the merged conductances alone:
+
+    * `integral`, when every one is an integer: a fraction-free (Bareiss)
+      elimination.  With Delta_k the leading minor of K after k
+      eliminations, a remaining conductance c is stored as the integer
+      Delta_k c (Sylvester's identity), so the pivot of step k is
+      P = Delta_{k+1}, the sum of the star's stored entries, and a mesh
+      entry becomes (P g_pq + g_vp g_vq) / Delta_k.  Each entry keeps the
+      step it was written at and is brought to step k, times
+      Delta_k / Delta_e, only when read, so a step costs time in its own
+      band.  Then scale = det K = Delta_V, and W = adj K is an integer
+      matrix;
+    * otherwise `_eliminate` over the rationals: the stored entries are the
+      conductances themselves, the pivot of p is the conductance at p when
+      it goes, and scale = 1.
+
+    `order` lists the eliminated vertices, `pivots` their pivots, `leads`
+    the minor Delta_p before each (1 over the rationals), and `cols[p]` the
+    pairs (q, g_qp) for the later neighbors q of the p-th vertex but the
+    ground, with g_qp its stored entry at step p; so L_qp = -g_qp / pivot_p.
+    Every division of the integral representation goes through the checked
+    `_exact`, which raises ArithmeticError if it is inexact.
     """
 
     def __init__(self, net: ResistanceNetwork, ground=None):
@@ -612,54 +639,100 @@ class _GroundedFactor:
             ground = order[-1]
         order.remove(ground)
         self.ground, self.order = ground, order
+        self.integral = all(c.denominator == 1 for row in graph.values() for c in row.values())
         self.pivots, self.cols = [], []
-        for v in order:
-            pivot, ratios = _eliminate(graph, v)
-            if pivot <= 0:
-                raise ArithmeticError(f"non-positive pivot {pivot} at {v!r}")
-            self.pivots.append(pivot)
-            self.cols.append([(q, l_q) for q, l_q in ratios if q != ground])
+        if self.integral:
+            self._div = _exact
+            self._bareiss({v: {q: (c.numerator, 0) for q, c in row.items()} for v, row in graph.items()})
+        else:
+            self._div = truediv
+            for v in order:
+                pivot, star = _eliminate(graph, v)
+                self._append(v, pivot, star.items())
+            self.leads, self.scale = [1] * len(order), 1
+
+    def _append(self, v, pivot, star):
+        if pivot <= 0:
+            raise ArithmeticError(f"non-positive pivot {pivot} at {v!r}")
+        self.pivots.append(pivot)
+        self.cols.append([(q, g) for q, g in star if q != self.ground])
+
+    def _bareiss(self, graph: dict):
+        """Eliminate `order` from `graph`, whose entries are (Delta_e c, e)."""
+        minors = [1]
+        for k, v in enumerate(self.order):
+            lead = minors[k]
+            star = [(q, g if e == k else _exact(g * lead, minors[e])) for q, (g, e) in graph.pop(v).items()]
+            pivot = sum(g for _, g in star)
+            for i, (p, g_p) in enumerate(star):
+                row_p = graph[p]
+                del row_p[v]
+                for q, g_q in star[i + 1:]:
+                    g, e = row_p.get(q, (0, k))
+                    if e != k:
+                        g = _exact(g * lead, minors[e])
+                    row_p[q] = graph[q][p] = (_exact(pivot * g + g_p * g_q, lead), k + 1)
+            self._append(v, pivot, star)
+            minors.append(pivot)
+        self.leads, self.scale = minors[:-1], minors[-1]
 
     def solve(self, rhs: dict) -> dict:
-        """x = K^-1 rhs over vertex -> value maps: a vertex missing from
-        `rhs` counts as 0 and the ground's entry is ignored; x is 0 at the
-        ground."""
-        x = {v: rhs.get(v, 0) for v in self.order}
-        for v, col in zip(self.order, self.cols):
-            x_v = x[v]
-            for q, l_q in col:
-                x[q] += l_q * x_v
-        for v, pivot, col in zip(reversed(self.order), reversed(self.pivots), reversed(self.cols)):
-            x[v] = x[v] / pivot + sum(l_q * x[q] for q, l_q in col)
-        x[self.ground] = Rational(0)
+        """scale K^-1 rhs over vertex -> value maps: a vertex missing from
+        `rhs` counts as 0 and the ground's entry is ignored; the result is 0
+        at the ground.  An integral factor takes integer right-hand sides.
+
+        The forward pass eliminates rhs as one more column of K: an
+        integral factor keeps its entries as Delta_k times their value
+        after k steps, brought forward lazily like the factor's own.
+        """
+        order, pivots, leads, cols, div = self.order, self.pivots, self.leads, self.cols, self._div
+        x = {v: rhs.get(v, 0) for v in order}
+        if self.integral:
+            at = dict.fromkeys(order, 0)
+            for k, (v, pivot, lead, col) in enumerate(zip(order, pivots, leads, cols)):
+                x_v = x[v] = _exact(x[v] * lead, leads[at[v]])
+                for q, g in col:
+                    x_q = x[q] if at[q] == k else _exact(x[q] * lead, leads[at[q]])
+                    x[q] = _exact(pivot * x_q + g * x_v, lead)
+                    at[q] = k + 1
+        else:
+            for v, pivot, col in zip(order, pivots, cols):
+                y = x[v] / pivot
+                for q, c in col:
+                    x[q] += c * y
+        scale = self.scale
+        for v, pivot, col in zip(reversed(order), reversed(pivots), reversed(cols)):
+            x[v] = div(scale * x[v] + sum(g * x[q] for q, g in col), pivot)
+        x[self.ground] = 0
         return x
 
     def inverse(self, full=False) -> dict:
-        """Z = K^-1 by the Takahashi recurrence, last column first, keyed by
-        vertex and extended by zeros at the ground.
+        """W = scale K^-1 by the Takahashi recurrence, last column first,
+        keyed by vertex and extended by zeros at the ground.
 
-        Z_qp = sum over (s, l_sp) in cols[p] of Z_qs l_sp for q later than
-        p, and Z_pp = 1/D_p + sum of l_qp Z_qp.  The recurrence only reads Z
-        on the filled pattern (the later neighbors of p form a clique once p
-        is eliminated), so by default only those entries are computed, in
-        O(V b^2) for bandwidth b, and Z_gg = 0 at the ground g; `full`
-        computes all of Z, in O(V^2 b), with a zero row and column at g.
-        Returns z with z[u][v] = Z_uv, symmetric, diagonal included.
+        W_qp = (sum over (s, g_sp) in cols[p] of W_qs g_sp) / pivot_p for q
+        later than p, and W_pp = (scale lead_p + sum of g_qp W_qp) / pivot_p.
+        The recurrence only reads W on the filled pattern (the later
+        neighbors of p form a clique once p is eliminated), so by default
+        only those entries are computed, in O(V b^2) for bandwidth b, and
+        W_gg = 0 at the ground g; `full` computes all of W, in O(V^2 b),
+        with a zero row and column at g.  Returns w with w[u][v] = W_uv,
+        symmetric, diagonal included.
         """
-        order, g, zero = self.order, self.ground, Rational(0)
-        z = {v: {} for v in order}
+        order, g, div = self.order, self.ground, self._div
+        w = {v: {} for v in order}
         for p in range(len(order) - 1, -1, -1):
-            v, col = order[p], self.cols[p]
-            z_v = z[v]
+            v, col, pivot = order[p], self.cols[p], self.pivots[p]
+            w_v = w[v]
             for q in (order[p + 1:] if full else (q for q, _ in col)):
-                z_q = z[q]
-                z_v[q] = z_q[v] = sum(z_q[s] * l_s for s, l_s in col)
-            z_v[v] = 1 / self.pivots[p] + sum(l_q * z_v[q] for q, l_q in col)
-        z[g] = {g: zero}
+                w_q = w[q]
+                w_v[q] = w_q[v] = div(sum(w_q[s] * g_s for s, g_s in col), pivot)
+            w_v[v] = div(self.scale * self.leads[p] + sum(g_q * w_v[q] for q, g_q in col), pivot)
+        w[g] = {g: 0}
         if full:
             for v in order:
-                z[v][g] = z[g][v] = zero
-        return z
+                w[v][g] = w[g][v] = 0
+        return w
 
 
 def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
@@ -669,8 +742,9 @@ def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
     r(ground, v) = (K^-1)_vv, read off the Takahashi diagonal of one
     factorization.
     """
-    z = _GroundedFactor(net, ground).inverse()
-    return {v: z[v][v] for v in net.vertices if v != ground}
+    factor = _GroundedFactor(net, ground)
+    w = factor.inverse()
+    return {v: Rational(w[v][v], factor.scale) for v in net.vertices if v != ground}
 
 
 def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
@@ -684,10 +758,11 @@ def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
     if y == x:
         raise NetworkError(f"terminals coincide at {x!r}")
     factor = _GroundedFactor(net, x)
-    z = factor.inverse()
+    w = factor.inverse()
     col = factor.solve({y: 1})
-    z_yy = z[y][y]
-    return {v: (z[v][v], z[v][v] + z_yy - 2 * col[v]) for v in net.vertices}
+    w_yy, scale = w[y][y], factor.scale
+    return {v: (Rational(w[v][v], scale), Rational(w[v][v] + w_yy - 2 * col[v], scale))
+            for v in net.vertices}
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:
@@ -704,10 +779,10 @@ def resistance_sums(net: ResistanceNetwork) -> dict:
     """
     n = net.num_vertices
     factor = _GroundedFactor(net)
-    z = factor.inverse()
+    w = factor.inverse()
     row = factor.solve(dict.fromkeys(net.vertices, 1))
-    trace = sum((z[v][v] for v in net.vertices), Rational(0))
-    return {v: n * z[v][v] + trace - 2 * row[v] for v in net.vertices}
+    trace = sum(w[v][v] for v in net.vertices)
+    return {v: Rational(n * w[v][v] + trace - 2 * row[v], factor.scale) for v in net.vertices}
 
 
 def kirchhoff_index(net: ResistanceNetwork) -> Rational:
@@ -717,9 +792,10 @@ def kirchhoff_index(net: ResistanceNetwork) -> Rational:
     from the Takahashi diagonal, the quadratic form from one solve.
     """
     factor = _GroundedFactor(net)
-    z = factor.inverse()
-    trace = sum((z[v][v] for v in net.vertices), Rational(0))
-    return net.num_vertices * trace - sum(factor.solve(dict.fromkeys(net.vertices, 1)).values())
+    w = factor.inverse()
+    trace = sum(w[v][v] for v in net.vertices)
+    total = sum(factor.solve(dict.fromkeys(net.vertices, 1)).values())
+    return Rational(net.num_vertices * trace - total, factor.scale)
 
 
 def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
@@ -788,13 +864,14 @@ def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     """
     vs = net.vertices
     n = len(vs)
-    z = _GroundedFactor(net).inverse(full=True)
-    diag = [z[v][v] for v in vs]
+    factor = _GroundedFactor(net)
+    w, scale = factor.inverse(full=True), factor.scale
+    diag = [w[v][v] for v in vs]
     values = [[Rational(0)] * n for _ in range(n)]
     for i in range(n):
-        z_i, d_i = z[vs[i]], diag[i]
+        w_i, d_i = w[vs[i]], diag[i]
         for j in range(i + 1, n):
-            values[i][j] = values[j][i] = d_i + diag[j] - 2 * z_i[vs[j]]
+            values[i][j] = values[j][i] = Rational(d_i + diag[j] - 2 * w_i[vs[j]], scale)
     return ResistanceMatrix(vs, tuple(map(tuple, values)))
 
 

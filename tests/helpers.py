@@ -63,15 +63,18 @@ def path_network(labels, weight=Fraction(1)) -> ResistanceNetwork:
 
 vertex_ids = st.one_of(st.integers(-3, 40), st.text("abxyz", min_size=1, max_size=2))
 weights = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+# resistances 1/k: every merged conductance is an integer
+unit_fractions = st.integers(1, 9).map(lambda k: Fraction(1, k))
 
 
 @st.composite
-def networks(draw, max_vertices=9):
+def networks(draw, max_vertices=9, weights=weights):
     """Connected weighted multigraphs over mixed int and str vertex ids.
 
     A random tree on the first vertices, chords between any of them,
     parallel copies of drawn edges, and a pendant path hanging off one tree
-    vertex through the remaining ones.
+    vertex through the remaining ones.  Edge resistances come from
+    `weights`.
     """
     labels = draw(st.lists(vertex_ids, min_size=2, max_size=max_vertices, unique=True))
     core = draw(st.integers(2, len(labels)))

@@ -229,7 +229,7 @@ def test_reduce_json_streams_its_output():
 
 
 def test_lemma4_refuses_components_past_its_bound():
-    # refused before any draw; 100 samples at m = 40 take about half a minute
+    # refused before any draw; 100 samples at m = 40 take about 3 s
     proc = run_cli("verify", "lemma4", "--max-vertices", "41", check=False, timeout=2)
     assert proc.returncode == 2
     assert "verify lemma4 takes --max-vertices at most 40, got 41" in proc.stderr
@@ -245,9 +245,13 @@ def test_extrema_ignores_jobs():
     (("extrema", "--n", "3", "--jobs", "0"), "argument --jobs: must be at least 1, got 0"),
     (("verify", "lemma5", "--n", "2", "--samples", "-3"), "argument --samples: must be at least 0, got -3"),
     (("verify", "lemma4", "--max-vertices", "1"), "argument --max-vertices: must be at least 2, got 1"),
-], ids=["jobs", "samples", "max-vertices"])
+    (("verify", "lemma4", "--samples", "1000000000"), "argument --samples: must be at most 1000, got 1000000000"),
+    (("verify", "lemma5", "--n", "225", "--samples", "1001"), "argument --samples: must be at most 1000, got 1001"),
+], ids=["jobs", "samples", "max-vertices", "samples-lemma4", "samples-lemma5"])
 def test_numeric_arguments_validated(args, message):
-    proc = run_cli(*args, check=False)
+    # each is refused at parse time, before any check runs: lemma4 with
+    # 10^9 samples would run for weeks
+    proc = run_cli(*args, check=False, timeout=10)
     assert proc.returncode == 2
     assert message in proc.stderr
     assert proc.stdout == ""

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from phenkf.exact_arith import (
     RationalParseError,
+    _exact,
     approx_text,
     format_rational,
     parse_rational,
@@ -55,3 +56,12 @@ def test_parse_format_roundtrip(q):
 @given(st.integers(), st.integers(min_value=1))
 def test_parse_plain_ratio(num, den):
     assert parse_rational(f"{num}/{den}") == Fraction(num, den)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+def test_exact_division_is_checked(quotient, divisor):
+    assert _exact(quotient * divisor, divisor) == quotient
+    assert _exact(quotient * -divisor, -divisor) == quotient
+    if divisor > 1:
+        with pytest.raises(ArithmeticError, match=f"inexact division by {divisor}"):
+            _exact(quotient * divisor + 1, divisor)

@@ -124,12 +124,11 @@ def test_transfer_resistance_depends_only_on_depth():
 
 
 def _spanning_trees(net):
-    """The spanning-tree count of a unit network: the product of the pivots
-    of its grounded Laplacian."""
-    tau = Fraction(1)
-    for pivot in _GroundedFactor(net).pivots:
-        tau *= pivot
-    return tau
+    """The spanning-tree count of a unit network: the determinant of its
+    grounded Laplacian, the scale of its integral factorization."""
+    factor = _GroundedFactor(net)
+    assert factor.integral
+    return factor.scale
 
 
 def test_transfer_scale_is_twice_the_spanning_tree_count():

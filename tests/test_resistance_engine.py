@@ -6,13 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import after_op, edge_delta, networks, path_network, random_network, survivors, weights
+from helpers import (after_op, edge_delta, networks, path_network, random_network, survivors,
+                     unit_fractions, weights)
 from phenkf import resistance_engine
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
 from phenkf.extremal_search import random_terminal_weights
 from phenkf.resistance_engine import (
+    _GroundedFactor,
     _gauss_solve,
     ConnectivityError,
     Edge,
@@ -696,6 +698,81 @@ def test_factorization_matches_pairwise_oracle(net):
     assert all(m.resistance(u, v) == m.resistance(v, u) == r for (u, v), r in oracle.items())
     assert kirchhoff_index(net) == sum(oracle.values())
     assert resistance_sums(net) == {v: m.row_sum(v) for v in net.vertices}
+
+
+def _readers(net):
+    """Every resistance reader of `net`, at a fixed ground and terminals."""
+    x, y = net.vertices[0], net.vertices[-1]
+    return (kirchhoff_index(net), resistance_sums(net), grounded_resistances(net, x),
+            terminal_resistances(net, x, y), resistance_matrix(net).values)
+
+
+def _doubled(values):
+    if isinstance(values, dict):
+        return {key: _doubled(value) for key, value in values.items()}
+    if isinstance(values, tuple):
+        return tuple(_doubled(value) for value in values)
+    return 2 * values
+
+
+def _check_both_representations(net):
+    # net has integer conductances, at least one odd, so it is factored
+    # fraction-free; doubling every resistance halves every conductance, so
+    # the doubled network is factored over the rationals.  Every reader
+    # doubles
+    doubled = ResistanceNetwork([(e.u, e.v, 2 * e.r) for e in net.edges], net.vertices)
+    assert _GroundedFactor(net).integral
+    assert not _GroundedFactor(doubled).integral
+    assert _readers(doubled) == _doubled(_readers(net))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_both_representations_agree_on_every_chain(n):
+    for code in enumerate_words(n):
+        _check_both_representations(build_chain(code).network)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(weights=unit_fractions))
+def test_both_representations_agree_and_match_the_oracle(net):
+    assume(any(c % 2 for row in resistance_engine._conductance_graph(net.edges).values()
+               for c in row.values()))
+    # the doubled network's readers equal twice these, so both match the oracle
+    _check_both_representations(net)
+    m = resistance_matrix(net)
+    assert all(m.resistance(u, v) == effective_resistance(net, u, v)
+               for i, u in enumerate(net.vertices) for v in net.vertices[i + 1:])
+
+
+def test_integral_factor_refuses_a_corrupted_entry():
+    # every division of the fraction-free factor is checked: one stored
+    # entry off by one makes some division inexact
+    net = build_chain(ChainCode(3, (1,))).network
+    entries = [(p, i) for p, col in enumerate(_GroundedFactor(net).cols) for i in range(len(col))]
+    assert len(entries) > 20
+    for p, i in entries:
+        for delta in (1, -1):
+            factor = _GroundedFactor(net)
+            q, g = factor.cols[p][i]
+            factor.cols[p][i] = (q, g + delta)
+            with pytest.raises(ArithmeticError):
+                factor.inverse(full=True)
+                factor.solve(dict.fromkeys(net.vertices, 1))
+
+
+@pytest.mark.parametrize("edges, ground, pivot", [
+    ([(0, 1, 1), (1, 2, 1), (1, 2, -1)], 0, "0 at 2"),
+    ([(0, 1, 1), (1, 2, -1)], 2, "-1 at 1"),
+    ([(0, 1, Fraction(2, 3)), (1, 2, Fraction(-2, 3))], 2, "-3/2 at 1"),
+], ids=["integral-zero", "integral-negative", "rational-negative"])
+def test_factor_refuses_a_nonpositive_pivot(edges, ground, pivot):
+    # edges forged past Edge's check reach the factorization through the
+    # network's graph; both representations refuse a pivot that is not
+    # positive
+    net = ResistanceNetwork([(u, v) for u, v, _ in edges])
+    object.__setattr__(net, "edges", tuple(tuple.__new__(Edge, (u, v, Fraction(r))) for u, v, r in edges))
+    with pytest.raises(ArithmeticError, match=f"non-positive pivot {pivot}$"):
+        _GroundedFactor(net, ground)
 
 
 @settings(max_examples=60, deadline=None)
