@@ -310,12 +310,15 @@ def test_verify_lemma6_reaches_cap():
     (("verify", "hexagon", "--r", "1/2"), "text", "66aa44ef05a5fe6b7664b58487c7389bf8d97f43925d8344d89bc0cbf25cd400"),
     (("verify", "hexagon", "--r", "1/2"), "json", "3fe6fd553e71b9d171aa1f1febdba276fd6ba51ce5ea582a1503ae5f5e0f8dd4"),
     (("extrema", "--n", "9"), "csv", "09dcf9edcb9dde65942d6dfd788e99f29f130336b91f1626cc776d0e2138c42d"),
+    (("extrema", "--n", "9"), "text", "8eb85502d29a90f8f7758043b7207bf6b0e985471acdbe73814b8414388b5abf"),
+    (("extrema", "--n", "9"), "json", "4e135e04a66deea9d40bfea9ab2cf91ad07fa13fd3c7f920c4c81a233d32e241"),
     (("verify", "lemma6", "--n", "7"), "json", "b1fd18b6255b4f427cc36ecae48e38455849db2af9b664a30ec9c5532669dd6a"),
     (("kf", "--code", "0" * 298), "text", "bd58abefb79604359b0e8fbd34acdcb5e9df8826706e334dc9fd3dc34e3b7acb"),
     (("kf", "--code", "1" * 298), "text", "52609214f7e9bfd85ee089e2299e396b575a19a820b10dafb2595948756429b2"),
 ], ids=["lemma5", "lemma6", "lemma4", "lemma5-n20", "lemma4-text", "lemma5-text", "lemma6-text",
         "theorem1-text", "theorem1-json", "conjecture-text", "conjecture-json", "hexagon-text",
-        "hexagon-json", "extrema-n9-csv", "lemma6-n7-json", "helicene300-text", "linear300-text"])
+        "hexagon-json", "extrema-n9-csv", "extrema-n9-text", "extrema-n9-json", "lemma6-n7-json",
+        "helicene300-text", "linear300-text"])
 def test_lemma_reports_match_golden_digest(args, fmt, digest):
     # sha256 of the whole report of every verify target, default seed; a
     # changed value, field, line or verdict anywhere in it changes the digest.
