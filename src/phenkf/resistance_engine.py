@@ -88,7 +88,9 @@ class _EdgeFields(NamedTuple):
 class Edge(_EdgeFields):
     """An edge checked once, when made: no self-loop, r a positive Rational
     (default 1), ends in `vertex_key` order.  `_make`, and `_replace` through
-    it, check too, so no Edge is ever checked again."""
+    it, check too, so no Edge is ever checked again.  A positive float is
+    refused: it is seldom the rational it stands for (1/3 would be stored as
+    6004799503160661/18014398509481984)."""
 
     __slots__ = ()
 
@@ -96,6 +98,8 @@ class Edge(_EdgeFields):
         if u == v:
             raise InvalidNetworkError(f"self-loop at {u!r}")
         if type(r) is not Rational:
+            if isinstance(r, float) and r > 0:
+                raise InvalidNetworkError(f"resistance must be exact, got the float {r!r} on ({u!r}, {v!r})")
             r = Rational(r)
         if r.numerator <= 0:
             raise InvalidNetworkError(f"resistance must be positive, got {r} on ({u!r}, {v!r})")
@@ -501,10 +505,13 @@ def reduce_series_parallel(net: ResistanceNetwork, keep=()):
 
 
 def _conductance_graph(edges, vertices=()) -> dict:
-    """Vertex -> {neighbor: conductance} over `vertices` and the edges' ends."""
+    """Vertex -> {neighbor: conductance} over `vertices` and the edges' ends.
+    An edge of resistance 1/k conducts the int k, so the merged conductances
+    of a unit network are ints, made without a Fraction."""
     graph = {v: {} for v in vertices}
     for e in edges:
-        c = graph.setdefault(e.u, {}).get(e.v, 0) + 1 / e.r
+        r = e.r
+        c = graph.setdefault(e.u, {}).get(e.v, 0) + (r.denominator if r.numerator == 1 else 1 / r)
         graph[e.u][e.v] = graph.setdefault(e.v, {})[e.u] = c
     return graph
 
@@ -513,11 +520,12 @@ def _eliminate(graph: dict, v) -> tuple:
     """Star-mesh elimination of v from a conductance graph, in place.
 
     Each pair p, q of v's neighbors gains conductance c_p c_q / C, where C
-    sums v's conductances: a Schur complement step with pivot C.  Returns C
-    and v's star {q: c_q}; an isolated v gives (0, {}).
+    sums v's conductances: a Schur complement step with pivot C.  Returns C,
+    a Rational even when every c is an int, and v's star {q: c_q}; an
+    isolated v gives (0, {}).
     """
     star = graph.pop(v)
-    total = sum(star.values())
+    total = sum(star.values(), Rational(0))
     ratios = [(q, c / total) for q, c in star.items()]
     for i, (q, _) in enumerate(ratios):
         row_q = graph[q]

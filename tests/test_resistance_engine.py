@@ -61,11 +61,23 @@ def test_network_rejects_self_loops_and_bad_weights():
 
 
 @pytest.mark.parametrize("r, stored", [
-    (2, Fraction(2)), ("3/4", Fraction(3, 4)), (0.5, Fraction(1, 2)), (Fraction(6, 4), Fraction(3, 2)),
+    (2, Fraction(2)), ("3/4", Fraction(3, 4)), (Fraction(6, 4), Fraction(3, 2)),
 ])
 def test_network_converts_weights_to_fractions(r, stored):
     e = ResistanceNetwork([(1, 0, r)]).edges[0]
     assert e == (0, 1, stored) and type(e.r) is Fraction
+
+
+@pytest.mark.parametrize("r", [1 / 3, 0.5, 2.0])
+def test_edge_refuses_a_float_resistance(r):
+    # a float is refused even when it is a dyadic rational: 1/3 would be
+    # stored as 6004799503160661/18014398509481984
+    with pytest.raises(InvalidNetworkError, match=f"resistance must be exact, got the float {r!r}"):
+        Edge(0, 1, r)
+    with pytest.raises(InvalidNetworkError, match="must be exact"):
+        ResistanceNetwork([(0, 1), (1, 2, r)])
+    with pytest.raises(InvalidNetworkError, match="must be exact"):
+        path_network([0, 1, 2]).reweighted({(0, 1): r})
 
 
 @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 3), "-2", "0/5", -0.5])
@@ -742,6 +754,44 @@ def test_both_representations_agree_and_match_the_oracle(net):
     m = resistance_matrix(net)
     assert all(m.resistance(u, v) == effective_resistance(net, u, v)
                for i, u in enumerate(net.vertices) for v in net.vertices[i + 1:])
+
+
+def _flat(values):
+    """The numbers in nested dicts and tuples of readers' results."""
+    if isinstance(values, dict):
+        values = tuple(values.values())
+    if isinstance(values, tuple):
+        return [x for value in values for x in _flat(value)]
+    return [values]
+
+
+@pytest.mark.parametrize("weights", [unit_fractions, weights, st.one_of(unit_fractions, weights)],
+                         ids=["unit", "weighted", "mixed"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_readers_give_fractions_equal_to_the_oracle(weights, data):
+    # conductances of resistances 1/k are ints, not Fractions; every reader
+    # and star-mesh step must still give exact Fractions, never a float, and
+    # each equal to the dense oracle
+    net = data.draw(networks(weights=weights))
+    x, y = net.vertices[0], net.vertices[-1]
+    oracle = {(u, v): effective_resistance(net, u, v) for u in net.vertices for v in net.vertices}
+    readers = _readers(net)
+    assert all(type(value) is Fraction for value in _flat(readers))
+    kf, sums, grounded, terminals, matrix = readers
+    assert kf == sum(oracle[u, v] for i, u in enumerate(net.vertices) for v in net.vertices[i + 1:])
+    assert sums == {u: sum(oracle[u, v] for v in net.vertices) for u in net.vertices}
+    assert grounded == {v: oracle[x, v] for v in net.vertices if v != x}
+    assert terminals == {v: (oracle[v, x], oracle[v, y]) for v in net.vertices}
+    assert matrix == tuple(tuple(oracle[u, v] for v in net.vertices) for u in net.vertices)
+    v = data.draw(st.sampled_from(net.vertices))
+    trace = ReductionTrace(net)
+    step = star_mesh_eliminate(trace, v)
+    assert all(type(e.r) is Fraction for e in step.added_edges)
+    reduced = trace.network()
+    for i, p in enumerate(reduced.vertices):
+        for q in reduced.vertices[i + 1:]:
+            assert effective_resistance(reduced, p, q) == oracle[p, q]
 
 
 def test_integral_factor_refuses_a_corrupted_entry():
