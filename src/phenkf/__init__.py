@@ -11,6 +11,7 @@ from .chain_model import (
 )
 from .exact_arith import Rational, format_rational, parse_rational
 from .extremal_search import (
+    extremes,
     find_extrema,
     kf_of_code,
     kink_flip,

@@ -23,6 +23,7 @@ from .extremal_search import (
     check_cap,
     check_lemma5,
     check_lemma6,
+    extremes,
     find_extrema,
     kf_of_code,
     random_chain_weights,
@@ -58,9 +59,10 @@ MAX_LEMMA4_VERTICES = 40
 MAX_LEMMA5_HEXAGONS = 225
 # random checks verify lemma4|5|6 draw, refused at parse time.  At this
 # bound lemma4 at its --max-vertices bound takes about 37 s and lemma6 at
-# n = 9 about 8 s; lemma5's weighted samples are rational solves of about
-# 2.3 s each at its hexagon bound, so there it takes about 40 minutes
-# (2-vCPU host)
+# n = 9 about 8 s (2-vCPU host).  lemma5's weighted samples are rational
+# solves whose cost grows about as n^2, some 2.3 s each at its hexagon
+# bound, so it also refuses samples n^2 past the default 5 samples at that
+# bound: 1000 samples there would take about 40 minutes
 MAX_SAMPLES = 1000
 # reduce --trace --format json prints every step's edges, whose rationals
 # grow with n, so its output grows as n^2: 24 MB at this bound, in about 4 s
@@ -186,14 +188,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_extrema(args) -> int:
     _refuse_unshown(args, "approx", ("text",))
-    table = find_extrema(args.n, cap=_resolve_cap(args))
+    cap = _resolve_cap(args)
     if args.format == "json":
-        _emit_json(table.as_dict())
+        _emit_json(find_extrema(args.n, cap=cap).as_dict())
     elif args.format == "csv":
-        _emit(table.to_csv())
+        _emit(find_extrema(args.n, cap=cap).to_csv())
     else:
+        table = extremes(args.n, cap=cap)
         _emit(f"n: {table.n}")
-        _emit(f"codes: {len(table.reports)}")
+        _emit(f"codes: {table.count}")
         approx = f"  (approx {approx_text(table.min_kf)})" if args.approx else ""
         _emit(f"min kf: {format_rational(table.min_kf)}{approx}")
         _emit(f"min class: {' '.join(c.word for c in table.min_codes)}")
@@ -256,6 +259,10 @@ def _path_component(names):
 def _cmd_verify_lemma5(args) -> int:
     if args.n > MAX_LEMMA5_HEXAGONS:
         raise ValueError(f"verify lemma5 takes at most {MAX_LEMMA5_HEXAGONS} hexagons, got n={args.n}")
+    if args.samples * args.n ** 2 > 5 * MAX_LEMMA5_HEXAGONS ** 2:
+        raise ValueError(f"verify lemma5 takes --samples times n^2 at most 5*{MAX_LEMMA5_HEXAGONS}^2 = "
+                         f"{5 * MAX_LEMMA5_HEXAGONS ** 2}, got {args.samples}*{args.n}^2 = "
+                         f"{args.samples * args.n ** 2}")
     unit = check_lemma5(args.n)
     lines = [
         f"unit weights: r(a1,x)={format_rational(unit.r_a1_x)} < r(a1,y)={format_rational(unit.r_a1_y)}: "

@@ -9,7 +9,8 @@ extremal claims are only meaningful when the enumeration is complete.
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
+from itertools import product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .chain_model import (
@@ -311,38 +312,45 @@ def _levels(n: int, feet=False) -> tuple:
     return levels[:-1], levels[-1][0]
 
 
-def _walk(start, levels: tuple, advance, finish) -> list:
-    """finish(state, last) for every code, in word order, by a depth-first
-    walk of the code trie over `levels` = (levels, last) of `_levels` that
-    extends each prefix's state once with advance(state, level).
+def _walk(start, levels: tuple, advance, finish):
+    """Yield finish(state, last) for every code, in word order, by a
+    depth-first walk of the code trie over `levels` = (levels, last) of
+    `_levels` that extends each prefix's state once with
+    advance(state, level).  It holds one state per pending trie node, at
+    most 2 per depth, and nothing per leaf.
 
     The walk keeps its own stack: a recursive closure would refer to itself,
-    and the cycle would keep the results alive until the next full garbage
+    and the cycle would keep the states alive until the next full garbage
     collection.
     """
     levels, last = levels
-    out, todo = [], [(start, 0)]
+    todo = [(start, 0)]
     while todo:
         state, depth = todo.pop()
         if depth == len(levels):
-            out.append(finish(state, last))
+            yield finish(state, last)
         else:
             todo.extend((advance(state, level), depth + 1) for level in reversed(levels[depth]))
-    return out
 
 
-def _transfer_kfs(n: int) -> list:
-    """Kf of every code with n hexagons, in word order."""
+def _kf_numerators(n: int, cap: int) -> tuple:
+    """(S, numerators): S times the Kf of every code with n hexagons, in
+    word order, each an integer over the one S they share, which depends
+    on n alone.  The cap and n are checked before the walk starts; the
+    numerators are then made one at a time as the walk reaches them."""
+    check_cap(n, cap)
+    helicene(n)  # ChainCodeError for n < 1
     start = _transfer_constants().start
     if n == 1:
-        return [Rational(start[3], _SCALE)]
-    return _walk(start, _levels(n), _advance, lambda state, c: Rational(_kf(c, *state), c.scale))
+        return _SCALE, iter((start[3],))
+    levels = _levels(n)
+    return levels[1].scale, _walk(start, levels, _advance, lambda state, last: _kf(last, *state))
 
 
-def _transfer_lemma6(n: int) -> list:
-    """(u, r(u, x), r(u, y)) per first-hexagon vertex u other than a_1 and
-    l_1, in `hexagons[0]` order, for every code with n >= 2 hexagons in word
-    order."""
+def _transfer_lemma6(n: int):
+    """Yield (u, r(u, x), r(u, y)) per first-hexagon vertex u other than a_1
+    and l_1, in `hexagons[0]` order, for every code with n >= 2 hexagons in
+    word order."""
     feet = _transfer_constants().feet
     # every code with n hexagons numbers its first and last hexagon alike
     chain = build_chain(helicene(n))
@@ -418,44 +426,6 @@ def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     return KfReport(code, kirchhoff_index(net), resistance_sums(net))
 
 
-@dataclass(frozen=True)
-class ExtremaTable:
-    n: int
-    reports: tuple          # one KfReport per code, lexicographic
-    min_kf: Rational
-    max_kf: Rational
-    min_codes: tuple        # codes attaining min_kf, lexicographic
-    max_codes: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": len(self.reports),
-            "min_kf": format_rational(self.min_kf),
-            "max_kf": format_rational(self.max_kf),
-            "min_class": [c.word for c in self.min_codes],
-            "max_class": [c.word for c in self.max_codes],
-            "reports": [r.as_dict() for r in self.reports],
-        }
-
-    def to_csv(self) -> str:
-        minset = {c.w for c in self.min_codes}
-        maxset = {c.w for c in self.max_codes}
-        lines = ["n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"]
-        for r in self.reports:
-            lines.append(",".join([
-                str(self.n),
-                r.code.word,
-                r.code.canonical().word,
-                str(r.kf.numerator),
-                str(r.kf.denominator),
-                str(r.code.is_all_kink()).lower(),
-                str(r.code.w in minset).lower(),
-                str(r.code.w in maxset).lower(),
-            ]))
-        return "\n".join(lines) + "\n"
-
-
 def check_cap(n: int, cap: int):
     """The number of codes with n hexagons, 3^(n-2), if it is at most `cap`.
 
@@ -476,25 +446,148 @@ def check_cap(n: int, cap: int):
         f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
 
 
-def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
+_FLIP = str.maketrans("02", "20")
+
+
+def _canonical_word(word: str) -> str:
+    """The least word of `word`'s orbit (`ChainCode.canonical`), on the
+    word itself: its reverse, its 0-2 flip and the flip's reverse."""
+    flip = word.translate(_FLIP)
+    return min(word, word[::-1], flip, flip[::-1])
+
+
+def _code_at(n: int, index: int) -> ChainCode:
+    """The code with n hexagons at `index` in word order: its letters are
+    the base-3 digits of `index`."""
+    letters = []
+    for _ in range(max(n - 2, 0)):
+        index, e = divmod(index, 3)
+        letters.append(e)
+    return ChainCode(n, letters[::-1])
+
+
+def _fold(n: int, scale: int, numerators) -> tuple:
+    """(count, min Kf, max Kf, min codes, max codes) of the numerators over
+    `scale` of every code with n hexagons, in word order, in one pass that
+    keeps only the extreme numerators and the indices that reach them.
+    Codes and fractions are made for those indices alone."""
+    numerators = iter(numerators)
+    lo = hi = next(numerators)
+    lo_at, hi_at = [0], [0]
+    i = 0
+    for i, k in enumerate(numerators, 1):
+        if k <= lo:
+            if k < lo:
+                lo, lo_at = k, []
+            lo_at.append(i)
+        if k >= hi:
+            if k > hi:
+                hi, hi_at = k, []
+            hi_at.append(i)
+    return (i + 1, Rational(lo, scale), Rational(hi, scale),
+            tuple(_code_at(n, i) for i in lo_at), tuple(_code_at(n, i) for i in hi_at))
+
+
+@dataclass(frozen=True)
+class Extremes:
+    """The least and greatest Kf over the `count` codes with n hexagons,
+    and the codes that reach each, in word order."""
+
+    n: int
+    count: int
+    min_kf: Rational
+    max_kf: Rational
+    min_codes: tuple
+    max_codes: tuple
+
+
+def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
     """Exact min/max Kirchhoff classes over every code with n hexagons.
 
-    The transfer engine walks the code trie, so codes sharing a prefix share
-    its updates.
+    Every code's Kf is an integer over the same S (`_kf_numerators`), so the
+    classes are decided on the integers as the walk makes them, in O(n)
+    memory: nothing is kept per code.
     """
-    check_cap(n, cap)
-    codes = list(enumerate_words(n))  # validates n before the walk runs
-    reports = [KfReport(code, kf) for code, kf in zip(codes, _transfer_kfs(n))]
-    min_kf = min(r.kf for r in reports)
-    max_kf = max(r.kf for r in reports)
-    return ExtremaTable(
-        n,
-        tuple(reports),
-        min_kf,
-        max_kf,
-        tuple(r.code for r in reports if r.kf == min_kf),
-        tuple(r.code for r in reports if r.kf == max_kf),
-    )
+    return Extremes(n, *_fold(n, *_kf_numerators(n, cap)))
+
+
+@dataclass(frozen=True)
+class ExtremaTable(Extremes):
+    """`Extremes` with every code's Kf: numerators[i] / scale for the
+    i-th code in word order."""
+
+    scale: int
+    numerators: tuple
+
+    @property
+    def reports(self) -> "_Rows":
+        """The codes' rows, made when read; len() is the code count."""
+        return _Rows(self)
+
+    def as_dict(self) -> dict:
+        vertices, edges = 6 * self.n, 8 * self.n - 2
+        return {
+            "n": self.n,
+            "count": self.count,
+            "min_kf": format_rational(self.min_kf),
+            "max_kf": format_rational(self.max_kf),
+            "min_class": [c.word for c in self.min_codes],
+            "max_class": [c.word for c in self.max_codes],
+            "reports": [{
+                "code": {"n": self.n, "w": word},
+                "canonical": canonical,
+                "kf": f"{num}/{den}" if den != 1 else str(num),
+                "kf_num": num,
+                "kf_den": den,
+                "is_all_kink": "1" not in word,
+                "vertex_count": vertices,
+                "edge_count": edges,
+            } for word, canonical, num, den, _, _ in self.reports],
+        }
+
+    def to_csv(self) -> str:
+        lines = ["n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"]
+        flags = {True: "true", False: "false"}
+        for word, canonical, num, den, is_min, is_max in self.reports:
+            lines.append(f"{self.n},{word},{canonical},{num},{den},{flags['1' not in word]},"
+                         f"{flags[is_min]},{flags[is_max]}")
+        return "\n".join(lines) + "\n"
+
+
+class _Rows:
+    """An ExtremaTable's codes in word order as rows (word, canonical word,
+    reduced Kf numerator and denominator, is min, is max), each made from
+    its word and numerator when read: one gcd with the scale, no code and
+    no fraction."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: ExtremaTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.count
+
+    def __iter__(self):
+        table = self._table
+        scale = table.scale
+        lo, hi = int(table.min_kf * scale), int(table.max_kf * scale)
+        for letters, k in zip(product("012", repeat=max(table.n - 2, 0)), table.numerators):
+            word = "".join(letters)
+            g = gcd(k, scale)
+            yield word, _canonical_word(word), k // g, scale // g, k == lo, k == hi
+
+
+def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
+    """`extremes` with every code's Kf kept, one integer per code, for a
+    listing of every code.
+
+    The transfer engine walks the code trie once, so codes sharing a prefix
+    share its updates.
+    """
+    scale, numerators = _kf_numerators(n, cap)
+    numerators = tuple(numerators)
+    return ExtremaTable(n, *_fold(n, scale, numerators), scale, numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +954,7 @@ class Theorem1Report:
 
 def verify_theorem1(n: int, cap=DEFAULT_CAP) -> Theorem1Report:
     """Every Kirchhoff-minimizing code must be all-kink."""
-    table = find_extrema(n, cap=cap)
+    table = extremes(n, cap=cap)
     violations = tuple(c for c in table.min_codes if not c.is_all_kink())
     return Theorem1Report(n, table.min_codes, violations, not violations)
 
@@ -893,7 +986,7 @@ class ConjectureReport:
 def verify_conjecture(n: int, cap=DEFAULT_CAP) -> ConjectureReport:
     """The minimum class must be exactly the all-left/all-right pair and the
     maximum class exactly the straight chain; min < max for n >= 3."""
-    table = find_extrema(n, cap=cap)
+    table = extremes(n, cap=cap)
     expected_min = helicene(n).orbit()
     expected_max = (linear(n),)
     passed = (

@@ -180,6 +180,33 @@ def test_lemma5_refuses_chains_past_its_bound():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("n, samples, refused", [
+    (225, 5, False), (225, 6, True), (100, 25, False), (100, 26, True),
+    (15, 1000, False), (16, 1000, True),
+], ids=["225x5", "225x6", "100x25", "100x26", "15x1000", "16x1000"])
+def test_lemma5_refuses_samples_past_its_work_bound(n, samples, refused, monkeypatch, capsys):
+    # samples n^2 may reach the default 5 samples at the 225-hexagon bound,
+    # 253125, and no further; a run inside the bound reaches the check, one
+    # past it is refused before any chain is built
+    class Reached(Exception):
+        pass
+
+    def check(*args, **kw):
+        raise Reached
+
+    monkeypatch.setattr(cli, "check_lemma5", check)
+    argv = ["verify", "lemma5", "--n", str(n), "--samples", str(samples)]
+    if not refused:
+        with pytest.raises(Reached):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"error: verify lemma5 takes --samples times n^2 at most 5*225^2 = 253125, "
+                   f"got {samples}*{n}^2 = {samples * n * n}\n")
+    assert out == ""
+
+
 def test_reduce_refuses_chains_past_its_bound():
     # refused right after parsing; n = 1000 itself takes about 5 s in json
     proc = run_cli("reduce", "--code", "0" * 999, "--trace", check=False, timeout=2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,15 +20,18 @@ from phenkf.chain_model import (
     linear,
 )
 from phenkf.extremal_search import (
+    KfReport,
     SearchCapExceeded,
     _TREES,
     _at,
     _block,
+    _canonical_word,
     _scales,
     _transfer_constants,
     check_cap,
     check_lemma5,
     check_lemma6,
+    extremes,
     find_extrema,
     flipped_code,
     junction_squares,
@@ -217,6 +221,51 @@ def test_find_extrema_refuses_fewer_than_one_hexagon(n):
     # the codes are validated before the transfer walk indexes its levels
     with pytest.raises(ChainCodeError, match=f"need at least one hexagon, got n={n}"):
         find_extrema(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_streamed_route_matches_per_code_kf(n):
+    # the walk's integer numerators, folded or listed, against one
+    # kf_of_code per code: the listing's rows and JSON reports, both
+    # classes and both verdicts
+    kfs = {code: kf_of_code(code).kf for code in enumerate_words(n)}
+    lo, hi = min(kfs.values()), max(kfs.values())
+    min_codes = tuple(code for code, kf in kfs.items() if kf == lo)
+    max_codes = tuple(code for code, kf in kfs.items() if kf == hi)
+    table = find_extrema(n)
+    assert len(table.reports) == table.count == len(kfs)
+    assert table.to_csv() == _factored_csv(n, kfs)
+    assert table.as_dict()["reports"] == [KfReport(code, kf).as_dict() for code, kf in kfs.items()]
+    for result in (table, extremes(n)):
+        assert result.count == len(kfs)
+        assert (result.min_kf, result.max_kf) == (lo, hi)
+        assert (result.min_codes, result.max_codes) == (min_codes, max_codes)
+    theorem1 = verify_theorem1(n)
+    assert theorem1.min_codes == min_codes and theorem1.passed
+    conjecture = verify_conjecture(n)
+    assert (conjecture.min_kf, conjecture.max_kf) == (lo, hi)
+    assert (conjecture.min_codes, conjecture.max_codes) == (min_codes, max_codes)
+    assert conjecture.passed
+
+
+def test_canonical_word_matches_canonical_code():
+    for n in range(2, 10):
+        for code in enumerate_words(n):
+            assert _canonical_word(code.word) == code.canonical().word
+
+
+def test_conjecture_keeps_nothing_per_code():
+    # the verdict folds the walk's numerators as they come: its peak is
+    # O(n), where keeping a report per code for 6561 codes took about 3 MB
+    verify_conjecture(3)  # the engine's constants are made once per process
+    tracemalloc.start()
+    try:
+        report = verify_conjecture(10, cap=3 ** 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 1 << 20
 
 
 def test_extrema_csv_shape():
