@@ -379,6 +379,21 @@ def _transfer_lemma6(n: int):
 # enumeration
 
 
+def _report_dict(n: int, word: str, canonical: str, num: int, den: int) -> dict:
+    """The JSON report of the code with n hexagons and `word`, whose Kf is
+    num/den in lowest terms."""
+    return {
+        "code": {"n": n, "w": word},
+        "canonical": canonical,
+        "kf": f"{num}/{den}" if den != 1 else str(num),
+        "kf_num": num,
+        "kf_den": den,
+        "is_all_kink": "1" not in word,
+        "vertex_count": 6 * n,
+        "edge_count": 8 * n - 2,
+    }
+
+
 @dataclass(frozen=True)
 class KfReport:
     code: ChainCode
@@ -394,16 +409,8 @@ class KfReport:
         return 8 * self.code.n - 2
 
     def as_dict(self) -> dict:
-        out = {
-            "code": _code_json(self.code),
-            "canonical": self.code.canonical().word,
-            "kf": format_rational(self.kf),
-            "kf_num": self.kf.numerator,
-            "kf_den": self.kf.denominator,
-            "is_all_kink": self.code.is_all_kink(),
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-        }
+        code, kf = self.code, self.kf
+        out = _report_dict(code.n, code.word, code.canonical().word, kf.numerator, kf.denominator)
         if self.per_vertex_sums is not None:
             out["per_vertex_sums"] = {str(v): format_rational(q)
                                       for v, q in sorted(self.per_vertex_sums.items(), key=lambda t: str(t[0]))}
@@ -459,11 +466,7 @@ def _canonical_word(word: str) -> str:
 def _code_at(n: int, index: int) -> ChainCode:
     """The code with n hexagons at `index` in word order: its letters are
     the base-3 digits of `index`."""
-    letters = []
-    for _ in range(max(n - 2, 0)):
-        index, e = divmod(index, 3)
-        letters.append(e)
-    return ChainCode(n, letters[::-1])
+    return ChainCode(n, [index // 3 ** e % 3 for e in reversed(range(max(n - 2, 0)))])
 
 
 def _fold(n: int, scale: int, numerators) -> tuple:
@@ -525,7 +528,6 @@ class ExtremaTable(Extremes):
         return _Rows(self)
 
     def as_dict(self) -> dict:
-        vertices, edges = 6 * self.n, 8 * self.n - 2
         return {
             "n": self.n,
             "count": self.count,
@@ -533,16 +535,8 @@ class ExtremaTable(Extremes):
             "max_kf": format_rational(self.max_kf),
             "min_class": [c.word for c in self.min_codes],
             "max_class": [c.word for c in self.max_codes],
-            "reports": [{
-                "code": {"n": self.n, "w": word},
-                "canonical": canonical,
-                "kf": f"{num}/{den}" if den != 1 else str(num),
-                "kf_num": num,
-                "kf_den": den,
-                "is_all_kink": "1" not in word,
-                "vertex_count": vertices,
-                "edge_count": edges,
-            } for word, canonical, num, den, _, _ in self.reports],
+            "reports": [_report_dict(self.n, word, canonical, num, den)
+                        for word, canonical, num, den, _, _ in self.reports],
         }
 
     def to_csv(self) -> str:
