@@ -433,26 +433,6 @@ def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     return KfReport(code, kirchhoff_index(net), resistance_sums(net))
 
 
-def check_cap(n: int, cap: int):
-    """The number of codes with n hexagons, 3^(n-2), if it is at most `cap`.
-
-    Otherwise SearchCapExceeded is raised.  The power is computed only for
-    e = n - 2 <= cap.bit_length(); past that, 3^e > 2^e > cap, so a huge n
-    is refused at once.
-    """
-    exponent = max(n - 2, 0)
-    if exponent > cap.bit_length():
-        count = f"3^{exponent}"
-    else:
-        total = 3 ** exponent
-        if total <= cap:
-            return total
-        count = str(total)
-    raise SearchCapExceeded(
-        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap where offered, "
-        f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
-
-
 _FLIP = str.maketrans("02", "20")
 
 
@@ -488,11 +468,10 @@ def _fold(n: int, scale: int, numerators) -> tuple:
                 hi, hi_at = k, []
             hi_at.append(i)
     return (i + 1, Rational(lo, scale), Rational(hi, scale),
-            tuple(_code_at(n, i) for i in lo_at), tuple(_code_at(n, i) for i in hi_at))
+            tuple(_code_at(n, at) for at in lo_at), tuple(_code_at(n, at) for at in hi_at))
 
 
-@dataclass(frozen=True)
-class Extremes:
+class Extremes(NamedTuple):
     """The least and greatest Kf over the `count` codes with n hexagons,
     and the codes that reach each, in word order."""
 
@@ -514,11 +493,16 @@ def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
     return Extremes(n, *_fold(n, *_kf_numerators(n, cap)))
 
 
-@dataclass(frozen=True)
-class ExtremaTable(Extremes):
-    """`Extremes` with every code's Kf: numerators[i] / scale for the
-    i-th code in word order."""
+class ExtremaTable(NamedTuple):
+    """The fields of `Extremes`, and every code's Kf: numerators[i] / scale
+    for the i-th code in word order."""
 
+    n: int
+    count: int
+    min_kf: Rational
+    max_kf: Rational
+    min_codes: tuple
+    max_codes: tuple
     scale: int
     numerators: tuple
 
@@ -570,6 +554,26 @@ class _Rows:
             word = "".join(letters)
             g = gcd(k, scale)
             yield word, _canonical_word(word), k // g, scale // g, k == lo, k == hi
+
+
+def check_cap(n: int, cap: int):
+    """The number of codes with n hexagons, 3^(n-2), if it is at most `cap`.
+
+    Otherwise SearchCapExceeded is raised.  The power is computed only for
+    e = n - 2 <= cap.bit_length(); past that, 3^e > 2^e > cap, so a huge n
+    is refused at once.
+    """
+    exponent = max(n - 2, 0)
+    if exponent > cap.bit_length():
+        count = f"3^{exponent}"
+    else:
+        total = 3 ** exponent
+        if total <= cap:
+            return total
+        count = str(total)
+    raise SearchCapExceeded(
+        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap where offered, "
+        f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
 
 
 def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:

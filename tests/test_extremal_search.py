@@ -26,6 +26,7 @@ from phenkf.extremal_search import (
     _at,
     _block,
     _canonical_word,
+    _fold,
     _scales,
     _transfer_constants,
     check_cap,
@@ -246,6 +247,16 @@ def test_streamed_route_matches_per_code_kf(n):
     assert (conjecture.min_kf, conjecture.max_kf) == (lo, hi)
     assert (conjecture.min_codes, conjecture.max_codes) == (min_codes, max_codes)
     assert conjecture.passed
+
+
+def test_fold_keeps_every_code_that_reaches_an_extreme():
+    # ties at both ends, the first numerator among them; on chains both
+    # classes are mirror pairs or palindromes, which would hide a reversed
+    # word or a dropped tie
+    count, lo, hi, min_codes, max_codes = _fold(4, 2, [3, 1, 3, 1, 2, 3, 1, 2, 3])
+    assert (count, lo, hi) == (9, Fraction(1, 2), Fraction(3, 2))
+    assert [c.word for c in min_codes] == ["01", "10", "20"]
+    assert [c.word for c in max_codes] == ["00", "02", "12", "22"]
 
 
 def test_canonical_word_matches_canonical_code():
