@@ -266,8 +266,8 @@ def test_canonical_word_matches_canonical_code():
 
 
 def test_conjecture_keeps_nothing_per_code():
-    # the verdict folds the walk's numerators as they come: its peak is
-    # O(n), where keeping a report per code for 6561 codes took about 3 MB
+    # the verdict folds the walk's numerators as they come, so over these
+    # 6561 codes its peak stays O(n) and keeps nothing per code
     verify_conjecture(3)  # the engine's constants are made once per process
     tracemalloc.start()
     try:
