@@ -334,8 +334,8 @@ def _walk(start, levels: tuple, advance, finish):
 
 
 def _kf_numerators(n: int, cap: int) -> tuple:
-    """(S, numerators): S times the Kf of every code with n hexagons, in
-    word order, each an integer over the one S they share, which depends
+    """(S, numerators): the Kf of every code with n hexagons, in word
+    order, as integers over the one scale S they all share, which depends
     on n alone.  The cap and n are checked before the walk starts; the
     numerators are then made one at a time as the walk reaches them."""
     check_cap(n, cap)
