@@ -61,7 +61,8 @@ def test_network_rejects_self_loops_and_bad_weights():
 
 
 @pytest.mark.parametrize("r, stored", [
-    (2, Fraction(2)), ("3/4", Fraction(3, 4)), (Fraction(6, 4), Fraction(3, 2)),
+    # a decimal string is exact, so "0.5" is taken where the float 0.5 is refused
+    (2, Fraction(2)), ("3/4", Fraction(3, 4)), ("0.5", Fraction(1, 2)), (Fraction(6, 4), Fraction(3, 2)),
 ])
 def test_network_converts_weights_to_fractions(r, stored):
     e = ResistanceNetwork([(1, 0, r)]).edges[0]
