@@ -15,8 +15,8 @@ has corners a_i = 4i-2 (top, hexagon-i side), b_i = 4i (top), k_i = 4i+1
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .exact_arith import Rational
 from .resistance_engine import InvalidNetworkError, ResistanceNetwork, network_to_dot
@@ -29,24 +29,32 @@ class ChainCodeError(ValueError):
 _ALLOWED = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class ChainCode:
-    """A phenylene chain shape: hexagon count n and interior word w."""
-
+class _ChainCodeFields(NamedTuple):
     n: int
     w: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ChainCodeError(f"need at least one hexagon, got n={self.n!r}")
-        w = tuple(self.w)
-        object.__setattr__(self, "w", w)
-        expected = max(self.n - 2, 0)
+
+class ChainCode(_ChainCodeFields):
+    """A phenylene chain shape: hexagon count n and interior word w, a
+    tuple.  Checked when made, and by `_make` and `_replace` through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, w):
+        if not isinstance(n, int) or n < 1:
+            raise ChainCodeError(f"need at least one hexagon, got n={n!r}")
+        w = tuple(w)
+        expected = max(n - 2, 0)
         if len(w) != expected:
-            raise ChainCodeError(f"n={self.n} needs {expected} entries, got {len(w)}")
+            raise ChainCodeError(f"n={n} needs {expected} entries, got {len(w)}")
         for e in w:
             if e not in _ALLOWED:
                 raise ChainCodeError(f"entries must be 0, 1, or 2, got {e!r}")
+        return tuple.__new__(cls, (n, w))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str, n=None) -> "ChainCode":
@@ -183,8 +191,7 @@ def _hexagon_cells(num_columns: int, hexagon_squares, entries):
     return edges, tuple(hexagons)
 
 
-@dataclass(frozen=True)
-class LabeledChain:
+class LabeledChain(NamedTuple):
     """A built phenylene chain with its cell structure and landmarks.
 
     hexagons: one 6-tuple per hexagon, in cycle order starting at the

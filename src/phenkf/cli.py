@@ -43,8 +43,8 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: on a 2-vCPU host
-# plain kf takes about 4 s there and --sums about 9 s; --matrix under 2 s,
-# but its memory and output (about 63 MB and 22 MB at the bound) grow as
+# plain kf takes about 3 s there and --sums about 8 s; --matrix about 1 s,
+# but its memory and output (about 62 MB and 22 MB at the bound) grow as
 # n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
@@ -70,20 +70,25 @@ MAX_SAMPLES = 1000
 # Text takes under 1 s here, json without --trace 3 s, most of it the Kf
 # (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 1000
-# pieces of encoded JSON joined per write: one write per piece is slow
+# pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory
-JSON_PIECES_PER_WRITE = 8192
+PIECES_PER_WRITE = 8192
 
 
 def _emit(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_pieces(pieces):
+    """Write the strings of `pieces` in chunks, without holding the text."""
+    pieces = iter(pieces)
+    while chunk := "".join(itertools.islice(pieces, PIECES_PER_WRITE)):
+        sys.stdout.write(chunk)
+
+
 def _emit_json(obj):
     """Write `obj` as json.dumps(obj, indent=2) would, without holding the text."""
-    pieces = json.JSONEncoder(indent=2).iterencode(obj)
-    while chunk := "".join(itertools.islice(pieces, JSON_PIECES_PER_WRITE)):
-        sys.stdout.write(chunk)
+    _emit_pieces(json.JSONEncoder(indent=2).iterencode(obj))
     sys.stdout.write("\n")
 
 
@@ -192,7 +197,7 @@ def _cmd_extrema(args) -> int:
     if args.format == "json":
         _emit_json(find_extrema(args.n, cap=cap).as_dict())
     elif args.format == "csv":
-        _emit(find_extrema(args.n, cap=cap).to_csv())
+        _emit_pieces(find_extrema(args.n, cap=cap).csv_lines())
     else:
         table = extremes(args.n, cap=cap)
         _emit(f"n: {table.n}")

@@ -44,6 +44,13 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _fields_json(record, **renamed) -> dict:
+    """A NamedTuple's fields in order, under their names or `renamed`'s,
+    each Rational formatted and every other value as it is."""
+    return {renamed.get(name, name): format_rational(value) if type(value) is Rational else value
+            for name, value in zip(record._fields, record)}
+
+
 def _exact(numerator: int, denominator: int) -> int:
     """numerator / denominator, which must leave no remainder: the one checked
     division of the package's fraction-free integer arithmetic.  Raises

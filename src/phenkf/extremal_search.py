@@ -7,7 +7,6 @@ refuse to run past a configurable code-count cap instead of sampling: the
 extremal claims are only meaningful when the enumeration is complete.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd, lcm
@@ -22,7 +21,7 @@ from .chain_model import (
     helicene,
     linear,
 )
-from .exact_arith import Rational, _exact, format_rational
+from .exact_arith import Rational, _exact, _fields_json, format_rational
 from .resistance_engine import (
     NetworkError,
     ResistanceNetwork,
@@ -394,8 +393,7 @@ def _report_dict(n: int, word: str, canonical: str, num: int, den: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class KfReport:
+class KfReport(NamedTuple):
     code: ChainCode
     kf: Rational
     per_vertex_sums: object = None  # optional dict vertex -> Rational
@@ -523,13 +521,13 @@ class ExtremaTable(NamedTuple):
                         for word, canonical, num, den, _, _ in self.reports],
         }
 
-    def to_csv(self) -> str:
-        lines = ["n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"]
+    def csv_lines(self):
+        """Yield the csv listing line by line, each ending in a newline."""
+        yield "n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max\n"
         flags = {True: "true", False: "false"}
         for word, canonical, num, den, is_min, is_max in self.reports:
-            lines.append(f"{self.n},{word},{canonical},{num},{den},{flags['1' not in word]},"
-                         f"{flags[is_min]},{flags[is_max]}")
-        return "\n".join(lines) + "\n"
+            yield (f"{self.n},{word},{canonical},{num},{den},{flags['1' not in word]},"
+                   f"{flags[is_min]},{flags[is_max]}\n")
 
 
 class _Rows:
@@ -654,8 +652,7 @@ def junction_squares(code: ChainCode) -> tuple:
     return tuple(idx + 2 for idx in range(len(w) - 1) if w[idx] == 0 and w[idx + 1] == 2)
 
 
-@dataclass(frozen=True)
-class KinkFlipReport:
+class KinkFlipReport(NamedTuple):
     code: ChainCode
     square: int
     at_junction: bool       # square sits between entries (0, 2)
@@ -707,8 +704,7 @@ def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
     return tuple((u, *rows[u]) for u in vertices)
 
 
-@dataclass(frozen=True)
-class Lemma5Report:
+class Lemma5Report(NamedTuple):
     n: int
     r_a1_x: Rational
     r_a1_y: Rational
@@ -724,21 +720,7 @@ class Lemma5Report:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r_a1_x": format_rational(self.r_a1_x),
-            "r_a1_y": format_rational(self.r_a1_y),
-            "r_l1_x": format_rational(self.r_l1_x),
-            "r_l1_y": format_rational(self.r_l1_y),
-            "r1": format_rational(self.r1),
-            "r2": format_rational(self.r2),
-            "steps": self.step_count,
-            "inequalities_ok": self.inequalities_ok,
-            "steps_preserve_ok": self.steps_preserve_ok,
-            "star_range_ok": self.star_range_ok,
-            "closed_form_ok": self.closed_form_ok,
-            "pass": self.passed,
-        }
+        return _fields_json(self, step_count="steps", passed="pass")
 
 
 def check_lemma5(n: int, weights=None) -> Lemma5Report:
@@ -797,8 +779,7 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
                         closed_form_ok, passed)
 
 
-@dataclass(frozen=True)
-class Lemma6Instance:
+class Lemma6Instance(NamedTuple):
     code: ChainCode
     resistances: tuple      # (u, r(u, x), r(u, y)) per checked vertex
     passed: bool
@@ -814,8 +795,7 @@ class Lemma6Instance:
         }
 
 
-@dataclass(frozen=True)
-class Lemma6Report:
+class Lemma6Report(NamedTuple):
     n: int
     instances: tuple
     passed: bool
@@ -885,8 +865,7 @@ def _random_weights(chain, rng) -> dict:
 # weighted hexagon
 
 
-@dataclass(frozen=True)
-class HexagonReport:
+class HexagonReport(NamedTuple):
     r: Rational
     sum_a: Rational
     sum_l: Rational
@@ -895,14 +874,7 @@ class HexagonReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "r": format_rational(self.r),
-            "sum_a": format_rational(self.sum_a),
-            "sum_l": format_rational(self.sum_l),
-            "difference": format_rational(self.difference),
-            "expected_difference": format_rational(self.expected_difference),
-            "pass": self.passed,
-        }
+        return _fields_json(self, passed="pass")
 
 
 def weighted_hexagon_check(r) -> HexagonReport:
@@ -934,8 +906,7 @@ def weighted_hexagon_check(r) -> HexagonReport:
 # top-level verdicts
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     n: int
     min_codes: tuple
     violations: tuple       # minimizing codes that are not all-kink
@@ -957,8 +928,7 @@ def verify_theorem1(n: int, cap=DEFAULT_CAP) -> Theorem1Report:
     return Theorem1Report(n, table.min_codes, violations, not violations)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     n: int
     min_codes: tuple
     max_codes: tuple

@@ -49,7 +49,6 @@ factorization to; no verdict depends on it.
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import truediv
 from typing import NamedTuple
 
@@ -248,8 +247,7 @@ class ResistanceNetwork(_Incidence):
 # reduction steps and traces
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One reduction: the op and site that made it, the edges it removed and
     added, and the vertex it made, if any.  Applying it eliminates exactly
     the site vertices it leaves without edges."""
@@ -836,22 +834,18 @@ def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
     return _gauss_solve(rows, [rhs])[0][index[u]]
 
 
-@dataclass(frozen=True)
-class ResistanceMatrix:
+class ResistanceMatrix(NamedTuple):
     """Symmetric matrix of pairwise effective resistances."""
 
     order: tuple
-    values: tuple  # tuple of tuples of Rational, aligned with `order`
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.order)})
+    values: tuple     # tuple of tuples of Rational, aligned with `order`
+    positions: dict   # vertex -> its place in `order`
 
     def resistance(self, u, v) -> Rational:
-        return self.values[self._index[u]][self._index[v]]
+        return self.values[self.positions[u]][self.positions[v]]
 
     def row_sum(self, u) -> Rational:
-        return sum(self.values[self._index[u]], Rational(0))
+        return sum(self.values[self.positions[u]], Rational(0))
 
     def total(self) -> Rational:
         """Sum over unordered pairs (the Kirchhoff index)."""
@@ -880,7 +874,7 @@ def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
         w_i, d_i = w[vs[i]], diag[i]
         for j in range(i + 1, n):
             values[i][j] = values[j][i] = Rational(d_i + diag[j] - 2 * w_i[vs[j]], scale)
-    return ResistanceMatrix(vs, tuple(map(tuple, values)))
+    return ResistanceMatrix(vs, tuple(map(tuple, values)), {v: i for i, v in enumerate(vs)})
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ first mark with one solve at its second (`terminal_resistances`), which
 gives both sums and r_X(u, v).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .exact_arith import Rational, format_rational
+from .exact_arith import Rational, _fields_json
 from .resistance_engine import (
     ResistanceNetwork,
     kirchhoff_index,
@@ -29,10 +29,7 @@ class InvalidPairError(ValueError):
     """The two marked components do not form a valid S,T construction."""
 
 
-@dataclass(frozen=True)
-class STPair:
-    """Components A and B with their marked vertex pairs (a, l) and (b, k)."""
-
+class _STPairFields(NamedTuple):
     comp_a: ResistanceNetwork
     a: object
     l: object
@@ -40,20 +37,32 @@ class STPair:
     b: object
     k: object
 
-    def __post_init__(self):
-        if self.a == self.l:
+
+class STPair(_STPairFields):
+    """Components A and B with their marked vertex pairs (a, l) and (b, k).
+    Checked when made, and by `_make` and `_replace` through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, comp_a, a, l, comp_b, b, k):
+        if a == l:
             raise InvalidPairError("marked vertices a and l must differ")
-        if self.b == self.k:
+        if b == k:
             raise InvalidPairError("marked vertices b and k must differ")
-        for net, marks in ((self.comp_a, (self.a, self.l)), (self.comp_b, (self.b, self.k))):
+        for net, marks in ((comp_a, (a, l)), (comp_b, (b, k))):
             for v in marks:
                 if not net.has_vertex(v):
                     raise InvalidPairError(f"marked vertex {v!r} not in its component")
             if not net.is_connected():
                 raise InvalidPairError("components must be connected")
-        overlap = set(self.comp_a.vertices) & set(self.comp_b.vertices)
+        overlap = set(comp_a.vertices) & set(comp_b.vertices)
         if overlap:
             raise InvalidPairError(f"components share vertices {sorted(overlap, key=str)!r}")
+        return tuple.__new__(cls, (comp_a, a, l, comp_b, b, k))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def make_st_pair(pair: STPair):
@@ -79,8 +88,7 @@ def lemma4_delta(pair: STPair) -> Rational:
     return (sum_l - sum_a) * (sum_b - sum_k) / (r_al + r_bk + 2)
 
 
-@dataclass(frozen=True)
-class STCheck:
+class STCheck(NamedTuple):
     kf_s: Rational
     kf_t: Rational
     lhs: Rational   # Kf(S) - Kf(T) from the two Kirchhoff indices
@@ -88,13 +96,7 @@ class STCheck:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "kf_s": format_rational(self.kf_s),
-            "kf_t": format_rational(self.kf_t),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "pass": self.passed,
-        }
+        return _fields_json(self, passed="pass")
 
 
 def verify_lemma4(pair: STPair) -> STCheck:

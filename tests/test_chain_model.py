@@ -62,6 +62,16 @@ def test_code_validation():
         ChainCode(3, (0, 1))  # wrong length for n
 
 
+def test_code_checks_survive_the_namedtuple_builders():
+    with pytest.raises(ChainCodeError, match="entries must be 0, 1, or 2"):
+        helicene(5)._replace(w=(0, 3, 0))
+    with pytest.raises(ChainCodeError, match="needs 1 entries"):
+        ChainCode._make((3, ()))
+    code = ChainCode._make((3, [0]))
+    assert code == (3, (0,)) and type(code.w) is tuple
+    assert helicene(5)._replace(w=[2, 2, 2]).w == (2, 2, 2)
+
+
 def test_symmetry_orbit():
     code = ChainCode(5, (0, 2, 1))
     orbit = {c.word for c in code.orbit()}

@@ -7,7 +7,6 @@ and that sees ``PHENKF_MAX_CODES`` only when a test sets it.
 
 import argparse
 import ast
-import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -27,15 +26,19 @@ SRC = ROOT / "src"
 CAP_ENV = "PHENKF_MAX_CODES"
 
 
+def child_env(env=()):
+    """The caller's environment with SRC first on PYTHONPATH, the cap
+    variable dropped, and then ``env`` applied."""
+    out = dict(os.environ)
+    out.pop(CAP_ENV, None)
+    out["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), out.get("PYTHONPATH")]))
+    out.update(env)
+    return out
+
+
 def run_cli(*args, check=True, env=(), timeout=None):
-    """Run the CLI in the caller's environment with SRC first on PYTHONPATH,
-    the cap variable dropped, and then ``env`` applied."""
-    child_env = dict(os.environ)
-    child_env.pop(CAP_ENV, None)
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), child_env.get("PYTHONPATH")]))
-    child_env.update(env)
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env,
+    """Run the CLI in `child_env(env)`."""
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env(env),
                           timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -236,10 +239,8 @@ def _peak_rss_and_stdout(*args):
                 "rc = subprocess.run(sys.argv[1:]).returncode\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
                 "sys.exit(rc)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop(CAP_ENV, None)
-    proc = subprocess.run([sys.executable, "-c", launcher, *CLI, *args], capture_output=True, env=env,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-c", launcher, *CLI, *args], capture_output=True,
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stderr.splitlines()[-1]) * 1024, proc.stdout  # ru_maxrss is in KiB on Linux
 
@@ -253,6 +254,17 @@ def test_reduce_json_streams_its_output():
     assert json.loads(out)["code"] == {"n": 500, "w": "0" * 498}
     size = len(out)  # about 6.7 MB
     assert peak - base < 3 * size
+
+
+def test_extrema_csv_streams_its_lines():
+    # the csv lines are written in chunks as they are made: peak RSS rises
+    # over a trivial command's by about 1.3x the output (one int per code
+    # and one chunk), where joining the text first took about 4.5x
+    base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
+    peak, out = _peak_rss_and_stdout("extrema", "--n", "12", "--format", "csv", "--cap", "59049")
+    assert out.count(b"\n") == 59049 + 1
+    size = len(out)  # about 4.5 MB
+    assert peak - base < 2 * size
 
 
 def test_lemma4_refuses_components_past_its_bound():
@@ -407,8 +419,7 @@ def test_main_leaves_no_cyclic_garbage():
         "gc.disable()\n"
         "cli.main(argv)\n"
         "print('cyclic:', gc.collect())\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "cyclic: 0"
 
@@ -421,10 +432,21 @@ def test_import_factors_no_transfer_blocks():
         "from phenkf.extremal_search import _transfer_constants\n"
         "cli.build_parser()\n"
         "print('cached:', _transfer_constants.cache_info().currsize)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "cached: 0"
+
+
+def test_import_needs_no_dataclasses():
+    # every record type is a NamedTuple: importing the CLI and building its
+    # parser pulls in neither dataclasses nor the inspect module it imports
+    script = ("import sys\n"
+              "import phenkf.cli\n"
+              "phenkf.cli.build_parser()\n"
+              "print('loaded:', sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
 def test_benchmark_tracer_names_resolve():
@@ -469,10 +491,10 @@ def _fail_chosen(monkeypatch, target, fail_samples=(), fail_unit=False):
             idx = next(draws)
             if idx not in fail_samples:
                 return rep
-            rep = dataclasses.replace(rep, passed=False)
+            rep = rep._replace(passed=False)
             failed.append((idx, rep))
         elif fail_unit:
-            rep = dataclasses.replace(rep, passed=False)
+            rep = rep._replace(passed=False)
         return rep
 
     monkeypatch.setattr(cli, name, check)

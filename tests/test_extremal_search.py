@@ -1,6 +1,5 @@
 """Tests for the extremal enumeration and the verification routines."""
 
-import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -109,7 +108,7 @@ def test_transfer_engine_matches_factorization(n):
         report = kf_of_code(code)
         assert report.kf == factored[code]
         assert (report.vertex_count, report.edge_count) == (net.num_vertices, net.num_edges)
-    assert find_extrema(n).to_csv() == _factored_csv(n, factored)
+    assert "".join(find_extrema(n).csv_lines()) == _factored_csv(n, factored)
 
 
 @settings(max_examples=25, deadline=None)
@@ -235,7 +234,7 @@ def test_streamed_route_matches_per_code_kf(n):
     max_codes = tuple(code for code, kf in kfs.items() if kf == hi)
     table = find_extrema(n)
     assert len(table.reports) == table.count == len(kfs)
-    assert table.to_csv() == _factored_csv(n, kfs)
+    assert "".join(table.csv_lines()) == _factored_csv(n, kfs)
     assert table.as_dict()["reports"] == [KfReport(code, kf).as_dict() for code, kf in kfs.items()]
     for result in (table, extremes(n)):
         assert result.count == len(kfs)
@@ -280,7 +279,7 @@ def test_conjecture_keeps_nothing_per_code():
 
 
 def test_extrema_csv_shape():
-    csv = find_extrema(3).to_csv()
+    csv = "".join(find_extrema(3).csv_lines())
     lines = csv.strip().splitlines()
     assert lines[0] == "n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"
     assert len(lines) == 4
@@ -564,8 +563,8 @@ def test_step_certificate_agrees_with_whole_network_check(monkeypatch, n, seed):
         # one added weight off by one: both checks reject it
         for i, e in enumerate(step.added_edges):
             wrong = Edge(e.u, e.v, e.r + 1)
-            bad_step = dataclasses.replace(
-                step, added_edges=step.added_edges[:i] + (wrong,) + step.added_edges[i + 1:])
+            bad_step = step._replace(
+                added_edges=step.added_edges[:i] + (wrong,) + step.added_edges[i + 1:])
             edges = list(after.edges)
             edges.remove(e)
             bad_after = ResistanceNetwork(edges + [wrong], after.vertices)
@@ -586,7 +585,7 @@ def _tamper(monkeypatch, name, target, rewrite):
         scratch = ReductionTrace(before)
         step = real(scratch, *site, **kw)
         removed, added = edge_delta(before, rewrite(before, scratch.network()))
-        return trace.apply(dataclasses.replace(step, removed_edges=removed, added_edges=added))
+        return trace.apply(step._replace(removed_edges=removed, added_edges=added))
 
     monkeypatch.setattr(resistance_engine, name, tampered)
 

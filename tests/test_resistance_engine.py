@@ -1,6 +1,5 @@
 """Tests for networks, reduction steps, and the exact resistance solvers."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -277,7 +276,7 @@ def test_replay_mismatch_names_the_step(k):
     _, trace = simplify_chain_circuit(chain)
     step = trace.steps[k]
     e = step.added_edges[0]
-    wrong = dataclasses.replace(step, added_edges=(Edge(e.u, e.v, e.r + 1), *step.added_edges[1:]))
+    wrong = step._replace(added_edges=(Edge(e.u, e.v, e.r + 1), *step.added_edges[1:]))
     tampered = trace.steps[:k] + [wrong] + trace.steps[k + 1:]
     _forged(chain.network, tampered[:k]).replay(chain.network)
     with pytest.raises(NetworkError, match=f"replay refused step {k}: "):
@@ -326,7 +325,7 @@ def _drawn_steps(net, data):
             u, v, r = step.added_edges[i]
             added = list(step.added_edges)
             added[i] = Edge(u, v, r + data.draw(weights))
-            wrong = dataclasses.replace(step, added_edges=tuple(added))
+            wrong = step._replace(added_edges=tuple(added))
         out.append((step, survivors(step, before, after), wrong))
     return out
 
@@ -404,7 +403,7 @@ def test_step_certificate_cases():
     assert step_preserves_resistances(drop, {2})  # one survivor
     assert trace.replay(net) == trace.network()
     # dropping an edge between two survivors disconnects the added side
-    cut = dataclasses.replace(wye, added_edges=wye.added_edges[1:])
+    cut = wye._replace(added_edges=wye.added_edges[1:])
     assert not step_preserves_resistances(cut, {0, 1, 2})
     # a new vertex may not pass for a survivor: the removed side lacks it;
     # replay finds the survivors itself, and the same step twice removes
@@ -419,7 +418,7 @@ def test_step_certificate_cases():
     for step, kept in ((stray, {0, 2}), (ReductionStep("series", (5,), apart, apart), {0, 1, 2, 3})):
         assert not step_preserves_resistances(step, kept)
         assert not _dense_certificate(step, kept)
-    assert step_preserves_resistances(dataclasses.replace(stray, removed_edges=stray.removed_edges[:2]), {0, 2})
+    assert step_preserves_resistances(stray._replace(removed_edges=stray.removed_edges[:2]), {0, 2})
 
 
 def _replay_error(net, steps, k, reason):
@@ -434,8 +433,8 @@ def test_replay_refuses_an_absent_removed_edge():
     steps = trace.steps
     k = 3
     e = steps[k].removed_edges[0]
-    absent = dataclasses.replace(
-        steps[k], removed_edges=(Edge(e.u, e.v, e.r + 1), *steps[k].removed_edges[1:]))
+    absent = steps[k]._replace(
+        removed_edges=(Edge(e.u, e.v, e.r + 1), *steps[k].removed_edges[1:]))
     _replay_error(chain.network, steps[:k] + [absent] + steps[k + 1:], k, "is absent")
 
 
@@ -459,7 +458,7 @@ def test_replay_refuses_an_off_by_one_added_weight():
     series_reduce(trace, 3)
     for k, step in enumerate(trace):
         e = step.added_edges[-1]
-        wrong = dataclasses.replace(step, added_edges=(*step.added_edges[:-1], Edge(e.u, e.v, e.r + 1)))
+        wrong = step._replace(added_edges=(*step.added_edges[:-1], Edge(e.u, e.v, e.r + 1)))
         steps = list(trace.steps)
         steps[k] = wrong
         _replay_error(net, steps, k, "resistances among its survivors change")
@@ -480,7 +479,7 @@ def test_replay_refuses_a_reused_vertex_name():
     assert effective_resistance(net, 0, 3) == Fraction(40, 23)
     renamed = [Edge(e.u, 3, e.r) for e in wye.added_edges]
     assert effective_resistance(ResistanceNetwork(renamed), 0, 3) == Fraction(7, 23)
-    forged = dataclasses.replace(wye, added_edges=tuple(renamed), new_vertex=3)
+    forged = wye._replace(added_edges=tuple(renamed), new_vertex=3)
     _replay_error(net, [trace.steps[0], forged], 1, "new vertex 3 was used before")
     # the op refuses the name too, and leaves its trace as it was
     meshed = ReductionTrace(net)

@@ -75,6 +75,14 @@ def test_pair_validation():
         STPair(P, "a", "l", P, "a", "l")  # vertex sets must be disjoint
 
 
+def test_pair_checks_survive_the_namedtuple_builders(p3_pair):
+    with pytest.raises(InvalidPairError, match="components share vertices"):
+        p3_pair._replace(comp_b=p3_pair.comp_a, b="a", k="m")
+    with pytest.raises(InvalidPairError, match="must differ"):
+        STPair._make((*p3_pair[:3], p3_pair.comp_b, "b", "b"))
+    assert STPair._make(p3_pair) == p3_pair
+
+
 def test_random_connected_network_is_connected():
     rng = random.Random(5)
     for _ in range(20):
