@@ -67,6 +67,24 @@ def test_kf_with_sums_and_matrix():
     assert doc["matrix"]["r"][0][0] == "0"
 
 
+@pytest.mark.parametrize("code, sums, digest", [
+    ("n=1", False, "a6e0aa2c312c31c5cee4373abe9b49c51aa22f4b08d48a76cc10d4aa52933e84"),
+    ("n=1", True, "acfb0abc3ae596c97f24707eaaaed8cab7d6b3698a544639b72a689963aed9a8"),
+    ("n=2", False, "2695cda11caf08f7a558e2f184aa20d3c323f5799cbb07f3d10efa8ceb06b1d4"),
+    ("n=2", True, "d487cc44fdc0a19f4b998b43e643bcffdd28a89caf065f3baa92caf7d1e5d7a4"),
+    ("0" * 10, False, "a6f33b051ddbedeb1d2ae56ae42c4f2f7f7bbf6611aceb0f044a9d2626305c8d"),
+    ("0" * 10, True, "cb6ffc334273673e5af01a769d99a932689e10759d9ae68bf1141b854209715f"),
+    ("0120210201", False, "d337494cf364b1e6901fb314ba3aeffdcf35f6f8c57e44d6d712d433ee1622c5"),
+    ("0120210201", True, "437d48e0c00ea559958380aa61b2ca60b278ac9bb5412c0d1ebb045f9f8a5393"),
+], ids=["n1", "n1-sums", "n2", "n2-sums", "helicene12", "helicene12-sums", "mixed12",
+        "mixed12-sums"])
+def test_kf_matrix_matches_golden_digest(code, sums, digest):
+    # sha256 of the whole report: Kf, every per-vertex sum and every matrix
+    # entry, each written in lowest terms
+    proc = run_cli("kf", "--code", code, "--matrix", *(("--sums",) if sums else ()), "--format", "json")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_kf_approx_adds_decimal():
     proc = run_cli("kf", "--code", "n=1", "--approx")
     assert "17.5" in proc.stdout
