@@ -19,6 +19,7 @@ from .exact_arith import approx_text, format_rational, parse_rational
 from .extremal_search import (
     DEFAULT_CAP,
     DEFAULT_SEED,
+    KfReport,
     SearchCapExceeded,
     check_cap,
     check_lemma5,
@@ -43,9 +44,9 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: on a 2-vCPU host
-# plain kf takes about 3 s there and --sums about 8 s; --matrix about 1 s,
-# but its memory and output (about 62 MB and 22 MB at the bound) grow as
-# n^2
+# plain kf takes about 3 s there and --sums about 8 s; --sums --matrix
+# about 0.7 s, but its memory and output (about 43 MB and 22 MB at the
+# bound) grow as n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
@@ -140,13 +141,19 @@ def _cmd_kf(args) -> int:
                     ("kf --sums", MAX_SUMS_HEXAGONS) if args.sums else ("kf", MAX_KF_HEXAGONS))
     if code.n > limit:
         raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
-    report = kf_of_code(code, with_sums=args.sums)
+    if args.matrix:
+        # one factorization: Kf and the sums are read off the matrix
+        matrix = resistance_matrix(build_chain(code).network)
+        report = KfReport(code, matrix.total(),
+                          {v: matrix.row_sum(v) for v in matrix.order} if args.sums else None)
+    else:
+        report = kf_of_code(code, with_sums=args.sums)
     if args.format == "json":
         out = report.as_dict()
         if args.approx:
             out["kf_approx"] = approx_text(report.kf)
         if args.matrix:
-            out["matrix"] = resistance_matrix(build_chain(code).network).as_dict()
+            out["matrix"] = matrix.as_dict()
         _emit_json(out)
     elif args.format == "csv":
         header = "n,code,canonical,kf_num,kf_den,is_all_kink"
@@ -172,22 +179,20 @@ def _cmd_kf(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     check_cap(args.n, _resolve_cap(args))
-    codes = list(enumerate_words(args.n, canonical_only=args.canonical))
+    codes = enumerate_words(args.n, canonical_only=args.canonical)
     if args.format == "json":
+        words = [c.word for c in codes]
         _emit_json({
             "n": args.n,
             "canonical_only": args.canonical,
-            "count": len(codes),
-            "codes": [c.word for c in codes],
+            "count": len(words),
+            "codes": words,
         })
     elif args.format == "csv":
-        lines = ["n,code,canonical,is_all_kink"]
-        for c in codes:
-            lines.append(f"{args.n},{c.word},{c.canonical().word},{str(c.is_all_kink()).lower()}")
-        _emit("\n".join(lines))
+        _emit_pieces(itertools.chain(["n,code,canonical,is_all_kink\n"], (
+            f"{args.n},{c.word},{c.canonical().word},{str(c.is_all_kink()).lower()}\n" for c in codes)))
     else:
-        for c in codes:
-            _emit(str(c))
+        _emit_pieces(f"{c}\n" for c in codes)
     return 0
 
 
@@ -377,9 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--code", required=True, help='chain code: "020", "0,2,0", or "n=5 w=020"')
         p.add_argument("--n", type=int, help="hexagon count (needed for empty codes)")
 
+    def add_cap(p):
+        p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
+
     def add_search(p):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
+        add_cap(p)
         p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
 
     def add_sampling(p, samples):
@@ -397,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list codes for a hexagon count")
     p.add_argument("--n", type=int, required=True)
+    add_cap(p)
     p.add_argument("--canonical", action="store_true", help="one code per symmetry class")
     add_format(p)
     p.set_defaults(handler=_cmd_enumerate)

@@ -20,9 +20,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
   extended by zeros at the ground, and solves over vertex-keyed maps.
   Every reader is then the identity r(u, v) = (W_uu + W_vv - 2 W_uv) / s,
   one Rational per value returned: grounded resistances off the diagonal
-  of W, the resistance matrix off all of it; the Kirchhoff index and
-  per-vertex resistance sums add one solve against the all-ones vector,
-  and resistances to two terminals one solve against a unit vector.  It
+  of W; the Kirchhoff index and per-vertex resistance sums add one solve
+  against the all-ones vector, and resistances to two terminals one solve
+  against a unit vector.  The resistance matrix keeps the numerators
+  W_uu + W_vv - 2 W_uv of all of W over s, and its Kirchhoff index, row
+  sums and text are read off them, each with one division.  It
   alone checks its input for the empty network, a missing ground and
   disconnection.
 
@@ -49,6 +51,7 @@ factorization to; no verdict depends on it.
 
 import heapq
 from collections import Counter
+from math import gcd
 from operator import truediv
 from typing import NamedTuple
 
@@ -579,14 +582,16 @@ def _rcm_order(graph: dict) -> list:
     increasing degree (ties by vertex_key).  It starts from a far vertex:
     the last one reached by a first search from the least vertex.  On a
     chain that is an end of the chain and the order runs along it, so the
-    bandwidth stays a small constant.
+    bandwidth stays a small constant.  Each vertex's key (degree,
+    vertex_key) is made once per call.
     """
+    key = {v: (len(row), vertex_key(v)) for v, row in graph.items()}
+
     def bfs(start):
         order = [start]
         seen = {start}
         for v in order:
-            fresh = sorted((w for w in graph[v] if w not in seen),
-                           key=lambda w: (len(graph[w]), vertex_key(w)))
+            fresh = sorted((w for w in graph[v] if w not in seen), key=key.__getitem__)
             seen.update(fresh)
             order.extend(fresh)
         return order
@@ -835,46 +840,71 @@ def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
 
 
 class ResistanceMatrix(NamedTuple):
-    """Symmetric matrix of pairwise effective resistances."""
+    """Symmetric matrix of pairwise effective resistances, held as exact
+    numerators over one scale: r(u, v) = numerators[i][j] / scale at the
+    places i, j of u and v in `order`.
+
+    A factor with integer conductances gives integer numerators
+    W_uu + W_vv - 2 W_uv over its scale det K; a factor over the rationals
+    gives Rational numerators over scale 1.  Every reader divides once,
+    after summing numerators, and `values` makes the Rationals when read.
+    """
 
     order: tuple
-    values: tuple     # tuple of tuples of Rational, aligned with `order`
-    positions: dict   # vertex -> its place in `order`
+    numerators: tuple  # tuple of tuples, aligned with `order`; zero diagonal
+    scale: int
+    positions: dict    # vertex -> its place in `order`
+
+    @property
+    def values(self) -> tuple:
+        """Tuple of tuples of Rational, aligned with `order`."""
+        scale = self.scale
+        return tuple(tuple(Rational(x, scale) for x in row) for row in self.numerators)
 
     def resistance(self, u, v) -> Rational:
-        return self.values[self.positions[u]][self.positions[v]]
+        return Rational(self.numerators[self.positions[u]][self.positions[v]], self.scale)
 
     def row_sum(self, u) -> Rational:
-        return sum(self.values[self.positions[u]], Rational(0))
+        return Rational(sum(self.numerators[self.positions[u]]), self.scale)
 
     def total(self) -> Rational:
         """Sum over unordered pairs (the Kirchhoff index)."""
-        return sum((self.row_sum(u) for u in self.order), Rational(0)) / 2
+        return Rational(sum(map(sum, self.numerators)), 2 * self.scale)
 
     def as_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "r": [[format_rational(x) for x in row] for row in self.values],
-        }
+        """The order and every entry as text, each unordered pair formatted
+        once, in lowest terms by one gcd with the scale, and mirrored."""
+        n, scale = len(self.order), self.scale
+        rows = [["0"] * n for _ in range(n)]
+        for i, (row, out) in enumerate(zip(self.numerators, rows)):
+            for j in range(i + 1, n):
+                x = row[j]
+                if scale == 1:
+                    text = format_rational(x)
+                else:
+                    g = gcd(x, scale)
+                    text = f"{x // g}/{scale // g}" if g < scale else str(x // g)
+                out[j] = rows[j][i] = text
+        return {"order": list(self.order), "r": rows}
 
 
 def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     """All pairwise effective resistances from one factorization.
 
-    The full Takahashi recurrence gives every entry of Z = K^-1 (grounded,
-    extended by zeros at the ground); then r(u, v) = Z_uu + Z_vv - 2 Z_uv.
+    The full Takahashi recurrence gives every entry of W = scale Z for
+    Z = K^-1 (grounded, extended by zeros at the ground); the matrix holds
+    the numerators W_uu + W_vv - 2 W_uv over the factor's scale.
     """
     vs = net.vertices
     n = len(vs)
     factor = _GroundedFactor(net)
-    w, scale = factor.inverse(full=True), factor.scale
+    w = factor.inverse(full=True)
     diag = [w[v][v] for v in vs]
-    values = [[Rational(0)] * n for _ in range(n)]
-    for i in range(n):
-        w_i, d_i = w[vs[i]], diag[i]
+    rows = [[0] * n for _ in range(n)]
+    for i, (w_i, d_i, row_i) in enumerate(zip(map(w.__getitem__, vs), diag, rows)):
         for j in range(i + 1, n):
-            values[i][j] = values[j][i] = Rational(d_i + diag[j] - 2 * w_i[vs[j]], scale)
-    return ResistanceMatrix(vs, tuple(map(tuple, values)), {v: i for i, v in enumerate(vs)})
+            row_i[j] = rows[j][i] = d_i + diag[j] - 2 * w_i[vs[j]]
+    return ResistanceMatrix(vs, tuple(map(tuple, rows)), factor.scale, {v: i for i, v in enumerate(vs)})
 
 
 # ---------------------------------------------------------------------------

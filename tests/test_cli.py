@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import phenkf.cli as cli
+from phenkf import resistance_engine
 
 CLI = [sys.executable, "-m", "phenkf.cli"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +84,23 @@ def test_kf_matrix_matches_golden_digest(code, sums, digest):
     # entry, each written in lowest terms
     proc = run_cli("kf", "--code", code, "--matrix", *(("--sums",) if sums else ()), "--format", "json")
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags", [(), ("--sums",), ("--sums", "--approx")], ids=["matrix", "sums", "approx"])
+def test_kf_matrix_factors_the_chain_once(flags, monkeypatch, capsys):
+    # Kf and the sums are read off the matrix: the 72-vertex chain is
+    # factored once, and nothing else is
+    sizes = []
+    factor = resistance_engine._GroundedFactor.__init__
+
+    def counting(self, net, ground=None):
+        sizes.append(net.num_vertices)
+        factor(self, net, ground)
+
+    monkeypatch.setattr(resistance_engine._GroundedFactor, "__init__", counting)
+    assert cli.main(["kf", "--code", "0120210201", "--matrix", *flags, "--format", "json"]) == 0
+    assert sizes == [72]
+    assert len(json.loads(capsys.readouterr().out)["matrix"]["order"]) == 72
 
 
 def test_kf_approx_adds_decimal():
@@ -283,6 +301,27 @@ def test_extrema_csv_streams_its_lines():
     assert out.count(b"\n") == 59049 + 1
     size = len(out)  # about 4.5 MB
     assert peak - base < 2 * size
+
+
+@pytest.mark.parametrize("fmt, size", [("csv", 1829524), ("text", 1062882)])
+def test_enumerate_streams_its_lines(fmt, size):
+    # text and csv are written in chunks as the codes are made: peak RSS
+    # rises over a trivial command's by about half the output (one chunk),
+    # where listing every code and joining the text first took 10-12x
+    base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
+    peak, out = _peak_rss_and_stdout("enumerate", "--n", "12", "--cap", "59049", "--format", fmt)
+    assert len(out) == size and out.count(b"\n") == 59049 + (fmt == "csv")
+    assert peak - base < size
+
+
+def test_enumerate_cap_flag():
+    # --cap overrides the environment variable, either way
+    proc = run_cli("enumerate", "--n", "5", "--cap", "26", check=False, env={CAP_ENV: "27"})
+    assert proc.returncode == 2
+    assert "n=5 needs 27 codes but the cap is 26" in proc.stderr
+    assert proc.stdout == ""
+    proc = run_cli("enumerate", "--n", "5", "--cap", "27", env={CAP_ENV: "26"})
+    assert len(proc.stdout.splitlines()) == 27
 
 
 def test_lemma4_refuses_components_past_its_bound():
@@ -573,7 +612,7 @@ SAMPLES_SEED = {"--samples": (5, False), "--seed": (1729, False)}
 FLAG_VOCABULARY = {
     "kf": {**CODE_N, "--sums": (False, False), "--matrix": (False, False),
            "--approx": (False, False), **ALL_FORMATS},
-    "enumerate": {"--n": (None, True), "--canonical": (False, False), **ALL_FORMATS},
+    "enumerate": {"--n": (None, True), "--cap": (None, False), "--canonical": (False, False), **ALL_FORMATS},
     "extrema": {**N_CAP_JOBS, "--approx": (False, False), **ALL_FORMATS},
     "verify lemma4": {**SAMPLES_SEED, "--samples": (100, False), "--max-vertices": (8, False), **TEXT_JSON},
     "verify lemma5": {"--n": (None, True), **SAMPLES_SEED, **TEXT_JSON},
@@ -588,7 +627,8 @@ FLAG_VOCABULARY = {
 
 def test_flag_vocabulary():
     # every subcommand's option strings, defaults, required flags and formats:
-    # --cap/--jobs only on the exhaustive commands, --samples/--seed only on
+    # --cap on the commands that list every code, --jobs only on the
+    # exhaustive commands, --samples/--seed only on
     # the lemma targets, --max-vertices only on lemma4, --code with an
     # optional --n on kf, reduce and export-dot
     commands = {}

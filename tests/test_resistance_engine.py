@@ -11,6 +11,7 @@ from helpers import (after_op, edge_delta, networks, path_network, random_networ
                      unit_fractions, weights)
 from phenkf import resistance_engine
 from phenkf.chain_model import ChainCode, build_chain, build_terminal_chain, enumerate_words
+from phenkf.exact_arith import format_rational
 from phenkf.extremal_search import random_terminal_weights
 from phenkf.resistance_engine import (
     _GroundedFactor,
@@ -792,6 +793,41 @@ def test_readers_give_fractions_equal_to_the_oracle(weights, data):
     for i, p in enumerate(reduced.vertices):
         for q in reduced.vertices[i + 1:]:
             assert effective_resistance(reduced, p, q) == oracle[p, q]
+
+
+def _check_matrix_readers(net, oracle):
+    # the matrix reads Kf, the sums and the formatted entries off its own
+    # numerators and scale; each must equal the solvers' value and the dense
+    # oracle's, `oracle[u, v]` being r(u, v) for every ordered pair
+    m = resistance_matrix(net)
+    vs = net.vertices
+    assert m.total() == kirchhoff_index(net) == sum(oracle[u, v] for i, u in enumerate(vs) for v in vs[i + 1:])
+    assert ({v: m.row_sum(v) for v in vs} == resistance_sums(net)
+            == {u: sum(oracle[u, v] for v in vs) for u in vs})
+    assert m.as_dict() == {"order": list(vs), "r": [[format_rational(oracle[u, v]) for v in vs] for u in vs]}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_matrix_readers_match_the_dense_oracle_on_every_chain(n):
+    for code in enumerate_words(n):
+        net = build_chain(code).network
+        ground = net.vertices[0]
+        g = oracle_grounded_inverse(net, ground)
+        g[ground] = {}
+        _check_matrix_readers(net, {(u, v): g[u].get(u, 0) + g[v].get(v, 0) - 2 * g[u].get(v, 0)
+                                    for u in net.vertices for v in net.vertices})
+
+
+@pytest.mark.parametrize("weights", [unit_fractions, weights, st.one_of(unit_fractions, weights)],
+                         ids=["unit", "weighted", "mixed"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_matrix_readers_match_the_dense_oracle(weights, data):
+    # unit networks give an integral factor, the others mostly one over the
+    # rationals, whose numerators are Rationals over scale 1
+    net = data.draw(networks(weights=weights))
+    _check_matrix_readers(net, {(u, v): effective_resistance(net, u, v)
+                                for u in net.vertices for v in net.vertices})
 
 
 def test_integral_factor_refuses_a_corrupted_entry():
