@@ -20,13 +20,11 @@ resistances.  Two kinds of computation are kept deliberately separate:
   extended by zeros at the ground, and solves over vertex-keyed maps.
   Every reader is then the identity r(u, v) = (W_uu + W_vv - 2 W_uv) / s,
   one Rational per value returned: grounded resistances off the diagonal
-  of W; the Kirchhoff index and per-vertex resistance sums add one solve
-  against the all-ones vector, and resistances to two terminals one solve
-  against a unit vector.  The resistance matrix keeps the numerators
-  W_uu + W_vv - 2 W_uv of all of W over s, and its Kirchhoff index, row
-  sums and text are read off them, each with one division.  It
-  alone checks its input for the empty network, a missing ground and
-  disconnection.
+  of W, the resistance matrix off all of it (its sums add numerators
+  before they divide); the Kirchhoff index and per-vertex resistance sums
+  add one solve against the all-ones vector, and resistances to two
+  terminals one solve against a unit vector.  It alone checks its input
+  for the empty network, a missing ground and disconnection.
 
 The factorization has two representations, picked from the merged
 conductances alone.  When every one is an integer (unit chains, the unit
@@ -840,15 +838,11 @@ def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
 
 
 class ResistanceMatrix(NamedTuple):
-    """Symmetric matrix of pairwise effective resistances, held as exact
-    numerators over one scale: r(u, v) = numerators[i][j] / scale at the
-    places i, j of u and v in `order`.
-
-    A factor with integer conductances gives integer numerators
-    W_uu + W_vv - 2 W_uv over its scale det K; a factor over the rationals
-    gives Rational numerators over scale 1.  Every reader divides once,
-    after summing numerators, and `values` makes the Rationals when read.
-    """
+    """Symmetric matrix of pairwise effective resistances: r(u, v) is
+    numerators[i][j] / scale for the places i, j of u and v in `order`.
+    The numerators W_uu + W_vv - 2 W_uv are ints over det K from an
+    integral factor, Rationals over 1 otherwise; each reader divides once,
+    after summing them."""
 
     order: tuple
     numerators: tuple  # tuple of tuples, aligned with `order`; zero diagonal
@@ -872,8 +866,7 @@ class ResistanceMatrix(NamedTuple):
         return Rational(sum(map(sum, self.numerators)), 2 * self.scale)
 
     def as_dict(self) -> dict:
-        """The order and every entry as text, each unordered pair formatted
-        once, in lowest terms by one gcd with the scale, and mirrored."""
+        """Each unordered pair formatted once, by one gcd with the scale."""
         n, scale = len(self.order), self.scale
         rows = [["0"] * n for _ in range(n)]
         for i, (row, out) in enumerate(zip(self.numerators, rows)):
