@@ -15,7 +15,7 @@ import random
 import sys
 
 from .chain_model import ChainCode, build_chain, chain_to_dot, enumerate_words
-from .exact_arith import approx_text, format_rational, parse_rational
+from .exact_arith import _LazyList, approx_text, format_rational, parse_rational
 from .extremal_search import (
     DEFAULT_CAP,
     DEFAULT_SEED,
@@ -178,21 +178,22 @@ def _cmd_kf(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    check_cap(args.n, _resolve_cap(args))
-    codes = enumerate_words(args.n, canonical_only=args.canonical)
+    count = check_cap(args.n, _resolve_cap(args))
+    codes = functools.partial(enumerate_words, args.n, canonical_only=args.canonical)
     if args.format == "json":
-        words = [c.word for c in codes]
+        if args.canonical:
+            count = sum(1 for _ in codes())
         _emit_json({
             "n": args.n,
             "canonical_only": args.canonical,
-            "count": len(words),
-            "codes": words,
+            "count": count,
+            "codes": _LazyList(lambda: (c.word for c in codes()), count),
         })
     elif args.format == "csv":
         _emit_pieces(itertools.chain(["n,code,canonical,is_all_kink\n"], (
-            f"{args.n},{c.word},{c.canonical().word},{str(c.is_all_kink()).lower()}\n" for c in codes)))
+            f"{args.n},{c.word},{c.canonical().word},{str(c.is_all_kink()).lower()}\n" for c in codes())))
     else:
-        _emit_pieces(f"{c}\n" for c in codes)
+        _emit_pieces(f"{c}\n" for c in codes())
     return 0
 
 
@@ -346,7 +347,7 @@ def _cmd_reduce(args) -> int:
             "final_edges": [[e.u, e.v, format_rational(e.r)] for e in reduced.edges],
         }
         if args.trace:
-            out["trace"] = [s.as_dict() for s in trace]
+            out["trace"] = _LazyList(lambda: (s.as_dict() for s in trace), len(trace))
         _emit_json(out)
     else:
         if args.trace:

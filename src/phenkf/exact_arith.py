@@ -51,6 +51,23 @@ def _fields_json(record, **renamed) -> dict:
             for name, value in zip(record._fields, record)}
 
 
+class _LazyList(list):
+    """A json array of `length` items that `items()` makes afresh each time
+    it is iterated, so an encoder with indent writes them one by one and
+    nothing holds them all.  The list itself stays empty: only len() and
+    iteration see the items, so read it through list(...)."""
+
+    def __init__(self, items, length: int):
+        super().__init__()
+        self._items, self._length = items, length
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return self._length
+
+
 def _exact(numerator: int, denominator: int) -> int:
     """numerator / denominator, which must leave no remainder: the one checked
     division of the package's fraction-free integer arithmetic.  Raises

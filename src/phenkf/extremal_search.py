@@ -8,7 +8,7 @@ extremal claims are only meaningful when the enumeration is complete.
 """
 
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -21,7 +21,7 @@ from .chain_model import (
     helicene,
     linear,
 )
-from .exact_arith import Rational, _exact, _fields_json, format_rational
+from .exact_arith import Rational, _LazyList, _exact, _fields_json, format_rational
 from .resistance_engine import (
     NetworkError,
     ResistanceNetwork,
@@ -333,17 +333,26 @@ def _walk(start, levels: tuple, advance, finish):
 
 
 def _kf_numerators(n: int, cap: int) -> tuple:
-    """(S, numerators): the Kf of every code with n hexagons, in word
-    order, as integers over the one scale S they all share, which depends
-    on n alone.  The cap and n are checked before the walk starts; the
-    numerators are then made one at a time as the walk reaches them."""
-    check_cap(n, cap)
+    """(S, numerators): the Kf of the first (3^(n-2) + 1)/2 codes with n
+    hexagons in word order, up to the all-1 word, as integers over the one
+    scale S they all share, which depends on n alone.
+
+    The complement 2 - w (0 <-> 2) of a word is its chain's mirror image, so
+    Kf(w) = Kf(2 - w), and it sits at index 3^(n-2) - 1 - i of word order.
+    A word comes before the all-1 word exactly when its first letter other
+    than 1 is a 0, so these codes hold one of every mirror pair, and the
+    rest of word order has their Kf in reverse.  The cap, on every code, and
+    n are checked before the walk starts; the numerators are then made one
+    at a time as the walk reaches them, and the walk stops at the all-1 word.
+    """
+    count = check_cap(n, cap)
     helicene(n)  # ChainCodeError for n < 1
     start = _transfer_constants().start
     if n == 1:
         return _SCALE, iter((start[3],))
     levels = _levels(n)
-    return levels[1].scale, _walk(start, levels, _advance, lambda state, last: _kf(last, *state))
+    leaves = _walk(start, levels, _advance, lambda state, last: _kf(last, *state))
+    return levels[1].scale, islice(leaves, (count + 1) // 2)
 
 
 def _transfer_lemma6(n: int):
@@ -448,10 +457,16 @@ def _code_at(n: int, index: int) -> ChainCode:
 
 
 def _fold(n: int, scale: int, numerators) -> tuple:
-    """(count, min Kf, max Kf, min codes, max codes) of the numerators over
-    `scale` of every code with n hexagons, in word order, in one pass that
-    keeps only the extreme numerators and the indices that reach them.
-    Codes and fractions are made for those indices alone."""
+    """(count, min Kf, max Kf, min codes, max codes) over every code with n
+    hexagons, from the numerators over `scale` of the first half of word
+    order that `_kf_numerators` makes, in one pass that keeps only the
+    extreme numerators and the indices that reach them.
+
+    The half ends at the all-1 word, index mid, which is its own mirror;
+    code mid + j has the Kf of code mid - j (Kf(w) = Kf(2 - w)).  So each
+    class is its indices in the half followed by their mirrors 2 mid - i,
+    the middle counted once, and the count is 2 mid + 1.  Codes and
+    fractions are made for those indices alone."""
     numerators = iter(numerators)
     lo = hi = next(numerators)
     lo_at, hi_at = [0], [0]
@@ -465,8 +480,12 @@ def _fold(n: int, scale: int, numerators) -> tuple:
             if k > hi:
                 hi, hi_at = k, []
             hi_at.append(i)
-    return (i + 1, Rational(lo, scale), Rational(hi, scale),
-            tuple(_code_at(n, at) for at in lo_at), tuple(_code_at(n, at) for at in hi_at))
+    mid = i
+
+    def codes(at):
+        return tuple(_code_at(n, j) for j in at + [2 * mid - j for j in reversed(at) if j != mid])
+
+    return 2 * mid + 1, Rational(lo, scale), Rational(hi, scale), codes(lo_at), codes(hi_at)
 
 
 class Extremes(NamedTuple):
@@ -486,7 +505,9 @@ def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
 
     Every code's Kf is an integer over the same S (`_kf_numerators`), so the
     classes are decided on the integers as the walk makes them, in O(n)
-    memory: nothing is kept per code.
+    memory: nothing is kept per code.  The walk covers the codes up to the
+    all-1 word, one of every mirror pair, and the verdict rests on the
+    mirror identity Kf(w) = Kf(2 - w) for the rest (`_fold`).
     """
     return Extremes(n, *_fold(n, *_kf_numerators(n, cap)))
 
@@ -510,6 +531,7 @@ class ExtremaTable(NamedTuple):
         return _Rows(self)
 
     def as_dict(self) -> dict:
+        """The json listing; its reports are made as they are read."""
         return {
             "n": self.n,
             "count": self.count,
@@ -517,8 +539,9 @@ class ExtremaTable(NamedTuple):
             "max_kf": format_rational(self.max_kf),
             "min_class": [c.word for c in self.min_codes],
             "max_class": [c.word for c in self.max_codes],
-            "reports": [_report_dict(self.n, word, canonical, num, den)
-                        for word, canonical, num, den, _, _ in self.reports],
+            "reports": _LazyList(lambda: (_report_dict(self.n, word, canonical, num, den)
+                                          for word, canonical, num, den, _, _ in self.reports),
+                                 self.count),
         }
 
     def csv_lines(self):
@@ -578,12 +601,14 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     """`extremes` with every code's Kf kept, one integer per code, for a
     listing of every code.
 
-    The transfer engine walks the code trie once, so codes sharing a prefix
-    share its updates.
+    The transfer engine walks the code trie once, up to the all-1 word, so
+    codes sharing a prefix share its updates.  Code i past that word takes
+    the numerator of its mirror, code 3^(n-2) - 1 - i (Kf(w) = Kf(2 - w),
+    `_kf_numerators`).
     """
-    scale, numerators = _kf_numerators(n, cap)
-    numerators = tuple(numerators)
-    return ExtremaTable(n, *_fold(n, scale, numerators), scale, numerators)
+    scale, half = _kf_numerators(n, cap)
+    half = tuple(half)
+    return ExtremaTable(n, *_fold(n, scale, half), scale, half + half[-2::-1])
 
 
 # ---------------------------------------------------------------------------

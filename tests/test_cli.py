@@ -160,8 +160,9 @@ def test_enumerating_commands_refused_by_cap(args):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("args", [("extrema",), ("verify", "theorem1"), ("verify", "conjecture")],
-                         ids=["extrema", "theorem1", "conjecture"])
+@pytest.mark.parametrize("args", [("extrema",), ("verify", "theorem1"), ("verify", "conjecture"),
+                                  ("enumerate", "--format", "json")],
+                         ids=["extrema", "theorem1", "conjecture", "enumerate-json"])
 @pytest.mark.parametrize("n", [0, -1])
 def test_exhaustive_commands_refuse_fewer_than_one_hexagon(args, n):
     # a usage error, not a failing verdict (exit 1) or a traceback
@@ -282,14 +283,30 @@ def _peak_rss_and_stdout(*args):
 
 
 def test_reduce_json_streams_its_output():
-    # the JSON text is written as it is encoded, never held whole: peak RSS
-    # rises over a trivial command's by about 2x the output (steps' dicts),
-    # where building the text first took about 5x
+    # the JSON text is written as it is encoded, and each step's dict is made
+    # as the encoder reaches it: peak RSS rises over a trivial command's by
+    # about 0.9x the output (the trace itself), where holding every step's
+    # dict took about 2x and building the text first about 5x
     base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
     peak, out = _peak_rss_and_stdout("reduce", "--code", "0" * 498, "--trace", "--format", "json")
     assert json.loads(out)["code"] == {"n": 500, "w": "0" * 498}
     size = len(out)  # about 6.7 MB
-    assert peak - base < 3 * size
+    assert peak - base < 1.5 * size
+
+
+@pytest.mark.parametrize("args, count", [
+    (("extrema", "--n", "12", "--cap", "59049"), 59049),
+    (("enumerate", "--n", "13", "--cap", "177147"), 177147),
+], ids=["extrema", "enumerate"])
+def test_json_listings_stream_their_items(args, count):
+    # each report or word is made as the encoder reaches it: peak RSS rises
+    # over a trivial command's by well under half the output (one int per
+    # code for extrema), where building the list first took 2.5-4x
+    base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
+    peak, out = _peak_rss_and_stdout(*args, "--format", "json")
+    doc = json.loads(out)
+    assert doc["count"] == len(doc["reports" if args[0] == "extrema" else "codes"]) == count
+    assert peak - base < len(out) / 2
 
 
 def test_extrema_csv_streams_its_lines():
@@ -312,6 +329,14 @@ def test_enumerate_streams_its_lines(fmt, size):
     peak, out = _peak_rss_and_stdout("enumerate", "--n", "12", "--cap", "59049", "--format", fmt)
     assert len(out) == size and out.count(b"\n") == 59049 + (fmt == "csv")
     assert peak - base < size
+
+
+def test_enumerate_canonical_json_counts_its_words():
+    # the count is taken in a pass of its own, before the words are written
+    doc = json.loads(run_cli("enumerate", "--n", "6", "--canonical", "--format", "json").stdout)
+    lines = run_cli("enumerate", "--n", "6", "--canonical").stdout.splitlines()
+    assert doc["count"] == len(doc["codes"]) == 25
+    assert ["n=6 w=" + w for w in doc["codes"]] == lines
 
 
 def test_enumerate_cap_flag():

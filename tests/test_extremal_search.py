@@ -22,12 +22,17 @@ from phenkf.extremal_search import (
     KfReport,
     SearchCapExceeded,
     _TREES,
+    _advance,
     _at,
     _block,
     _canonical_word,
+    _code_at,
     _fold,
+    _kf,
+    _levels,
     _scales,
     _transfer_constants,
+    _walk,
     check_cap,
     check_lemma5,
     check_lemma6,
@@ -235,7 +240,7 @@ def test_streamed_route_matches_per_code_kf(n):
     table = find_extrema(n)
     assert len(table.reports) == table.count == len(kfs)
     assert "".join(table.csv_lines()) == _factored_csv(n, kfs)
-    assert table.as_dict()["reports"] == [KfReport(code, kf).as_dict() for code, kf in kfs.items()]
+    assert list(table.as_dict()["reports"]) == [KfReport(code, kf).as_dict() for code, kf in kfs.items()]
     for result in (table, extremes(n)):
         assert result.count == len(kfs)
         assert (result.min_kf, result.max_kf) == (lo, hi)
@@ -249,13 +254,100 @@ def test_streamed_route_matches_per_code_kf(n):
 
 
 def test_fold_keeps_every_code_that_reaches_an_extreme():
-    # ties at both ends, the first numerator among them; on chains both
-    # classes are mirror pairs or palindromes, which would hide a reversed
-    # word or a dropped tie
-    count, lo, hi, min_codes, max_codes = _fold(4, 2, [3, 1, 3, 1, 2, 3, 1, 2, 3])
+    # the half of word order up to the all-1 word, index 4 of 9: ties at
+    # both ends, the first numerator among them, each index and its mirror
+    # 8 - i in word order; on chains both classes are mirror pairs or
+    # palindromes, which would hide a reversed word or a dropped tie
+    count, lo, hi, min_codes, max_codes = _fold(4, 2, [3, 1, 3, 1, 2])
     assert (count, lo, hi) == (9, Fraction(1, 2), Fraction(3, 2))
-    assert [c.word for c in min_codes] == ["01", "10", "20"]
-    assert [c.word for c in max_codes] == ["00", "02", "12", "22"]
+    assert [c.word for c in min_codes] == ["01", "10", "12", "21"]
+    assert [c.word for c in max_codes] == ["00", "02", "20", "22"]
+
+
+@pytest.mark.parametrize("half, lows, highs", [
+    ([2, 1, 2, 1, 1], ["01", "10", "11", "12", "21"], ["00", "02", "20", "22"]),
+    ([2, 1, 2, 1, 2], ["01", "10", "12", "21"], ["00", "02", "11", "20", "22"]),
+    ([1, 1, 1, 1, 1], ["00", "01", "02", "10", "11", "12", "20", "21", "22"],
+     ["00", "01", "02", "10", "11", "12", "20", "21", "22"]),
+])
+def test_fold_counts_the_middle_code_once(half, lows, highs):
+    # the all-1 word is its own mirror: a tie there must list it once, and
+    # the count must be 3^(n-2), not twice the half
+    count, _, _, min_codes, max_codes = _fold(4, 1, half)
+    assert count == 9
+    assert ([c.word for c in min_codes], [c.word for c in max_codes]) == (lows, highs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fold_of_one_code(n):
+    count, lo, hi, min_codes, max_codes = _fold(n, 3, [6])
+    assert (count, lo, hi) == (1, 2, 2)
+    assert min_codes == max_codes == (ChainCode(n, ()),)
+
+
+def _full_walk(n):
+    """The Kf numerator of every code with n hexagons in word order, from
+    the whole transfer walk: both members of every mirror pair."""
+    start = _transfer_constants().start
+    if n == 1:
+        return [start[3]]
+    return list(_walk(start, _levels(n), _advance, lambda state, last: _kf(last, *state)))
+
+
+def _reference_fold(n, numerators):
+    """(count, min numerator, max numerator, min codes, max codes) by
+    scanning every numerator."""
+    lo, hi = min(numerators), max(numerators)
+    return (len(numerators), lo, hi,
+            tuple(_code_at(n, i) for i, k in enumerate(numerators) if k == lo),
+            tuple(_code_at(n, i) for i, k in enumerate(numerators) if k == hi))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_half_walk_matches_the_full_walk(n):
+    # the verdicts and listings read the second half of word order off the
+    # first by Kf(w) = Kf(2 - w); the full walk must agree everywhere
+    full = _full_walk(n)
+    last = len(full) - 1
+    assert len(full) == 3 ** max(n - 2, 0)
+    assert all(full[i] == full[last - i] for i in range(len(full)))
+    table = find_extrema(n, cap=len(full))
+    assert len(table.numerators) == len(full)
+    assert [i for i, k in enumerate(full) if table.numerators[i] != k] == []
+    count, lo, hi, min_codes, max_codes = _reference_fold(n, full)
+    result = extremes(n, cap=len(full))
+    assert (result.count, result.min_codes, result.max_codes) == (count, min_codes, max_codes)
+    assert (result.min_kf, result.max_kf) == (Fraction(lo, table.scale), Fraction(hi, table.scale))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_mirrored_rows_match_per_code_kf(n):
+    # rows past the all-1 word take their mirror's numerator; check a seeded
+    # sample of them against the engine run on the row's own code
+    table = find_extrema(n, cap=3 ** (n - 2))
+    rows = list(table.reports)
+    for i in random.Random(n).sample(range(table.count // 2 + 1, table.count), 20):
+        code = _code_at(n, i)
+        word, _, num, den, _, _ = rows[i]
+        assert word == code.word
+        assert Fraction(num, den) == Fraction(table.numerators[i], table.scale) == kf_of_code(code).kf
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 9])
+def test_verdict_walks_half_of_the_codes(monkeypatch, n):
+    # the walk stops at the all-1 word: (3^(n-2) + 1)/2 leaves, where the
+    # full walk finishes all 3^(n-2)
+    walk, finished = extremal_search._walk, []
+
+    def counting(start, levels, advance, finish):
+        def counted(state, last):
+            finished.append(None)
+            return finish(state, last)
+        return walk(start, levels, advance, counted)
+
+    monkeypatch.setattr(extremal_search, "_walk", counting)
+    assert verify_conjecture(n).passed
+    assert len(finished) == (3 ** (n - 2) + 1) // 2
 
 
 def test_canonical_word_matches_canonical_code():
