@@ -66,10 +66,10 @@ MAX_LEMMA5_HEXAGONS = 225
 # bound: 1000 samples there would take about 40 minutes
 MAX_SAMPLES = 1000
 # reduce --trace --format json prints every step's edges, whose rationals
-# grow with n, so its output grows as n^2: 24 MB at this bound, in about 4 s
-# and 58 MB peak RSS (the JSON text is streamed; the steps' dicts are held).
-# Text takes under 1 s here, json without --trace 3 s, most of it the Kf
-# (2-vCPU host)
+# grow with n, so its output grows as n^2: 24 MB at this bound, in about
+# 1.5 s and 30 MB peak RSS (each step's dict and its JSON text are made as
+# they are written; the trace is held).  Text and json without --trace
+# take under 1 s here (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 1000
 # pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory

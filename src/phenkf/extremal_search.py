@@ -333,18 +333,15 @@ def _walk(start, levels: tuple, advance, finish):
 
 
 def _kf_numerators(n: int, cap: int) -> tuple:
-    """(S, numerators): the Kf of the first (3^(n-2) + 1)/2 codes with n
-    hexagons in word order, up to the all-1 word, as integers over the one
-    scale S they all share, which depends on n alone.
-
-    The complement 2 - w (0 <-> 2) of a word is its chain's mirror image, so
-    Kf(w) = Kf(2 - w), and it sits at index 3^(n-2) - 1 - i of word order.
-    A word comes before the all-1 word exactly when its first letter other
-    than 1 is a 0, so these codes hold one of every mirror pair, and the
-    rest of word order has their Kf in reverse.  The cap, on every code, and
-    n are checked before the walk starts; the numerators are then made one
-    at a time as the walk reaches them, and the walk stops at the all-1 word.
-    """
+    """(S, numerators): the Kf of the codes with n hexagons in word order
+    up to the all-1 word, the first (3^(n-2) + 1)/2, as integers over the
+    one scale S they all share, which depends on n alone.  A word's
+    complement 2 - w (0 <-> 2), at index 3^(n-2) - 1 - i, is its chain's
+    mirror image, so Kf(w) = Kf(2 - w); a word comes before the all-1 word
+    exactly when its first letter other than 1 is a 0, so these codes hold
+    one of every mirror pair.  The cap, on every code, and n are checked
+    before the walk starts; the numerators are then made one at a time as
+    the walk reaches them."""
     count = check_cap(n, cap)
     helicene(n)  # ChainCodeError for n < 1
     start = _transfer_constants().start
@@ -458,15 +455,12 @@ def _code_at(n: int, index: int) -> ChainCode:
 
 def _fold(n: int, scale: int, numerators) -> tuple:
     """(count, min Kf, max Kf, min codes, max codes) over every code with n
-    hexagons, from the numerators over `scale` of the first half of word
-    order that `_kf_numerators` makes, in one pass that keeps only the
-    extreme numerators and the indices that reach them.
-
-    The half ends at the all-1 word, index mid, which is its own mirror;
-    code mid + j has the Kf of code mid - j (Kf(w) = Kf(2 - w)).  So each
-    class is its indices in the half followed by their mirrors 2 mid - i,
-    the middle counted once, and the count is 2 mid + 1.  Codes and
-    fractions are made for those indices alone."""
+    hexagons, from the numerators over `scale` of `_kf_numerators`' half of
+    word order, in one pass that keeps only the extreme numerators and the
+    indices that reach them.  The half ends at the all-1 word, index mid,
+    its own mirror, and code mid + j has the Kf of code mid - j, so each
+    class is its indices followed by their mirrors 2 mid - i, the middle
+    once.  Codes and fractions are made for those indices alone."""
     numerators = iter(numerators)
     lo = hi = next(numerators)
     lo_at, hi_at = [0], [0]
@@ -505,9 +499,8 @@ def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
 
     Every code's Kf is an integer over the same S (`_kf_numerators`), so the
     classes are decided on the integers as the walk makes them, in O(n)
-    memory: nothing is kept per code.  The walk covers the codes up to the
-    all-1 word, one of every mirror pair, and the verdict rests on the
-    mirror identity Kf(w) = Kf(2 - w) for the rest (`_fold`).
+    memory: nothing is kept per code.  The walk meets one code of every
+    mirror pair, and the verdict rests on Kf(w) = Kf(2 - w) (`_fold`).
     """
     return Extremes(n, *_fold(n, *_kf_numerators(n, cap)))
 
@@ -602,9 +595,8 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     listing of every code.
 
     The transfer engine walks the code trie once, up to the all-1 word, so
-    codes sharing a prefix share its updates.  Code i past that word takes
-    the numerator of its mirror, code 3^(n-2) - 1 - i (Kf(w) = Kf(2 - w),
-    `_kf_numerators`).
+    codes sharing a prefix share its updates; code i past that word takes
+    its mirror's numerator, at 3^(n-2) - 1 - i (`_kf_numerators`).
     """
     scale, half = _kf_numerators(n, cap)
     half = tuple(half)
