@@ -457,10 +457,10 @@ def _fold(n: int, scale: int, numerators) -> tuple:
     """(count, min Kf, max Kf, min codes, max codes) over every code with n
     hexagons, from the numerators over `scale` of `_kf_numerators`' half of
     word order, in one pass that keeps only the extreme numerators and the
-    indices that reach them.  The half ends at the all-1 word, index mid,
-    its own mirror, and code mid + j has the Kf of code mid - j, so each
-    class is its indices followed by their mirrors 2 mid - i, the middle
-    once.  Codes and fractions are made for those indices alone."""
+    indices that reach them.  The half ends at the all-1 word, index i, its
+    own mirror, and code i + d has the Kf of code i - d, so each class is
+    its indices followed by their mirrors 2 i - j, the middle once.  Codes
+    and fractions are made for those indices alone."""
     numerators = iter(numerators)
     lo = hi = next(numerators)
     lo_at, hi_at = [0], [0]
@@ -474,12 +474,10 @@ def _fold(n: int, scale: int, numerators) -> tuple:
             if k > hi:
                 hi, hi_at = k, []
             hi_at.append(i)
-    mid = i
-
-    def codes(at):
-        return tuple(_code_at(n, j) for j in at + [2 * mid - j for j in reversed(at) if j != mid])
-
-    return 2 * mid + 1, Rational(lo, scale), Rational(hi, scale), codes(lo_at), codes(hi_at)
+    for at in lo_at, hi_at:
+        at += [2 * i - j for j in reversed(at) if j != i]
+    return (2 * i + 1, Rational(lo, scale), Rational(hi, scale),
+            tuple(_code_at(n, at) for at in lo_at), tuple(_code_at(n, at) for at in hi_at))
 
 
 class Extremes(NamedTuple):
