@@ -5,7 +5,8 @@ w in {0,1,2}^(n-2), one entry per interior hexagon: the entry says how many
 of the hexagon's two extra vertices sit on its top side (the rest go on the
 bottom).  Both terminal hexagons carry their extra vertices on the bottom.
 Entry 1 makes the chain continue straight at that hexagon; entries 0 and 2
-are the two mirror-image kinks.
+are the two mirror-image kinks.  `orbit_words` lists the words of the
+congruent chains; every symmetry class here is read off it.
 
 Vertex layout: the underlying ladder has columns 0..2n-1 with top vertex 2j
 and bottom vertex 2j+1 in column j; extra cycle vertices are appended after
@@ -110,20 +111,15 @@ class ChainCode(_ChainCodeFields):
         return f"n={self.n} w={self.word}" if self.w else f"n={self.n}"
 
     def orbit(self) -> tuple:
-        """The symmetry class: reversal and mirror give congruent chains."""
-        images = {self.w, self.w[::-1]}
-        images.add(tuple(2 - e for e in self.w))
-        images.add(tuple(2 - e for e in self.w[::-1]))
-        return tuple(ChainCode(self.n, w) for w in sorted(images))
+        """The symmetry class (`orbit_words`), each code once, in word order."""
+        return tuple(ChainCode(self.n, map(int, w)) for w in sorted(set(orbit_words(self.word))))
 
     def canonical(self) -> "ChainCode":
         """The least code of the orbit."""
-        w = self.w
-        flip = tuple(2 - e for e in w)
-        return ChainCode(self.n, min(w, w[::-1], flip, flip[::-1]))
+        return ChainCode(self.n, map(int, canonical_word(self.word)))
 
     def is_canonical(self) -> bool:
-        return self.w == self.canonical().w
+        return self.word == canonical_word(self.word)
 
     def is_all_kink(self) -> bool:
         """True when no interior hexagon continues straight (no entry is 1)."""
@@ -134,6 +130,21 @@ class ChainCode(_ChainCodeFields):
         if self.n == 1:
             return (0,)
         return (0, *self.w, 0)
+
+
+_FLIP = str.maketrans("02", "20")
+
+
+def orbit_words(word: str) -> tuple:
+    """The words of the chains congruent to `word`'s, with repeats: itself,
+    its reverse, its 0-2 flip (the mirror image) and the flip's reverse."""
+    flip = word.translate(_FLIP)
+    return word, word[::-1], flip, flip[::-1]
+
+
+def canonical_word(word: str) -> str:
+    """The least word of `word`'s orbit."""
+    return min(orbit_words(word))
 
 
 def helicene(n: int) -> ChainCode:

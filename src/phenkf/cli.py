@@ -71,6 +71,9 @@ MAX_SAMPLES = 1000
 # they are written; the trace is held).  Text and json without --trace
 # take under 1 s here (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 1000
+# export-dot holds the chain and its DOT text, about 10 KB a hexagon: 1.3 s, 99 MB
+# peak RSS and 5 MB of output at this bound, 2.6 s and 181 MB at 20 000 (2-vCPU host)
+MAX_DOT_HEXAGONS = 10000
 # pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory
 PIECES_PER_WRITE = 8192
@@ -359,6 +362,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     code = _parse_code(args)
+    if code.n > MAX_DOT_HEXAGONS:
+        raise ValueError(f"export-dot takes at most {MAX_DOT_HEXAGONS} hexagons, got n={code.n}")
     _emit(chain_to_dot(build_chain(code), name=f"chain_{code.n}_{code.word or 'empty'}"))
     return 0
 

@@ -52,10 +52,10 @@ def _fields_json(record, **renamed) -> dict:
 
 
 class _LazyList(list):
-    """A json array of `length` items that `items()` makes afresh each time
-    it is iterated, so an encoder with indent writes them one by one and
-    nothing holds them all.  The list itself stays empty: only len() and
-    iteration see the items, so read it through list(...)."""
+    """A sized sequence of `length` items that `items()` makes afresh each
+    time it is iterated, so a json encoder with indent writes them one by
+    one and nothing holds them all.  The list itself stays empty: only len()
+    and iteration see the items, so read it through list(...)."""
 
     def __init__(self, items, length: int):
         super().__init__()
@@ -78,6 +78,6 @@ def _exact(numerator: int, denominator: int) -> int:
     return quotient
 
 
-def approx_text(q, digits: int = 12) -> str:
-    """Float rendering for display only; never used in comparisons."""
-    return format(float(Rational(q)), f".{digits}g")
+def approx_text(q) -> str:
+    """Float rendering to 12 digits, for display only; never in comparisons."""
+    return format(float(Rational(q)), ".12g")

@@ -17,12 +17,14 @@ from .chain_model import (
     LabeledChain,
     build_chain,
     build_terminal_chain,
+    canonical_word,
     enumerate_words,
     helicene,
     linear,
 )
 from .exact_arith import Rational, _LazyList, _exact, _fields_json, format_rational
 from .resistance_engine import (
+    Edge,
     NetworkError,
     ResistanceNetwork,
     grounded_resistances,
@@ -44,10 +46,6 @@ class SearchCapExceeded(RuntimeError):
 
 class LabelingError(ValueError):
     """A chain's recorded cell structure does not match its edges."""
-
-
-def _code_json(code: ChainCode) -> dict:
-    return {"n": code.n, "w": code.word}
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +435,6 @@ def kf_of_code(code: ChainCode, with_sums=False) -> KfReport:
     return KfReport(code, kirchhoff_index(net), resistance_sums(net))
 
 
-_FLIP = str.maketrans("02", "20")
-
-
-def _canonical_word(word: str) -> str:
-    """The least word of `word`'s orbit (`ChainCode.canonical`), on the
-    word itself: its reverse, its 0-2 flip and the flip's reverse."""
-    flip = word.translate(_FLIP)
-    return min(word, word[::-1], flip, flip[::-1])
-
-
 def _code_at(n: int, index: int) -> ChainCode:
     """The code with n hexagons at `index` in word order: its letters are
     the base-3 digits of `index`."""
@@ -517,9 +505,21 @@ class ExtremaTable(NamedTuple):
     numerators: tuple
 
     @property
-    def reports(self) -> "_Rows":
-        """The codes' rows, made when read; len() is the code count."""
-        return _Rows(self)
+    def reports(self) -> _LazyList:
+        """The codes' rows (`_rows`), made when read; len() is the code count."""
+        return _LazyList(self._rows, self.count)
+
+    def _rows(self):
+        """Yield the codes in word order as rows (word, canonical word,
+        reduced Kf numerator and denominator, is min, is max), each made
+        from its word and numerator: one gcd with the scale, no code and no
+        fraction."""
+        scale = self.scale
+        lo, hi = int(self.min_kf * scale), int(self.max_kf * scale)
+        for letters, k in zip(product("012", repeat=max(self.n - 2, 0)), self.numerators):
+            word = "".join(letters)
+            g = gcd(k, scale)
+            yield word, canonical_word(word), k // g, scale // g, k == lo, k == hi
 
     def as_dict(self) -> dict:
         """The json listing; its reports are made as they are read."""
@@ -542,30 +542,6 @@ class ExtremaTable(NamedTuple):
         for word, canonical, num, den, is_min, is_max in self.reports:
             yield (f"{self.n},{word},{canonical},{num},{den},{flags['1' not in word]},"
                    f"{flags[is_min]},{flags[is_max]}\n")
-
-
-class _Rows:
-    """An ExtremaTable's codes in word order as rows (word, canonical word,
-    reduced Kf numerator and denominator, is min, is max), each made from
-    its word and numerator when read: one gcd with the scale, no code and
-    no fraction."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: ExtremaTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.count
-
-    def __iter__(self):
-        table = self._table
-        scale = table.scale
-        lo, hi = int(table.min_kf * scale), int(table.max_kf * scale)
-        for letters, k in zip(product("012", repeat=max(table.n - 2, 0)), table.numerators):
-            word = "".join(letters)
-            g = gcd(k, scale)
-            yield word, _canonical_word(word), k // g, scale // g, k == lo, k == hi
 
 
 def check_cap(n: int, cap: int):
@@ -801,7 +777,7 @@ class Lemma6Instance(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "code": _code_json(self.code),
+            "code": {"n": self.code.n, "w": self.code.word},
             "checked": [
                 {"u": str(u), "r_u_x": format_rational(rx), "r_u_y": format_rational(ry)}
                 for u, rx, ry in self.resistances
@@ -899,12 +875,12 @@ def weighted_hexagon_check(r) -> HexagonReport:
     and unit edges elsewhere, the sums over all vertices y satisfy
     sum r(y, a) = (11r + 24)/(r + 5) and sum r(y, l) = (9r + 26)/(r + 5),
     so their difference is (2r - 2)/(r + 5): negative exactly when r < 1.
+    r is checked as an `Edge`'s is: a float or r <= 0 raises InvalidNetworkError.
     """
-    r = Rational(r)
-    if r <= 0:
-        raise ValueError("need r > 0")
     b, a, l, q, p, k = "b", "a", "l", "q", "p", "k"
-    net = ResistanceNetwork([(b, a), (a, l), (l, q), (q, p), (p, k), (k, b, r)])
+    weighted = Edge(k, b, r)
+    r = weighted.r
+    net = ResistanceNetwork([(b, a), (a, l), (l, q), (q, p), (p, k), weighted])
     sums = resistance_sums(net)
     sum_a, sum_l = sums[a], sums[l]
     difference = sum_a - sum_l

@@ -284,14 +284,11 @@ class ReductionTrace(_Incidence):
     Each vertex keeps its incident edges, read as a `ResistanceNetwork`'s
     are, so a step costs time in its own size.  Only `apply` changes the
     network; `network()` returns it as a `ResistanceNetwork`.
-    `fresh_vertex`, the default name of a new vertex, is one past every int
-    vertex the trace ever had.
     """
 
     def __init__(self, network: ResistanceNetwork):
         self._adj = {v: list(inc) for v, inc in network._adj.items()}
         self._seen = set(self._adj)
-        self.fresh_vertex = max((v + 1 for v in self._adj if isinstance(v, int)), default=0)
         self.steps = []
 
     def __len__(self):
@@ -329,7 +326,6 @@ class ReductionTrace(_Incidence):
             if adj.get(w) == []:
                 del adj[w]
         self._seen |= new
-        self.fresh_vertex = max([self.fresh_vertex, *(w + 1 for w in new if isinstance(w, int))])
         self.steps.append(step)
         return step
 
@@ -420,13 +416,12 @@ def parallel_reduce(trace: ReductionTrace, x, y) -> ReductionStep:
     return trace.apply(_step("parallel", pair, bundle, [Edge(*pair, 1 / conductance)]))
 
 
-def delta_y(trace: ReductionTrace, x, y, z, new_vertex=None) -> ReductionStep:
-    """Replace triangle edges on {x, y, z} by a star through a new vertex.
+def delta_y(trace: ReductionTrace, x, y, z, new_vertex) -> ReductionStep:
+    """Replace triangle edges on {x, y, z} by a star through `new_vertex`.
 
     With R_a = r(y, z), R_b = r(x, z), R_c = r(x, y) and S = R_a + R_b + R_c,
     the star edges are (x, w, R_b*R_c/S), (y, w, R_a*R_c/S), (z, w, R_a*R_b/S).
-    Each triangle side must be a single edge; merge parallels first.  The
-    new vertex defaults to the trace's `fresh_vertex`.
+    Each triangle side must be a single edge; merge parallels first.
     """
     corners = (x, y, z)
     if len(set(corners)) != 3:
@@ -438,8 +433,6 @@ def delta_y(trace: ReductionTrace, x, y, z, new_vertex=None) -> ReductionStep:
             raise NotReducibleError(
                 f"need exactly one edge between {p!r} and {q!r}, found {len(bundle)}")
         sides += bundle
-    if new_vertex is None:
-        new_vertex = trace.fresh_vertex
     if trace.has_vertex(new_vertex):
         raise NotReducibleError(f"new vertex {new_vertex!r} already present")
     r_a, r_b, r_c = (e.r for e in sides)

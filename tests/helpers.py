@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 from hypothesis import strategies as st
 
@@ -54,6 +55,14 @@ def survivors(step, before: ResistanceNetwork, after: ResistanceNetwork) -> set:
     """The step's vertices that are in the network both before and after it."""
     return {w for e in step.removed_edges + step.added_edges for w in (e.u, e.v)
             if before.has_vertex(w) and after.has_vertex(w)}
+
+
+def first_difference(a, b):
+    """(index, item of a, item of b) at the first index where the sequences
+    differ, None filling the shorter one, or None if they are equal.  A
+    failing assert on it prints one line: pytest's diff of two long
+    sequences or texts can run for minutes."""
+    return next(((i, x, y) for i, (x, y) in enumerate(zip_longest(a, b)) if x != y), None)
 
 
 def path_network(labels, weight=Fraction(1)) -> ResistanceNetwork:

@@ -55,7 +55,8 @@ def applicable_steps(net: ResistanceNetwork):
     for x, y, z in itertools.combinations(net.vertices, 3):
         if all(len(net.edges_between(u, v)) == 1
                for u, v in ((x, y), (y, z), (x, z))):
-            yield "delta_y", lambda x=x, y=y, z=z: after_op(delta_y, net, x, y, z)
+            # the vertices are ints, so the hub's name is new
+            yield "delta_y", lambda x=x, y=y, z=z: after_op(delta_y, net, x, y, z, "hub")
     for v in net.vertices:
         yield "star_mesh", lambda v=v: after_op(star_mesh_eliminate, net, v)
 

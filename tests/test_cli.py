@@ -255,6 +255,14 @@ def test_reduce_refuses_chains_past_its_bound():
     assert proc.stdout == ""
 
 
+def test_export_dot_refuses_chains_past_its_bound():
+    # refused right after parsing; n = 10000 itself takes about 1.3 s
+    proc = run_cli("export-dot", "--code", "0" * 9999, check=False, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: export-dot takes at most 10000 hexagons, got n=10001\n"
+    assert proc.stdout == ""
+
+
 def test_reduce_trace_finishes_at_its_bound():
     # each step costs time in its own size, so the 1000-hexagon helicene's
     # whole trace takes about a second (it took minutes when every step
@@ -388,6 +396,14 @@ def test_verify_hexagon():
     proc = run_cli("verify", "hexagon", "--r", "1/2")
     assert "difference: -2/11" in proc.stdout
     assert proc.stdout.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("r", ["0", "-1/2"])
+def test_verify_hexagon_refuses_a_nonpositive_weight(r):
+    proc = run_cli("verify", "hexagon", f"--r={r}", check=False)
+    assert proc.returncode == 2
+    assert "resistance must be positive" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_lemma4():
@@ -663,3 +679,16 @@ def test_flag_vocabulary():
         else:
             commands[name] = sub
     assert {name: _options(p) for name, p in commands.items()} == FLAG_VOCABULARY
+
+
+CODE_COMMANDS = [name for name, sub in _subparsers(cli.build_parser()).items() if "--code" in _options(sub)]
+
+
+@pytest.mark.parametrize("command", CODE_COMMANDS)
+def test_every_code_command_bounds_its_chain(command):
+    # one argv word holds about 131 000 letters, so each command that builds
+    # a chain from --code refuses a long one at once, before building it
+    proc = run_cli(command, "--code", "0" * 130000, check=False, timeout=2)
+    assert proc.returncode == 2
+    assert "takes at most" in proc.stderr and "hexagons, got n=130002" in proc.stderr
+    assert proc.stdout == ""

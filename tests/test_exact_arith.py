@@ -45,7 +45,7 @@ def test_format_rational():
 
 def test_approx_text():
     assert approx_text(Fraction(1, 2)) == "0.5"
-    assert approx_text(Fraction(1, 3), digits=3).startswith("0.333")
+    assert approx_text(Fraction(1, 3)) == "0.333333333333"
 
 
 @given(st.fractions())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_delta, survivors
+from helpers import edge_delta, first_difference, survivors
 from phenkf.chain_model import (
     ChainCode,
     ChainCodeError,
@@ -25,7 +25,6 @@ from phenkf.extremal_search import (
     _advance,
     _at,
     _block,
-    _canonical_word,
     _code_at,
     _fold,
     _kf,
@@ -53,6 +52,7 @@ from phenkf.extremal_search import (
 from phenkf import extremal_search, resistance_engine
 from phenkf.resistance_engine import (
     Edge,
+    InvalidNetworkError,
     NetworkError,
     ReductionTrace,
     ResistanceNetwork,
@@ -94,14 +94,15 @@ def test_kf_reference_values(n, word, expected):
 
 
 def _factored_csv(n, kfs):
-    """The extrema CSV of n hexagons, written from Kf values given per code."""
+    """The extrema CSV lines of n hexagons, each ending in a newline,
+    written from Kf values given per code."""
     lo, hi = min(kfs.values()), max(kfs.values())
     lines = ["n,code,canonical,kf_num,kf_den,is_all_kink,is_min,is_max"]
     for code, kf in kfs.items():
         flags = (code.is_all_kink(), kf == lo, kf == hi)
         lines.append(",".join([str(n), code.word, code.canonical().word, str(kf.numerator),
                                str(kf.denominator), *(str(f).lower() for f in flags)]))
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -113,7 +114,7 @@ def test_transfer_engine_matches_factorization(n):
         report = kf_of_code(code)
         assert report.kf == factored[code]
         assert (report.vertex_count, report.edge_count) == (net.num_vertices, net.num_edges)
-    assert "".join(find_extrema(n).csv_lines()) == _factored_csv(n, factored)
+    assert first_difference(find_extrema(n).csv_lines(), _factored_csv(n, factored)) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -239,8 +240,9 @@ def test_streamed_route_matches_per_code_kf(n):
     max_codes = tuple(code for code, kf in kfs.items() if kf == hi)
     table = find_extrema(n)
     assert len(table.reports) == table.count == len(kfs)
-    assert "".join(table.csv_lines()) == _factored_csv(n, kfs)
-    assert list(table.as_dict()["reports"]) == [KfReport(code, kf).as_dict() for code, kf in kfs.items()]
+    assert first_difference(table.csv_lines(), _factored_csv(n, kfs)) is None
+    assert first_difference(table.as_dict()["reports"],
+                            [KfReport(code, kf).as_dict() for code, kf in kfs.items()]) is None
     for result in (table, extremes(n)):
         assert result.count == len(kfs)
         assert (result.min_kf, result.max_kf) == (lo, hi)
@@ -351,9 +353,25 @@ def test_verdict_walks_half_of_the_codes(monkeypatch, n):
 
 
 def test_canonical_word_matches_canonical_code():
-    for n in range(2, 10):
+    # the orbit written here on tuples with 2 - e, apart from chain_model's
+    # words: orbit, canonical and is_canonical against it
+    for n in range(1, 9):
         for code in enumerate_words(n):
-            assert _canonical_word(code.word) == code.canonical().word
+            flip = tuple(2 - e for e in code.w)
+            images = sorted({code.w, code.w[::-1], flip, flip[::-1]})
+            assert [c.w for c in code.orbit()] == images
+            assert code.canonical() == ChainCode(n, images[0])
+            assert code.is_canonical() == (code.w == images[0])
+
+
+def test_reports_keep_their_length_and_rows_when_read_twice():
+    table = find_extrema(6)
+    rows = list(table.reports)
+    assert len(table.reports) == len(rows) == table.count == 81
+    assert list(table.reports) == rows
+    word, canonical, num, den, is_min, is_max = rows[5]
+    assert (word, canonical, is_min, is_max) == ("0012", "0012", False, False)
+    assert Fraction(num, den) == kf_of_code(ChainCode(6, (0, 0, 1, 2))).kf
 
 
 def test_conjecture_keeps_nothing_per_code():
@@ -752,6 +770,13 @@ def test_weighted_hexagon_difference(r, expected):
     assert report.difference == expected
     assert report.difference == (2 * r - 2) / (r + 5)
     assert report.difference == report.sum_a - report.sum_l
+
+
+@pytest.mark.parametrize("r", [0.5, 0.1])
+def test_weighted_hexagon_refuses_a_float(r):
+    # 0.1 would be checked as 3602879701896397/36028797018963968
+    with pytest.raises(InvalidNetworkError, match="resistance must be exact"):
+        weighted_hexagon_check(r)
 
 
 def test_weighted_hexagon_sign():

@@ -201,7 +201,7 @@ def test_delta_y_weighted():
 def test_delta_y_requires_triangle():
     net = path_network([0, 1, 2])
     with pytest.raises(NotReducibleError):
-        delta_y(ReductionTrace(net), 0, 1, 2)
+        delta_y(ReductionTrace(net), 0, 1, 2, "hub")
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
@@ -389,7 +389,8 @@ def test_recorded_edges_are_the_edge_difference(net, data):
     steps = list(_op_networks(net, trace))
     # star-mesh on the unreduced network also merges parallel edges
     steps += [_one_step(star_mesh_eliminate, net, v) for v in net.vertices]
-    steps += [_one_step(delta_y, net, *corners) for corners in _triangles(net)]
+    # "hub" is longer than any string vertex_ids draws, so it is a new name
+    steps += [_one_step(delta_y, net, *corners, "hub") for corners in _triangles(net)]
     for step, before, after in steps:
         assert (step.removed_edges, step.added_edges) == edge_delta(before, after), step.describe()
 
@@ -455,7 +456,7 @@ def test_replay_refuses_a_forged_series_step_at_a_degree_three_vertex():
 def test_replay_refuses_an_off_by_one_added_weight():
     net = ResistanceNetwork([(0, 1, 1), (1, 2, 2), (2, 0, 3), (2, 3, 1), (3, 4, 1)])
     trace = ReductionTrace(net)
-    delta_y(trace, 0, 1, 2)
+    delta_y(trace, 0, 1, 2, "hub")
     series_reduce(trace, 3)
     for k, step in enumerate(trace):
         e = step.added_edges[-1]
@@ -466,14 +467,13 @@ def test_replay_refuses_an_off_by_one_added_weight():
 
 
 def test_replay_refuses_a_reused_vertex_name():
-    # star-mesh removes 3; delta-wye's default new vertex is then 4, one
-    # past every int vertex the trace had.  A hub named 3 would read
-    # r(0, 3) = 7/23 where the network had 40/23: a forged step that names
-    # it so is refused
+    # star-mesh removes 3, and delta-wye names its hub 4.  A hub named 3
+    # would read r(0, 3) = 7/23 where the network had 40/23: a forged step
+    # that names it so is refused
     net = ResistanceNetwork([(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 2), (3, 0, 5)])
     trace = ReductionTrace(net)
     star_mesh_eliminate(trace, 3)
-    wye = delta_y(trace, 0, 1, 2)
+    wye = delta_y(trace, 0, 1, 2, 4)
     out = trace.network()
     assert wye.new_vertex == 4 and out.vertices == (0, 1, 2, 4)
     assert trace.replay(net) == out

@@ -34,11 +34,12 @@ def test_unused_import_check_sees_a_dead_name():
     assert _unused_imports(tree) == [(1, "os"), (2, "argv")]
 
 
-def _private_definitions(tree):
-    """Module-level functions and classes whose name starts with "_"."""
+def _definitions(tree, private=True):
+    """Module-level functions and classes whose name starts with "_", or
+    with `private` false, whose name does not."""
     return {node.name: node.lineno for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_")}
+            and node.name.startswith("_") == private}
 
 
 def _read_names(tree):
@@ -54,17 +55,38 @@ def _read_names(tree):
     return read
 
 
-def _dead_private_names(trees):
-    """(module, line, name) of each private definition that no module reads."""
+def _dead_names(trees, private=True):
+    """(module, line, name) of each private definition, or with `private`
+    false each public one, that no module reads.  `__init__.py`'s
+    re-exports are imports, so they count as reads."""
     read = set().union(*map(_read_names, trees.values()))
     return sorted((module, line, name) for module, tree in trees.items()
-                  for name, line in _private_definitions(tree).items() if name not in read)
+                  for name, line in _definitions(tree, private).items() if name not in read)
+
+
+def _package_trees():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_no_dead_private_names():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    assert sum(len(_private_definitions(tree)) for tree in trees.values()) > 0
-    assert _dead_private_names(trees) == []
+    trees = _package_trees()
+    assert sum(len(_definitions(tree)) for tree in trees.values()) > 0
+    assert _dead_names(trees) == []
+
+
+# public names that no module of the package reads, each with its reason
+UNREAD_PUBLIC = {
+    "verify_kink_flip": "entry point of acceptance criterion 5",
+    "star_mesh_eliminate": "entry point of acceptance criterion 1",
+}
+
+
+def test_no_dead_public_names():
+    # a public function or class is read by the package, re-exported by
+    # __init__.py, or listed above with its reason
+    trees = _package_trees()
+    assert sum(len(_definitions(tree, private=False)) for tree in trees.values()) > 0
+    assert sorted(name for _, _, name in _dead_names(trees, private=False)) == sorted(UNREAD_PUBLIC)
 
 
 def test_dead_private_name_check_sees_a_dead_name():
@@ -73,4 +95,13 @@ def test_dead_private_name_check_sees_a_dead_name():
                           "def _imported(): pass\n_called()\n"),
         "b.py": ast.parse("import a\nfrom a import _imported\na._Read\n_dead = 1\n"),
     }
-    assert _dead_private_names(trees) == [("a.py", 2, "_dead")]
+    assert _dead_names(trees) == [("a.py", 2, "_dead")]
+
+
+def test_dead_public_name_check_sees_a_dead_name():
+    trees = {
+        "a.py": ast.parse("def called(): pass\ndef dead(): pass\nclass Exported: pass\n"
+                          "def _private(): pass\ncalled()\n"),
+        "__init__.py": ast.parse("from .a import Exported\n"),
+    }
+    assert _dead_names(trees, private=False) == [("a.py", 2, "dead")]
