@@ -53,17 +53,17 @@ MAX_MATRIX_HEXAGONS = 60
 # verify lemma4 draws O(m^2) edge coins per sample, so with the default 100
 # samples it takes about 3 s at this bound (2-vCPU host)
 MAX_LEMMA4_VERTICES = 40
-# verify lemma5's weighted terminal solves and per-step certificates work
+# verify lemma5's weighted terminal reads and per-step certificates work
 # on rationals whose size grows with n, so with the default 5 samples it
-# takes about 11.5 s at this bound, 9-10 s at n = 200 and 21 s at n = 300,
+# takes about 7-8 s at this bound, 6.4 s at n = 200 and 14 s at n = 300,
 # in text or json (2-vCPU host)
 MAX_LEMMA5_HEXAGONS = 225
 # random checks verify lemma4|5|6 draw, refused at parse time.  At this
-# bound lemma4 at its --max-vertices bound takes about 37 s and lemma6 at
-# n = 9 about 8 s (2-vCPU host).  lemma5's weighted samples are rational
-# solves whose cost grows about as n^2, some 2.3 s each at its hexagon
-# bound, so it also refuses samples n^2 past the default 5 samples at that
-# bound: 1000 samples there would take about 40 minutes
+# bound lemma4 at its --max-vertices bound takes about 21 s and lemma6 at
+# n = 9 about 5 s (2-vCPU host).  lemma5's weighted samples are rational
+# factorizations whose cost grows about as n^2, some 1.1-1.4 s each at its
+# hexagon bound, so it also refuses samples n^2 past the default 5 samples
+# at that bound: 1000 samples there would take about 20 minutes
 MAX_SAMPLES = 1000
 # reduce --trace --format json prints every step's edges, whose rationals
 # grow with n, so its output grows as n^2: 24 MB at this bound, in about

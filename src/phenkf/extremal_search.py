@@ -27,7 +27,6 @@ from .resistance_engine import (
     Edge,
     NetworkError,
     ResistanceNetwork,
-    grounded_resistances,
     kirchhoff_index,
     resistance_matrix,
     resistance_sums,
@@ -689,10 +688,10 @@ def _unit_cycle(net: ResistanceNetwork, cycle) -> bool:
 
 
 def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
-    """(u, r(u, x), r(u, y)) per u in `vertices`, from one factorization
-    grounded at x and one solve (`terminal_resistances`)."""
-    rows = terminal_resistances(chain.network, chain.x, chain.y)
-    return tuple((u, *rows[u]) for u in vertices)
+    """(u, r(u, x), r(u, y)) per u in `vertices`, read off the last
+    Takahashi steps of one factorization grounded at x
+    (`terminal_resistances`)."""
+    return terminal_resistances(chain.network, chain.x, chain.y, vertices)
 
 
 class Lemma5Report(NamedTuple):
@@ -718,15 +717,17 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     """Terminal-resistance inequalities on the square-first chain.
 
     Checks r(a_1, x) < r(a_1, y) and r(l_1, x) < r(l_1, y) from one
-    factorization grounded at x, then runs the staged simplification.  Its
-    trace must replay (`ReductionTrace.replay`: each step's recorded edges
-    are applied and certified on their own, so every resistance among
-    surviving vertices is kept); a_1, x and y must be in the replayed
-    network, and one factorization of it must give back r(a_1, x) and
-    r(a_1, y).  Last, the final star, read off the replayed network (the
-    reducer's if a step is refused), must obey 0 < R_1 < 1 and (for a
-    unit-weighted last hexagon) the reduced two-path form must reproduce
-    those values.  No step factors the whole network.
+    factorization grounded at x that eliminates a_1, l_1 and y last, then
+    runs the staged simplification.  Its trace must replay
+    (`ReductionTrace.replay`: each step's recorded edges are applied and
+    certified on their own, so every resistance among surviving vertices
+    is kept); a_1, x and y must be in the replayed network, and one
+    factorization of it grounded at a_1, x and y last, must give back
+    r(a_1, x) and r(a_1, y).  Neither read solves or runs a Takahashi step
+    but those of the vertices it reads.  Last, the final star, read off the
+    replayed network (the reducer's if a step is refused), must obey
+    0 < R_1 < 1 and (for a unit-weighted last hexagon) the reduced two-path
+    form must reproduce those values.  No step factors the whole network.
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
@@ -740,8 +741,8 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     except NetworkError:
         steps_preserve_ok = False
     if steps_preserve_ok:
-        held = grounded_resistances(final, chain.a1)
-        steps_preserve_ok = held[chain.x] == r_a1_x and held[chain.y] == r_a1_y
+        (_, held_x, _), (_, held_y, _) = terminal_resistances(final, chain.a1, chain.x, (chain.x, chain.y))
+        steps_preserve_ok = held_x == r_a1_x and held_y == r_a1_y
 
     hubs = [s.new_vertex for s in trace if s.kind == "delta-wye"]
     b_n, k_n = chain.unit_edge
@@ -809,8 +810,9 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
     Without an explicit code, every code with n hexagons is checked at unit
     weights, and no chain is factored: the transfer engine walks the code
     trie with O(1) exact updates per trie node for each checked vertex.  An
-    explicit code, weighted or not, is checked on its own chain from one
-    factorization grounded at x and one solve; its unit edge
+    explicit code, weighted or not, is checked on its own chain, read off
+    the last five Takahashi steps of one factorization grounded at x that
+    eliminates the four checked vertices and y last; its unit edge
     (b_(n-1), k_(n-1)) must keep weight 1.
     """
     if n < 2:

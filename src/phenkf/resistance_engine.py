@@ -23,8 +23,9 @@ resistances.  Two kinds of computation are kept deliberately separate:
   of W, the resistance matrix off all of it (its sums add numerators
   before they divide); the Kirchhoff index and per-vertex resistance sums
   add one solve against the all-ones vector, and resistances to two
-  terminals one solve against a unit vector.  It alone checks its input
-  for the empty network, a missing ground and disconnection.
+  terminals, read at a few vertices eliminated last, need only the
+  Takahashi steps of those.  It alone checks its input for the empty network, a
+  missing ground or read vertex, and disconnection.
 
 The factorization has two representations, picked from the merged
 conductances alone.  When every one is an integer (unit chains, the unit
@@ -374,7 +375,10 @@ def step_preserves_resistances(step: ReductionStep, survivors) -> bool:
         for w in [w for w in graph if w not in survivors]:
             if not _eliminate(graph, w)[0]:
                 return False
-        if len(_rcm_order(graph)) < len(graph):
+        reached = [next(iter(graph))]
+        for v in reached:
+            reached += [q for q in graph[v] if q not in reached]
+        if len(reached) < len(graph):
             return False
     return sides[0] == sides[1]
 
@@ -595,6 +599,7 @@ class _GroundedFactor:
 
     K is the conductance Laplacian with the ground vertex's row and column
     deleted.  The other vertices are eliminated in reverse Cuthill-McKee
+    order, but the `read` vertices after all the rest, in their given
     order; without a given ground the last vertex of the order, the far end
     of the breadth-first search, is grounded.  K is positive definite, so
     every pivot must be positive; a pivot that is not raises
@@ -620,7 +625,8 @@ class _GroundedFactor:
       conductances themselves, the pivot of p is the conductance at p when
       it goes, and scale = 1.
 
-    `order` lists the eliminated vertices, `pivots` their pivots, `leads`
+    `order` lists the eliminated vertices, `first` the place of the first
+    read vertex in it (its length if none), `pivots` their pivots, `leads`
     the minor Delta_p before each (1 over the rationals), and `cols[p]` the
     pairs (q, g_qp) for the later neighbors q of the p-th vertex but the
     ground, with g_qp its stored entry at step p; so L_qp = -g_qp / pivot_p.
@@ -628,19 +634,22 @@ class _GroundedFactor:
     `_exact`, which raises ArithmeticError if it is inexact.
     """
 
-    def __init__(self, net: ResistanceNetwork, ground=None):
+    def __init__(self, net: ResistanceNetwork, ground=None, read=()):
         if not net.num_vertices:
             raise NetworkError("empty network")
         if ground is not None:
             net.require_vertex(ground)
+        for v in read:
+            net.require_vertex(v)
         graph = _conductance_graph(net.edges, net.vertices)
         order = _rcm_order(graph)
         if len(order) < len(graph):
             raise ConnectivityError("network is not connected")
         if ground is None:
             ground = order[-1]
-        order.remove(ground)
-        self.ground, self.order = ground, order
+        tail = dict.fromkeys(v for v in read if v != ground)
+        order = [v for v in order if v != ground and v not in tail] + list(tail)
+        self.ground, self.order, self.first = ground, order, len(order) - len(tail)
         self.integral = all(c.denominator == 1 for row in graph.values() for c in row.values())
         self.pivots, self.cols = [], []
         if self.integral:
@@ -708,7 +717,7 @@ class _GroundedFactor:
         x[self.ground] = 0
         return x
 
-    def inverse(self, full=False) -> dict:
+    def inverse(self, full=False, tail=False) -> dict:
         """W = scale K^-1 by the Takahashi recurrence, last column first,
         keyed by vertex and extended by zeros at the ground.
 
@@ -718,21 +727,24 @@ class _GroundedFactor:
         neighbors of p form a clique once p is eliminated), so by default
         only those entries are computed, in O(V b^2) for bandwidth b, and
         W_gg = 0 at the ground g; `full` computes all of W, in O(V^2 b),
-        with a zero row and column at g.  Returns w with w[u][v] = W_uv,
-        symmetric, diagonal included.
+        with a zero row and column at g.  `tail` runs only the steps of the
+        read vertices, the last, which read only one another, and gives W
+        on every pair of them and g: the inverse of the Kron reduction onto
+        them.  Returns w with w[u][v] = W_uv, symmetric, diagonal included.
         """
         order, g, div = self.order, self.ground, self._div
-        w = {v: {} for v in order}
-        for p in range(len(order) - 1, -1, -1):
+        first = self.first if tail else 0
+        w = {v: {} for v in order[first:]}
+        for p in range(len(order) - 1, first - 1, -1):
             v, col, pivot = order[p], self.cols[p], self.pivots[p]
             w_v = w[v]
-            for q in (order[p + 1:] if full else (q for q, _ in col)):
+            for q in (order[p + 1:] if full or tail else (q for q, _ in col)):
                 w_q = w[q]
                 w_v[q] = w_q[v] = div(sum(w_q[s] * g_s for s, g_s in col), pivot)
             w_v[v] = div(self.scale * self.leads[p] + sum(g_q * w_v[q] for q, g_q in col), pivot)
         w[g] = {g: 0}
-        if full:
-            for v in order:
+        if full or tail:
+            for v in order[first:]:
                 w[v][g] = w[g][v] = 0
         return w
 
@@ -749,22 +761,20 @@ def grounded_resistances(net: ResistanceNetwork, ground) -> dict:
     return {v: Rational(w[v][v], factor.scale) for v in net.vertices if v != ground}
 
 
-def terminal_resistances(net: ResistanceNetwork, x, y) -> dict:
-    """(r(v, x), r(v, y)) for every vertex v, in vertex order.
+def terminal_resistances(net: ResistanceNetwork, x, y, read) -> tuple:
+    """(u, r(u, x), r(u, y)) for each u in `read`, in its order.
 
-    One factorization grounded at x: r(v, x) = Z_vv off the Takahashi
-    diagonal of Z = K^-1, and one solve against e_y gives the column Z_vy,
-    so r(v, y) = Z_vv + Z_yy - 2 Z_vy (Z is zero in the row of x).
+    One factorization grounded at x that eliminates `read` and y last, so
+    Z = K^-1 on them is its last Takahashi steps alone, with no solve:
+    r(u, x) = Z_uu and r(u, y) = Z_uu + Z_yy - 2 Z_uy (Z is zero at x).
     """
-    net.require_vertex(y)
     if y == x:
         raise NetworkError(f"terminals coincide at {x!r}")
-    factor = _GroundedFactor(net, x)
-    w = factor.inverse()
-    col = factor.solve({y: 1})
-    w_yy, scale = w[y][y], factor.scale
-    return {v: (Rational(w[v][v], scale), Rational(w[v][v] + w_yy - 2 * col[v], scale))
-            for v in net.vertices}
+    factor = _GroundedFactor(net, x, (*read, y))
+    w = factor.inverse(tail=True)
+    w_y, scale = w[y], factor.scale
+    return tuple((u, Rational(w[u][u], scale), Rational(w[u][u] + w_y[y] - 2 * w_y[u], scale))
+                 for u in read)
 
 
 def resistance_sum(net: ResistanceNetwork, x) -> Rational:

@@ -11,18 +11,14 @@ where r_X(v) is the sum of resistances from v within X alone and r_X(u, v)
 the effective resistance within X.  Every quantity is exact, and both sides
 come from the grounded factorization of `resistance_engine`: the Kirchhoff
 indices of S and T, and per component one factorization grounded at its
-first mark with one solve at its second (`terminal_resistances`), which
-gives both sums and r_X(u, v).
+first mark, whose Takahashi diagonal and one solve at its second mark give
+both sums and r_X(u, v), each divided once from summed numerators.
 """
 
 from typing import NamedTuple
 
 from .exact_arith import Rational, _fields_json
-from .resistance_engine import (
-    ResistanceNetwork,
-    kirchhoff_index,
-    terminal_resistances,
-)
+from .resistance_engine import _GroundedFactor, ResistanceNetwork, kirchhoff_index
 
 
 class InvalidPairError(ValueError):
@@ -75,10 +71,16 @@ def make_st_pair(pair: STPair):
 
 
 def _marked_terms(comp: ResistanceNetwork, u, v):
-    """(r(u), r(v), r(u, v)) within `comp`, from one factorization and one solve."""
-    rows = terminal_resistances(comp, u, v)
-    sum_u, sum_v = (sum(col, Rational(0)) for col in zip(*rows.values()))
-    return sum_u, sum_v, rows[v][0]
+    """(r(u), r(v), r(u, v)) within `comp`, from one factorization grounded
+    at u and one solve: with W = s K^-1 and its column c at v, s r(u) is the
+    trace of W and s r(v) = tr W + N W_vv - 2 sum c."""
+    factor = _GroundedFactor(comp, u)
+    w = factor.inverse()
+    trace = sum(w[t][t] for t in comp.vertices)
+    w_vv, scale = w[v][v], factor.scale
+    return (Rational(trace, scale),
+            Rational(trace + comp.num_vertices * w_vv - 2 * sum(factor.solve({v: 1}).values()), scale),
+            Rational(w_vv, scale))
 
 
 def lemma4_delta(pair: STPair) -> Rational:

@@ -558,6 +558,35 @@ def test_lemma5_values_match_dense_oracle(n, seed):
         for u in (chain.a1, chain.l1) for t in (chain.x, chain.y))
 
 
+def _whole_chain_rows(net, x, y, vertices):
+    """The terminal read the tail read replaced, kept as an oracle: the
+    whole Takahashi diagonal grounded at x and one solve for the column at y."""
+    factor = _GroundedFactor(net, x)
+    w, col, scale = factor.inverse(), factor.solve({y: 1}), factor.scale
+    return tuple((u, Fraction(w[u][u], scale), Fraction(w[u][u] + w[y][y] - 2 * col[u], scale))
+                 for u in vertices)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weighted_terminal_checks_match_the_whole_chain_read(seed):
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        weights = random_terminal_weights(n, rng)
+        report = check_lemma5(n, weights)
+        chain = build_terminal_chain(n, weights)
+        (_, *a1), (_, *l1) = _whole_chain_rows(chain.network, chain.x, chain.y, (chain.a1, chain.l1))
+        assert (report.r_a1_x, report.r_a1_y, report.r_l1_x, report.r_l1_y) == (*a1, *l1)
+        final, _ = simplify_chain_circuit(chain)
+        assert report.passed and _old_step_check(chain, final, *a1)
+    for n in range(2, 9):
+        code = ChainCode(n, tuple(rng.randint(0, 2) for _ in range(n - 2)))
+        weights = random_chain_weights(code, rng)
+        (inst,) = check_lemma6(n, weights, code).instances
+        chain = build_chain(code).reweighted(weights)
+        checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
+        assert inst.resistances == _whole_chain_rows(chain.network, chain.x, chain.y, checked)
+
+
 @pytest.mark.parametrize("n, code, seed", [
     (2, None, None), (3, None, None), (4, None, None), (4, ChainCode(4, (0, 1)), 5),
 ], ids=["2", "3", "4", "4-weighted"])
@@ -582,9 +611,8 @@ def test_lemma6_engine_rows_match_factorization(n):
     assert [inst.code for inst in report.instances] == list(enumerate_words(n))
     for inst in report.instances:
         chain = build_chain(inst.code)
-        rows = terminal_resistances(chain.network, chain.x, chain.y)
         checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
-        assert inst.resistances == tuple((u, *rows[u]) for u in checked)
+        assert inst.resistances == terminal_resistances(chain.network, chain.x, chain.y, checked)
         assert inst.passed == all(rx < ry for _, rx, ry in inst.resistances)
 
 
@@ -603,36 +631,46 @@ def test_lemma6_engine_takes_terminals_from_chain_landmarks(monkeypatch):
 def test_terminal_checks_factor_once_and_certify_steps_locally(monkeypatch):
     # unit lemma 6 factors no chain, only the engine's blocks of at most 8
     # vertices; a single-code terminal read is one factorization grounded at
-    # x and one solve for the column at y.  Lemma 5 factors the whole chain
-    # once for its rows and the final network once, whatever n: its steps
-    # are certified by Kron reduction, with no factorization
-    sizes, counts = [], {"solve": 0}
-    factor, solve = _GroundedFactor.__init__, _GroundedFactor.solve
+    # x with the read vertices and y eliminated last, and it neither solves
+    # nor runs a Takahashi step outside that read block.  Lemma 5 factors
+    # the whole chain once for its rows and the final network once, whatever
+    # n: its steps are certified by Kron reduction, with no factorization
+    sizes, counts = [], {"solve": 0, "inverse": 0, "outside": 0}
+    factor, solve, inverse = _GroundedFactor.__init__, _GroundedFactor.solve, _GroundedFactor.inverse
 
-    def counting_factor(self, net, ground=None):
+    def counting_factor(self, net, ground=None, read=()):
         sizes.append(net.num_vertices)
-        factor(self, net, ground)
+        factor(self, net, ground, read)
 
     def counting_solve(self, rhs):
         counts["solve"] += 1
         return solve(self, rhs)
 
+    def counting_inverse(self, *args, **kw):
+        w = inverse(self, *args, **kw)
+        counts["inverse"] += 1
+        counts["outside"] += len(set(w) - {self.ground, *self.order[self.first:]})
+        return w
+
+    def reset():
+        sizes.clear()
+        counts.update(dict.fromkeys(counts, 0))
+
     monkeypatch.setattr(_GroundedFactor, "__init__", counting_factor)
     monkeypatch.setattr(_GroundedFactor, "solve", counting_solve)
+    monkeypatch.setattr(_GroundedFactor, "inverse", counting_inverse)
     _transfer_constants.cache_clear()
     assert check_lemma6(5).passed
     assert sizes and max(sizes) <= 8
     code = ChainCode(5, (0, 2, 1))
-    sizes.clear()
-    counts["solve"] = 0
+    reset()
     assert check_lemma6(5, random_chain_weights(code, random.Random(7)), code).passed
-    assert (len(sizes), counts["solve"]) == (1, 1)
+    assert (len(sizes), counts["solve"], counts["inverse"], counts["outside"]) == (1, 0, 1, 0)
     for n in (3, 5):
-        sizes.clear()
-        counts["solve"] = 0
+        reset()
         report = check_lemma5(n)
         assert report.passed and report.step_count == 8 * n - 6
-        assert (len(sizes), counts["solve"]) == (2, 1)
+        assert (len(sizes), counts["solve"], counts["inverse"], counts["outside"]) == (2, 0, 2, 0)
 
 
 def _old_step_check(chain, network, r_a1_x, r_a1_y):

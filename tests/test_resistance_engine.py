@@ -522,22 +522,50 @@ def test_replay_runs_no_reduction_op(monkeypatch):
     assert sp_trace.replay(net) == sp_trace.network()
 
 
-@settings(max_examples=60, deadline=None)
-@given(networks(), st.data())
-def test_terminal_resistances_match_oracle(net, data):
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_terminal_resistances_match_oracle(data):
+    # on integral and on weighted networks, with x, y and repeats in the
+    # read set, each row read off the last Takahashi steps alone must equal
+    # the dense oracle
+    net = data.draw(networks(weights=data.draw(st.sampled_from([unit_fractions, weights]))))
     x, y = data.draw(st.lists(st.sampled_from(net.vertices), min_size=2, max_size=2, unique=True))
-    rows = terminal_resistances(net, x, y)
-    assert list(rows) == list(net.vertices)
-    assert all(rows[v] == (effective_resistance(net, v, x), effective_resistance(net, v, y))
-               for v in net.vertices)
+    read = data.draw(st.lists(st.sampled_from((x, y) + net.vertices), max_size=6))
+    rows = terminal_resistances(net, x, y, read)
+    assert [u for u, _, _ in rows] == read
+    assert all((rx, ry) == (effective_resistance(net, u, x), effective_resistance(net, u, y))
+               for u, rx, ry in rows)
 
 
 def test_terminal_resistances_refuse_bad_terminals():
     net = cycle(4)
     with pytest.raises(NetworkError, match="terminals coincide"):
-        terminal_resistances(net, 1, 1)
+        terminal_resistances(net, 1, 1, (0,))
     with pytest.raises(NetworkError, match="unknown vertex"):
-        terminal_resistances(net, 1, 9)
+        terminal_resistances(net, 1, 9, (0,))
+    with pytest.raises(NetworkError, match="unknown vertex 9"):
+        terminal_resistances(net, 1, 2, (0, 9))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_terminal_read_runs_only_the_read_steps(n, monkeypatch):
+    # the read vertices and y are eliminated last and the inverse runs
+    # their steps alone: W comes back on them and the ground x only
+    chain = build_terminal_chain(n, random_terminal_weights(n, random.Random(n)))
+    net, read = chain.network, (chain.a1, chain.l1, chain.a1)
+    blocks = []
+    inverse = _GroundedFactor.inverse
+
+    def keeping(self, *args, **kw):
+        w = inverse(self, *args, **kw)
+        blocks.append((self.order[self.first:], set(w)))
+        return w
+
+    monkeypatch.setattr(_GroundedFactor, "inverse", keeping)
+    rows = terminal_resistances(net, chain.x, chain.y, read)
+    assert blocks == [([chain.a1, chain.l1, chain.y], {chain.a1, chain.l1, chain.y, chain.x})]
+    assert rows == tuple((u, effective_resistance(net, u, chain.x), effective_resistance(net, u, chain.y))
+                         for u in read)
 
 
 def test_step_descriptions():
@@ -717,7 +745,8 @@ def _readers(net):
     """Every resistance reader of `net`, at a fixed ground and terminals."""
     x, y = net.vertices[0], net.vertices[-1]
     return (kirchhoff_index(net), resistance_sums(net), grounded_resistances(net, x),
-            terminal_resistances(net, x, y), resistance_matrix(net).values)
+            tuple(row[1:] for row in terminal_resistances(net, x, y, net.vertices)),
+            resistance_matrix(net).values)
 
 
 def _doubled(values):
@@ -783,7 +812,7 @@ def test_readers_give_fractions_equal_to_the_oracle(weights, data):
     assert kf == sum(oracle[u, v] for i, u in enumerate(net.vertices) for v in net.vertices[i + 1:])
     assert sums == {u: sum(oracle[u, v] for v in net.vertices) for u in net.vertices}
     assert grounded == {v: oracle[x, v] for v in net.vertices if v != x}
-    assert terminals == {v: (oracle[v, x], oracle[v, y]) for v in net.vertices}
+    assert terminals == tuple((oracle[v, x], oracle[v, y]) for v in net.vertices)
     assert matrix == tuple(tuple(oracle[u, v] for v in net.vertices) for u in net.vertices)
     v = data.draw(st.sampled_from(net.vertices))
     trace = ReductionTrace(net)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import path_network
 from phenkf import resistance_engine
-from phenkf.resistance_engine import kirchhoff_index, resistance_sum
+from phenkf.resistance_engine import ResistanceNetwork, effective_resistance, kirchhoff_index, resistance_sum
 from phenkf.st_isomer import (
     InvalidPairError,
     STPair,
@@ -45,6 +45,30 @@ def test_formula_matches_direct_difference(p3_pair):
     chk = verify_lemma4(p3_pair)
     assert chk.passed
     assert chk.lhs == chk.kf_s - chk.kf_t == chk.rhs
+
+
+def _fraction_terms(comp, u, v):
+    """(r(u), r(v), r(u, v)) as sums of dense-oracle Fractions, one per vertex."""
+    return (sum((effective_resistance(comp, t, u) for t in comp.vertices), Fraction(0)),
+            sum((effective_resistance(comp, t, v) for t in comp.vertices), Fraction(0)),
+            effective_resistance(comp, u, v))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_lemma4_delta_matches_the_fraction_sums(weighted):
+    # the closed form divides summed numerators once per value; it must
+    # equal the one from per-vertex Fractions, on integral factors and on
+    # factors over the rationals
+    rng = random.Random(23)
+    for _ in range(25):
+        pair = random_st_pair(rng)
+        if weighted:
+            pair = pair._replace(**{name: ResistanceNetwork(
+                [(e.u, e.v, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for e in comp.edges], comp.vertices)
+                for name, comp in (("comp_a", pair.comp_a), ("comp_b", pair.comp_b))})
+        sum_a, sum_l, r_al = _fraction_terms(pair.comp_a, pair.a, pair.l)
+        sum_b, sum_k, r_bk = _fraction_terms(pair.comp_b, pair.b, pair.k)
+        assert lemma4_delta(pair) == (sum_l - sum_a) * (sum_b - sum_k) / (r_al + r_bk + 2)
 
 
 def test_symmetric_components_give_zero():
