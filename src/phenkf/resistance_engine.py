@@ -24,8 +24,8 @@ resistances.  Two kinds of computation are kept deliberately separate:
   before they divide); the Kirchhoff index and per-vertex resistance sums
   add one solve against the all-ones vector, and resistances to two
   terminals, read at a few vertices eliminated last, need only the
-  Takahashi steps of those.  It alone checks its input for the empty network, a
-  missing ground or read vertex, and disconnection.
+  Takahashi steps of those.  It alone checks its input for the empty
+  network, a missing ground or read vertex, and disconnection.
 
 The factorization has two representations, picked from the merged
 conductances alone.  When every one is an integer (unit chains, the unit
