@@ -43,10 +43,9 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
-# longest chain, in hexagons, that each kf route takes: on a 2-vCPU host
-# plain kf takes about 3 s there and --sums about 8 s; --sums --matrix
-# about 0.7 s, but its memory and output (about 43 MB and 22 MB at the
-# bound) grow as n^2
+# longest chain, in hexagons, that each kf route takes: on a 2-vCPU host plain
+# kf takes about 3 s there and --sums about 8 s; --sums --matrix about 0.75 s,
+# 35 MB peak RSS and 22 MB of output, the last two growing as n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000
 MAX_MATRIX_HEXAGONS = 60
@@ -155,9 +154,12 @@ def _cmd_kf(args) -> int:
         out = report.as_dict()
         if args.approx:
             out["kf_approx"] = approx_text(report.kf)
-        if args.matrix:
-            out["matrix"] = matrix.as_dict()
-        _emit_json(out)
+        if args.matrix:  # the last key: its rows follow the encoder's text, one row a write
+            out["matrix"] = {"order": list(matrix.order), "r": None}
+            head, tail = json.dumps(out, indent=2).rsplit("null", 1)
+            sys.stdout.writelines(itertools.chain([head], matrix.json_rows(2), [tail, "\n"]))
+        else:
+            _emit_json(out)
     elif args.format == "csv":
         header = "n,code,canonical,kf_num,kf_den,is_all_kink"
         row = [str(code.n), code.word, code.canonical().word,
@@ -211,12 +213,10 @@ def _cmd_extrema(args) -> int:
         table = extremes(args.n, cap=cap)
         _emit(f"n: {table.n}")
         _emit(f"codes: {table.count}")
-        approx = f"  (approx {approx_text(table.min_kf)})" if args.approx else ""
-        _emit(f"min kf: {format_rational(table.min_kf)}{approx}")
-        _emit(f"min class: {' '.join(c.word for c in table.min_codes)}")
-        approx = f"  (approx {approx_text(table.max_kf)})" if args.approx else ""
-        _emit(f"max kf: {format_rational(table.max_kf)}{approx}")
-        _emit(f"max class: {' '.join(c.word for c in table.max_codes)}")
+        for side, kf, codes in (("min", table.min_kf, table.min_codes), ("max", table.max_kf, table.max_codes)):
+            approx = f"  (approx {approx_text(kf)})" if args.approx else ""
+            _emit(f"{side} kf: {format_rational(kf)}{approx}")
+            _emit(f"{side} class: {' '.join(c.word for c in codes)}")
     return 0
 
 

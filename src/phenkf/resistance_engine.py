@@ -868,20 +868,21 @@ class ResistanceMatrix(NamedTuple):
         """Sum over unordered pairs (the Kirchhoff index)."""
         return Rational(sum(map(sum, self.numerators)), 2 * self.scale)
 
-    def as_dict(self) -> dict:
-        """Each unordered pair formatted once, by one gcd with the scale."""
-        n, scale = len(self.order), self.scale
-        rows = [["0"] * n for _ in range(n)]
-        for i, (row, out) in enumerate(zip(self.numerators, rows)):
-            for j in range(i + 1, n):
-                x = row[j]
-                if scale == 1:
-                    text = format_rational(x)
-                else:
-                    g = gcd(x, scale)
-                    text = f"{x // g}/{scale // g}" if g < scale else str(x // g)
-                out[j] = rows[j][i] = text
-        return {"order": list(self.order), "r": rows}
+    def json_rows(self, level: int = 0):
+        """Rows of formatted entries as json.dumps(rows, indent=2) writes them at
+        nesting `level`: one piece a row, then the closing bracket.  Each unordered
+        pair is formatted once, by one gcd with the scale, held until its mirror row."""
+        scale, pad = self.scale, "  " * level
+        sep, opener, close = f'",\n{pad}    "', f'\n{pad}  [\n{pad}    "', f'"\n{pad}  ]'
+        held = [[] for _ in self.order]  # held[j]: the texts of (k, j) for k < j
+        for i, row in enumerate(self.numerators):
+            upper = [format_rational(x) for x in row[i + 1:]] if scale == 1 else [
+                f"{x // g}/{scale // g}" if (g := gcd(x, scale)) < scale else str(x // g) for x in row[i + 1:]]
+            for texts, text in zip(held[i + 1:], upper):
+                texts.append(text)
+            yield ("," if i else "[") + opener + sep.join(held[i] + ["0"] + upper) + close
+            held[i] = None
+        yield f"\n{pad}]"
 
 
 def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:

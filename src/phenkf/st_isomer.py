@@ -120,19 +120,18 @@ def random_connected_network(rng, max_vertices, offset=0) -> ResistanceNetwork:
 
     Between 2 and `max_vertices` vertices, each pair joined with probability
     0.45.  Vertices are offset..offset+nv-1 with unit resistances, so two
-    draws with different offsets are vertex-disjoint.
+    draws with different offsets are vertex-disjoint.  Connectivity is
+    tested on the drawn pairs, so only the accepted draw becomes a network.
     """
     while True:
         nv = rng.randint(2, max_vertices)
-        vertices = range(offset, offset + nv)
-        edges = []
-        for i in range(offset, offset + nv):
-            for j in range(i + 1, offset + nv):
-                if rng.random() < 0.45:
-                    edges.append((i, j))
-        net = ResistanceNetwork(edges, vertices)
-        if net.is_connected():
-            return net
+        pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv) if rng.random() < 0.45]
+        comp = list(range(nv))  # component labels, merged pair by pair
+        for i, j in pairs:
+            if (a := comp[i]) != (b := comp[j]):
+                comp = [a if c == b else c for c in comp]
+        if len(set(comp)) == 1:
+            return ResistanceNetwork([(offset + i, offset + j) for i, j in pairs], range(offset, offset + nv))
 
 
 def random_st_pair(rng, max_vertices=8) -> STPair:

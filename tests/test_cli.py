@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,10 @@ import pytest
 
 import phenkf.cli as cli
 from phenkf import resistance_engine
+from phenkf.chain_model import build_chain, enumerate_words
+from phenkf.exact_arith import approx_text, format_rational
+from phenkf.extremal_search import kf_of_code
+from phenkf.resistance_engine import resistance_matrix
 
 CLI = [sys.executable, "-m", "phenkf.cli"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +106,39 @@ def test_kf_matrix_factors_the_chain_once(flags, monkeypatch, capsys):
     assert cli.main(["kf", "--code", "0120210201", "--matrix", *flags, "--format", "json"]) == 0
     assert sizes == [72]
     assert len(json.loads(capsys.readouterr().out)["matrix"]["order"]) == 72
+
+
+def _held_matrix(matrix):
+    """The matrix dict that `kf --matrix` formatted whole and handed to the
+    encoder before its rows were written as text, kept as an oracle: each
+    unordered pair formatted by one gcd with the scale, and mirrored."""
+    n, scale = len(matrix.order), matrix.scale
+    rows = [["0"] * n for _ in range(n)]
+    for i, (row, out) in enumerate(zip(matrix.numerators, rows)):
+        for j in range(i + 1, n):
+            x = row[j]
+            if scale == 1:
+                text = format_rational(x)
+            else:
+                g = math.gcd(x, scale)
+                text = f"{x // g}/{scale // g}" if g < scale else str(x // g)
+            out[j] = rows[j][i] = text
+    return {"order": list(matrix.order), "r": rows}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kf_matrix_rows_match_the_held_encoding(n, capsys):
+    # the rows written as text give the very bytes that json.dumps gave the
+    # whole report, with and without --sums and --approx
+    for code, sums, approx in itertools.product(enumerate_words(n), (False, True), (False, True)):
+        report = kf_of_code(code, with_sums=sums)
+        reference = report.as_dict()
+        if approx:
+            reference["kf_approx"] = approx_text(report.kf)
+        reference["matrix"] = _held_matrix(resistance_matrix(build_chain(code).network))
+        flags = ["--sums"] * sums + ["--approx"] * approx
+        assert cli.main(["kf", "--n", str(n), "--code", code.word, "--matrix", *flags, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
 
 
 def test_kf_approx_adds_decimal():
@@ -315,6 +353,17 @@ def test_json_listings_stream_their_items(args, count):
     doc = json.loads(out)
     assert doc["count"] == len(doc["reports" if args[0] == "extrema" else "codes"]) == count
     assert peak - base < len(out) / 2
+
+
+def test_kf_matrix_json_writes_its_rows_as_made():
+    # the rows are written one by one as each is formatted, each pair's
+    # text held only until its mirror row: peak RSS rises over a trivial
+    # command's by about 0.75x the output (mostly the matrix's numerators),
+    # where holding the whole formatted matrix for the encoder took 1.35x
+    base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
+    peak, out = _peak_rss_and_stdout("kf", "--code", "0" * 38, "--matrix", "--format", "json")
+    assert len(json.loads(out)["matrix"]["r"]) == 240
+    assert peak - base < len(out)  # about 6.8 MB
 
 
 def test_extrema_csv_streams_its_lines():

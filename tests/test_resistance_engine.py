@@ -1,6 +1,7 @@
 """Tests for networks, reduction steps, and the exact resistance solvers."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -825,15 +826,22 @@ def test_readers_give_fractions_equal_to_the_oracle(weights, data):
 
 
 def _check_matrix_readers(net, oracle):
-    # the matrix reads Kf, the sums and the formatted entries off its own
+    # the matrix reads Kf, the sums and the formatted rows off its own
     # numerators and scale; each must equal the solvers' value and the dense
-    # oracle's, `oracle[u, v]` being r(u, v) for every ordered pair
+    # oracle's, `oracle[u, v]` being r(u, v) for every ordered pair.  The
+    # rows' text is json's indent-2 text of the oracle's, at any nesting
     m = resistance_matrix(net)
     vs = net.vertices
     assert m.total() == kirchhoff_index(net) == sum(oracle[u, v] for i, u in enumerate(vs) for v in vs[i + 1:])
     assert ({v: m.row_sum(v) for v in vs} == resistance_sums(net)
             == {u: sum(oracle[u, v] for v in vs) for u in vs})
-    assert m.as_dict() == {"order": list(vs), "r": [[format_rational(oracle[u, v]) for v in vs] for u in vs]}
+    rows = [[format_rational(oracle[u, v]) for v in vs] for u in vs]
+    pieces = list(m.json_rows())
+    assert len(pieces) == len(vs) + 1
+    assert json.loads("".join(pieces)) == rows
+    assert "".join(pieces) == json.dumps(rows, indent=2)
+    nested = json.dumps({"matrix": {"r": rows}}, indent=2)
+    assert nested == '{\n  "matrix": {\n    "r": ' + "".join(m.json_rows(2)) + "\n  }\n}"
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -115,6 +115,54 @@ def test_random_connected_network_is_connected():
         assert 2 <= net.num_vertices <= 8
 
 
+def _resampled_network(rng, max_vertices, offset=0):
+    """The draw that built and searched every resampled network, kept as
+    an oracle: it makes the same rng calls in the same order."""
+    while True:
+        nv = rng.randint(2, max_vertices)
+        edges = [(i, j) for i in range(offset, offset + nv) for j in range(i + 1, offset + nv)
+                 if rng.random() < 0.45]
+        net = ResistanceNetwork(edges, range(offset, offset + nv))
+        if net.is_connected():
+            return net
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1729])
+@pytest.mark.parametrize("max_vertices", [2, 3, 8, 24, 40])
+def test_random_pairs_match_the_resampling_draw(seed, max_vertices):
+    rng, old = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        comp_a = _resampled_network(old, max_vertices, offset=0)
+        comp_b = _resampled_network(old, max_vertices, offset=100)
+        a, l = old.sample(list(comp_a.vertices), 2)
+        b, k = old.sample(list(comp_b.vertices), 2)
+        assert random_st_pair(rng, max_vertices) == STPair(comp_a, a, l, comp_b, b, k)
+    assert rng.getstate() == old.getstate()
+
+
+def test_random_draw_builds_only_the_accepted_network(monkeypatch):
+    # a disconnected draw is refused on its pairs, before any network is
+    # built: for verify lemma4's 100 default samples at seed 1729 the
+    # resampling draw built 338 networks for 200 components
+    built = []
+    init = ResistanceNetwork.__init__
+
+    def counting(self, edges, extra_vertices=()):
+        built.append(self)
+        init(self, edges, extra_vertices)
+
+    monkeypatch.setattr(ResistanceNetwork, "__init__", counting)
+    old = random.Random(1729)
+    for _ in range(100):
+        for comp in (_resampled_network(old, 8, 0), _resampled_network(old, 8, 100)):
+            old.sample(list(comp.vertices), 2)
+    assert len(built) == 338
+    built.clear()
+    rng = random.Random(1729)
+    pairs = [random_st_pair(rng) for _ in range(100)]
+    assert built == [comp for pair in pairs for comp in (pair.comp_a, pair.comp_b)]
+
+
 def test_random_pairs_satisfy_identity():
     rng = random.Random(1729)
     for _ in range(20):
