@@ -44,7 +44,7 @@ from .st_isomer import STPair, random_st_pair, verify_lemma4
 CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: on a 2-vCPU host plain
-# kf takes about 3 s there and --sums about 8 s; --sums --matrix about 0.75 s,
+# kf takes about 3 s there and --sums about 8 s; --sums --matrix about 0.6 s,
 # 35 MB peak RSS and 22 MB of output, the last two growing as n^2
 MAX_KF_HEXAGONS = 3000
 MAX_SUMS_HEXAGONS = 1000

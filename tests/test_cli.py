@@ -358,8 +358,9 @@ def test_json_listings_stream_their_items(args, count):
 def test_kf_matrix_json_writes_its_rows_as_made():
     # the rows are written one by one as each is formatted, each pair's
     # text held only until its mirror row: peak RSS rises over a trivial
-    # command's by about 0.75x the output (mostly the matrix's numerators),
-    # where holding the whole formatted matrix for the encoder took 1.35x
+    # command's by about 0.75x the output, the peak now being the full
+    # inverse that the matrix is read from, where holding the whole
+    # formatted matrix for the encoder took 1.35x
     base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
     peak, out = _peak_rss_and_stdout("kf", "--code", "0" * 38, "--matrix", "--format", "json")
     assert len(json.loads(out)["matrix"]["r"]) == 240
