@@ -687,13 +687,6 @@ def _unit_cycle(net: ResistanceNetwork, cycle) -> bool:
     return all(all(e.r == 1 for e in net.edges_between(u, v)) for u, v in pairs)
 
 
-def _terminal_rows(chain: LabeledChain, vertices) -> tuple:
-    """(u, r(u, x), r(u, y)) per u in `vertices`, read off the last
-    Takahashi steps of one factorization grounded at x
-    (`terminal_resistances`)."""
-    return terminal_resistances(chain.network, chain.x, chain.y, vertices)
-
-
 class Lemma5Report(NamedTuple):
     n: int
     r_a1_x: Rational
@@ -722,16 +715,17 @@ def check_lemma5(n: int, weights=None) -> Lemma5Report:
     (`ReductionTrace.replay`: each step's recorded edges are applied and
     certified on their own, so every resistance among surviving vertices
     is kept); a_1, x and y must be in the replayed network, and one
-    factorization of it grounded at a_1, x and y last, must give back
-    r(a_1, x) and r(a_1, y).  Neither read solves or runs a Takahashi step
-    but those of the vertices it reads.  Last, the final star, read off the
-    replayed network (the reducer's if a step is refused), must obey
-    0 < R_1 < 1 and (for a unit-weighted last hexagon) the reduced two-path
-    form must reproduce those values.  No step factors the whole network.
+    factorization of it grounded at a_1 that eliminates x and y last must
+    give back r(a_1, x) and r(a_1, y).  Neither read solves or runs a
+    Takahashi step but those of the vertices it reads.  Last, the final
+    star, read off the replayed network (the reducer's if a step is
+    refused), must obey 0 < R_1 < 1 and (for a unit-weighted last hexagon)
+    the reduced two-path form must reproduce those values.  No step factors
+    the whole network.
     """
     chain = build_terminal_chain(n, weights)
     net = chain.network
-    (_, r_a1_x, r_a1_y), (_, r_l1_x, r_l1_y) = _terminal_rows(chain, (chain.a1, chain.l1))
+    (_, r_a1_x, r_a1_y), (_, r_l1_x, r_l1_y) = terminal_resistances(net, chain.x, chain.y, (chain.a1, chain.l1))
     inequalities_ok = r_a1_x < r_a1_y and r_l1_x < r_l1_y
 
     final, trace = simplify_chain_circuit(chain)
@@ -828,7 +822,7 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
         if weights:
             chain = chain.reweighted(weights)
         checked = [u for u in chain.hexagons[0] if u not in (chain.a1, chain.l1)]
-        per_code = [(code, _terminal_rows(chain, checked))]
+        per_code = [(code, terminal_resistances(chain.network, chain.x, chain.y, checked))]
     instances = tuple(Lemma6Instance(c, rows, all(rx < ry for _, rx, ry in rows))
                       for c, rows in per_code)
     return Lemma6Report(n, instances, all(i.passed for i in instances))

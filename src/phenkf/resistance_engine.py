@@ -21,11 +21,13 @@ resistances.  Two kinds of computation are kept deliberately separate:
   Every reader is then the identity r(u, v) = (W_uu + W_vv - 2 W_uv) / s,
   one Rational per value returned: grounded resistances off the diagonal
   of W, the resistance matrix off all of it (its sums add numerators
-  before they divide); the Kirchhoff index and per-vertex resistance sums
-  add one solve against the all-ones vector, and resistances to two
-  terminals, read at a few vertices eliminated last, need only the
-  Takahashi steps of those.  It alone checks its input for the empty
-  network, a missing ground or read vertex, and disconnection.
+  before they divide), and resistances to two terminals, read at a few
+  vertices eliminated last, off only the Takahashi steps of those.  One
+  reader, `_sum_numerators`, adds one solve against the all-ones vector
+  for s times every per-vertex resistance sum; the Kirchhoff index, the
+  sums and the terms of Lemma 4's closed form (`st_isomer`) all divide
+  those.  It alone checks its input for the empty network, a missing
+  ground or read vertex, and disconnection.
 
 The factorization has two representations, picked from the merged
 conductances alone.  When every one is an integer (unit chains, the unit
@@ -782,32 +784,33 @@ def resistance_sum(net: ResistanceNetwork, x) -> Rational:
     return sum(grounded_resistances(net, x).values(), Rational(0))
 
 
-def resistance_sums(net: ResistanceNetwork) -> dict:
-    """Per-vertex sums of effective resistances to every other vertex.
+def _sum_numerators(net: ResistanceNetwork, ground=None) -> tuple:
+    """(s, W, sums) from one factorization grounded at `ground` (any vertex
+    if None): W = s Z for Z = K^-1 on the filled pattern, zero at the
+    ground, and sums[u] = s times the sum of r(u, v) over every v.
 
-    With Z = K^-1 grounded at any vertex and extended by zeros there,
-    r(u, v) = Z_uu + Z_vv - 2 Z_uv, so the sum at u is
-    N Z_uu + tr(Z) - 2 (Z 1)_u: one selected inversion and one solve.
+    Since r(u, v) = Z_uu + Z_vv - 2 Z_uv, that sum is
+    N Z_uu + tr(Z) - 2 (Z 1)_u (Klein and Randic 1993): the Takahashi
+    diagonal and one solve against the all-ones vector.
     """
-    n = net.num_vertices
-    factor = _GroundedFactor(net)
+    factor = _GroundedFactor(net, ground)
     w = factor.inverse()
     row = factor.solve(dict.fromkeys(net.vertices, 1))
-    trace = sum(w[v][v] for v in net.vertices)
-    return {v: Rational(n * w[v][v] + trace - 2 * row[v], factor.scale) for v in net.vertices}
+    n, trace = net.num_vertices, sum(w[v][v] for v in net.vertices)
+    return factor.scale, w, {v: n * w[v][v] + trace - 2 * row[v] for v in net.vertices}
+
+
+def resistance_sums(net: ResistanceNetwork) -> dict:
+    """Per-vertex sums of effective resistances to every other vertex."""
+    scale, _, sums = _sum_numerators(net)
+    return {v: Rational(x, scale) for v, x in sums.items()}
 
 
 def kirchhoff_index(net: ResistanceNetwork) -> Rational:
-    """Sum of effective resistances over unordered pairs of vertices.
-
-    Grounding any vertex, Kf = N * tr(Z) - 1^T Z 1 for Z = K^-1: the trace
-    from the Takahashi diagonal, the quadratic form from one solve.
-    """
-    factor = _GroundedFactor(net)
-    w = factor.inverse()
-    trace = sum(w[v][v] for v in net.vertices)
-    total = sum(factor.solve(dict.fromkeys(net.vertices, 1)).values())
-    return Rational(net.num_vertices * trace - total, factor.scale)
+    """Sum of effective resistances over unordered pairs of vertices: half
+    the sum of the per-vertex sums, divided once."""
+    scale, _, sums = _sum_numerators(net)
+    return Rational(sum(sums.values()), 2 * scale)
 
 
 def effective_resistance(net: ResistanceNetwork, u, v) -> Rational:
@@ -898,7 +901,7 @@ def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     w = factor.inverse(full=True)
     diag = [w[v][v] for v in vs]
     rows = [[0] * n for _ in range(n)]
-    for i, (w_i, d_i, row_i) in enumerate(zip(map(w.__getitem__, vs), diag, rows)):
+    for i, (w_i, d_i, row_i) in enumerate(zip(map(w.pop, vs), diag, rows)):
         for j in range(i + 1, n):
             row_i[j] = rows[j][i] = d_i + diag[j] - 2 * w_i[vs[j]]
     return ResistanceMatrix(vs, tuple(map(tuple, rows)), factor.scale, {v: i for i, v in enumerate(vs)})

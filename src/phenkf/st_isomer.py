@@ -9,16 +9,16 @@ Kf(S) - Kf(T) equals
 
 where r_X(v) is the sum of resistances from v within X alone and r_X(u, v)
 the effective resistance within X.  Every quantity is exact, and both sides
-come from the grounded factorization of `resistance_engine`: the Kirchhoff
-indices of S and T, and per component one factorization grounded at its
-first mark, whose Takahashi diagonal and one solve at its second mark give
-both sums and r_X(u, v), each divided once from summed numerators.
+come from one reader of `resistance_engine`, `_sum_numerators`: the
+Kirchhoff indices of S and T, and per component one factorization grounded
+at its first mark u, which gives s_X times both sums and, since W is zero
+at u, s_X r_X(u, v) = W_vv.  The closed form is then one division.
 """
 
 from typing import NamedTuple
 
 from .exact_arith import Rational, _fields_json
-from .resistance_engine import _GroundedFactor, ResistanceNetwork, kirchhoff_index
+from .resistance_engine import ResistanceNetwork, _sum_numerators, kirchhoff_index
 
 
 class InvalidPairError(ValueError):
@@ -70,24 +70,19 @@ def make_st_pair(pair: STPair):
     return s, t
 
 
-def _marked_terms(comp: ResistanceNetwork, u, v):
-    """(r(u), r(v), r(u, v)) within `comp`, from one factorization grounded
-    at u and one solve: with W = s K^-1 and its column c at v, s r(u) is the
-    trace of W and s r(v) = tr W + N W_vv - 2 sum c."""
-    factor = _GroundedFactor(comp, u)
-    w = factor.inverse()
-    trace = sum(w[t][t] for t in comp.vertices)
-    w_vv, scale = w[v][v], factor.scale
-    return (Rational(trace, scale),
-            Rational(trace + comp.num_vertices * w_vv - 2 * sum(factor.solve({v: 1}).values()), scale),
-            Rational(w_vv, scale))
-
-
 def lemma4_delta(pair: STPair) -> Rational:
-    """The closed-form value of Kf(S) - Kf(T), from the components alone."""
-    sum_a, sum_l, r_al = _marked_terms(pair.comp_a, pair.a, pair.l)
-    sum_b, sum_k, r_bk = _marked_terms(pair.comp_b, pair.b, pair.k)
-    return (sum_l - sum_a) * (sum_b - sum_k) / (r_al + r_bk + 2)
+    """The closed-form value of Kf(S) - Kf(T), from the components alone.
+
+    With each component X grounded at its first mark, its reader gives the
+    scale s_X, W = s_X Z and the numerators n_v = s_X r_X(v).  Over the
+    common denominator s_A s_B the closed form is
+    (n_l - n_a)(n_b - n_k) / (W_ll s_B + W_kk s_A + 2 s_A s_B).
+    """
+    comp_a, a, l, comp_b, b, k = pair
+    s_a, w_a, sums_a = _sum_numerators(comp_a, a)
+    s_b, w_b, sums_b = _sum_numerators(comp_b, b)
+    return Rational((sums_a[l] - sums_a[a]) * (sums_b[b] - sums_b[k]),
+                    w_a[l][l] * s_b + w_b[k][k] * s_a + 2 * s_a * s_b)
 
 
 class STCheck(NamedTuple):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phenkf"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "phenkf"
 
 
 def _unused_imports(tree):
@@ -22,8 +23,8 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     # no linter is part of the toolchain; __init__.py imports to re-export
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -87,6 +88,13 @@ def test_no_dead_public_names():
     trees = _package_trees()
     assert sum(len(_definitions(tree, private=False)) for tree in trees.values()) > 0
     assert sorted(name for _, _, name in _dead_names(trees, private=False)) == sorted(UNREAD_PUBLIC)
+
+
+def test_only_the_engine_names_the_factor():
+    # the grounded factorization's order, ground and scale stay behind the
+    # engine's readers: no other module of the package imports or reads it
+    naming = [module for module, tree in _package_trees().items() if "_GroundedFactor" in _read_names(tree)]
+    assert naming == ["resistance_engine.py"]
 
 
 def test_dead_private_name_check_sees_a_dead_name():
