@@ -551,6 +551,20 @@ def test_export_dot():
     assert "a1" in proc.stdout
 
 
+@pytest.mark.parametrize("code, digest", [
+    ("n=1", "dfb1663ce56deb9f30c9bcb3652a8902001d534b1805729d35b5c77aafe57e2f"),
+    ("n=2", "878a5b18739bceba5ec12a1756a56d8d3b8de8f4798d0a5c19b1a5186d6464ff"),
+    ("020", "bbe0858cb50f5a11054028a3e4887677540d703cdddd28f4df77b6bf76636b0c"),
+    ("0120210201", "c7ca03b26b7b0aaaa698a7b9e7913d1ddb5d173a038c9a0ec2d106b33d3d28b4"),
+    ("0" * 38, "67f74044c365a09153d0582a7d8f41b1b699532c56a41bd7fc1a64bf6b037e8e"),
+], ids=["n1", "n2", "020", "mixed12", "helicene40"])
+def test_export_dot_matches_golden_digest(code, digest):
+    # sha256 of the whole DOT text: the graph name, every vertex with its
+    # corner label and hexagon, and every edge with its resistance
+    proc = run_cli("export-dot", "--code", code)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_unknown_subcommand():
     proc = run_cli("frobnicate", check=False)
     assert proc.returncode == 2
