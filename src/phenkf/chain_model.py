@@ -15,12 +15,11 @@ has corners a_i = 4i-2 (top, hexagon-i side), b_i = 4i (top), k_i = 4i+1
 (bottom), l_i = 4i-1 (bottom, hexagon-i side).
 """
 
-from collections import defaultdict
 from itertools import product
 from typing import NamedTuple
 
-from .exact_arith import Rational
-from .resistance_engine import InvalidNetworkError, ResistanceNetwork, network_to_dot
+from .exact_arith import Rational, format_rational
+from .resistance_engine import InvalidNetworkError, ResistanceNetwork
 
 
 class ChainCodeError(ValueError):
@@ -281,20 +280,19 @@ def corner_labels(chain) -> dict:
     return labels
 
 
-def chain_to_dot(chain, name="chain") -> str:
-    """DOT rendering with corner labels and hexagon membership attributes."""
+def chain_to_dot(chain, name="chain"):
+    """Yield the Graphviz rendering of `chain` line by line: each vertex with
+    its corner label and the hexagons it lies on, each edge with its
+    resistance."""
     labels = corner_labels(chain)
-    membership = defaultdict(list)
-    for idx, cycle in enumerate(chain.hexagons, start=1):
+    hexagons = {}
+    for i, cycle in enumerate(chain.hexagons, start=1):
         for v in cycle:
-            membership[v].append(idx)
-    attrs = {}
+            hexagons[v] = f"{hexagons[v]},{i}" if v in hexagons else str(i)
+    yield f"graph {name} {{\n  node [shape=circle];\n"
     for v in chain.network.vertices:
-        a = {}
-        if v in labels:
-            a["label"] = labels[v]
-        if v in membership:
-            a["hexagons"] = ",".join(str(i) for i in membership[v])
-        if a:
-            attrs[v] = a
-    return network_to_dot(chain.network, name=name, vertex_attrs=attrs)
+        attrs = [f'{key}="{text[v]}"' for key, text in (("label", labels), ("hexagons", hexagons)) if v in text]
+        yield f'  "{v}" [{", ".join(attrs)}];\n' if attrs else f'  "{v}";\n'
+    for e in chain.network.edges:
+        yield f'  "{e.u}" -- "{e.v}" [label="{format_rational(e.r)}"];\n'
+    yield "}\n"

@@ -70,8 +70,8 @@ MAX_SAMPLES = 1000
 # they are written; the trace is held).  Text and json without --trace
 # take under 1 s here (2-vCPU host)
 MAX_REDUCE_HEXAGONS = 1000
-# export-dot holds the chain and its DOT text, about 10 KB a hexagon: 1.3 s, 99 MB
-# peak RSS and 5 MB of output at this bound, 2.6 s and 181 MB at 20 000 (2-vCPU host)
+# export-dot holds the chain, about 4 KB a hexagon, and writes each DOT line as it
+# is made: 0.5 s, 59 MB peak RSS and 5 MB of output at this bound (2-vCPU host)
 MAX_DOT_HEXAGONS = 10000
 # pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory
@@ -121,8 +121,12 @@ def _int_at_least(low, most=None):
     return parse
 
 
-def _parse_code(args) -> ChainCode:
-    return ChainCode.parse(args.code, n=getattr(args, "n", None))
+def _parse_code(args, route, limit) -> ChainCode:
+    """The chain of --code, refused past `limit` hexagons, the bound of `route`."""
+    code = ChainCode.parse(args.code, n=getattr(args, "n", None))
+    if code.n > limit:
+        raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
+    return code
 
 
 def _refuse_unshown(args, flag, shown_in):
@@ -138,11 +142,8 @@ def _refuse_unshown(args, flag, shown_in):
 def _cmd_kf(args) -> int:
     _refuse_unshown(args, "matrix", ("json",))
     _refuse_unshown(args, "sums", ("text", "json"))
-    code = _parse_code(args)
-    route, limit = (("kf --matrix", MAX_MATRIX_HEXAGONS) if args.matrix else
-                    ("kf --sums", MAX_SUMS_HEXAGONS) if args.sums else ("kf", MAX_KF_HEXAGONS))
-    if code.n > limit:
-        raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
+    code = _parse_code(args, *(("kf --matrix", MAX_MATRIX_HEXAGONS) if args.matrix else
+                               ("kf --sums", MAX_SUMS_HEXAGONS) if args.sums else ("kf", MAX_KF_HEXAGONS)))
     if args.matrix:
         # one factorization: Kf and the sums are read off the matrix
         matrix = resistance_matrix(build_chain(code).network)
@@ -290,8 +291,7 @@ def _cmd_verify_lemma5(args) -> int:
 
 
 def _cmd_verify_lemma6(args) -> int:
-    check_cap(args.n, _resolve_cap(args))
-    unit = check_lemma6(args.n)
+    unit = check_lemma6(args.n, cap=_resolve_cap(args))
     codes = [inst.code for inst in unit.instances]
 
     def draw(rng):
@@ -339,9 +339,7 @@ def _cmd_verify_hexagon(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    code = _parse_code(args)
-    if code.n > MAX_REDUCE_HEXAGONS:
-        raise ValueError(f"reduce takes at most {MAX_REDUCE_HEXAGONS} hexagons, got n={code.n}")
+    code = _parse_code(args, "reduce", MAX_REDUCE_HEXAGONS)
     reduced, trace = reduce_series_parallel(build_chain(code).network)
     if args.format == "json":
         out = {
@@ -361,10 +359,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    code = _parse_code(args)
-    if code.n > MAX_DOT_HEXAGONS:
-        raise ValueError(f"export-dot takes at most {MAX_DOT_HEXAGONS} hexagons, got n={code.n}")
-    _emit(chain_to_dot(build_chain(code), name=f"chain_{code.n}_{code.word or 'empty'}"))
+    code = _parse_code(args, "export-dot", MAX_DOT_HEXAGONS)
+    _emit_pieces(chain_to_dot(build_chain(code), name=f"chain_{code.n}_{code.word or 'empty'}"))
     return 0
 
 

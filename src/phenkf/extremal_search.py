@@ -794,7 +794,7 @@ class Lemma6Report(NamedTuple):
         }
 
 
-def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
+def check_lemma6(n: int, weights=None, code=None, cap=DEFAULT_CAP) -> Lemma6Report:
     """First-hexagon to last-hexagon inequalities on phenylene chains.
 
     For each chain: with x the degree-2 vertex of the last hexagon adjacent
@@ -803,10 +803,11 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
 
     Without an explicit code, every code with n hexagons is checked at unit
     weights, and no chain is factored: the transfer engine walks the code
-    trie with O(1) exact updates per trie node for each checked vertex.  An
-    explicit code, weighted or not, is checked on its own chain, read off
-    the last five Takahashi steps of one factorization grounded at x that
-    eliminates the four checked vertices and y last; its unit edge
+    trie with O(1) exact updates per trie node for each checked vertex.
+    Past `cap` codes that walk is refused (`check_cap`), as in `extremes`.
+    An explicit code, weighted or not, is checked on its own chain, read
+    off the last five Takahashi steps of one factorization grounded at x
+    that eliminates the four checked vertices and y last; its unit edge
     (b_(n-1), k_(n-1)) must keep weight 1.
     """
     if n < 2:
@@ -814,6 +815,7 @@ def check_lemma6(n: int, weights=None, code=None) -> Lemma6Report:
     if code is None:
         if weights:
             raise ValueError("weights need an explicit code: vertex ids depend on it")
+        check_cap(n, cap)
         per_code = zip(enumerate_words(n), _transfer_lemma6(n))
     else:
         if code.n != n:

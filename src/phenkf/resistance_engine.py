@@ -627,11 +627,13 @@ class _GroundedFactor:
       conductances themselves, the pivot of p is the conductance at p when
       it goes, and scale = 1.
 
-    `order` lists the eliminated vertices, `first` the place of the first
-    read vertex in it (its length if none), `pivots` their pivots, `leads`
-    the minor Delta_p before each (1 over the rationals), and `cols[p]` the
-    pairs (q, g_qp) for the later neighbors q of the p-th vertex but the
-    ground, with g_qp its stored entry at step p; so L_qp = -g_qp / pivot_p.
+    `order` lists the eliminated vertices, `first` the start of the block
+    that `inverse(block=True)` reads (the place of the first read vertex in
+    `order`, or 0 if none, so that the block is every vertex), `pivots`
+    their pivots, `leads` the minor Delta_p before each (1 over the
+    rationals), and `cols[p]` the pairs (q, g_qp) for the later neighbors q
+    of the p-th vertex but the ground, with g_qp its stored entry at step
+    p; so L_qp = -g_qp / pivot_p.
     Every division of the integral representation goes through the checked
     `_exact`, which raises ArithmeticError if it is inexact.
     """
@@ -651,7 +653,7 @@ class _GroundedFactor:
             ground = order[-1]
         tail = dict.fromkeys(v for v in read if v != ground)
         order = [v for v in order if v != ground and v not in tail] + list(tail)
-        self.ground, self.order, self.first = ground, order, len(order) - len(tail)
+        self.ground, self.order, self.first = ground, order, len(order) - (len(tail) or len(order))
         self.integral = all(c.denominator == 1 for row in graph.values() for c in row.values())
         self.pivots, self.cols = [], []
         if self.integral:
@@ -719,7 +721,7 @@ class _GroundedFactor:
         x[self.ground] = 0
         return x
 
-    def inverse(self, full=False, tail=False) -> dict:
+    def inverse(self, block=False) -> dict:
         """W = scale K^-1 by the Takahashi recurrence, last column first,
         keyed by vertex and extended by zeros at the ground.
 
@@ -728,24 +730,24 @@ class _GroundedFactor:
         The recurrence only reads W on the filled pattern (the later
         neighbors of p form a clique once p is eliminated), so by default
         only those entries are computed, in O(V b^2) for bandwidth b, and
-        W_gg = 0 at the ground g; `full` computes all of W, in O(V^2 b),
-        with a zero row and column at g.  `tail` runs only the steps of the
-        read vertices, the last, which read only one another, and gives W
-        on every pair of them and g: the inverse of the Kron reduction onto
-        them.  Returns w with w[u][v] = W_uv, symmetric, diagonal included.
+        W_gg = 0 at the ground g.  `block` runs only the steps of the block,
+        the vertices from `first` on, which read only one another, and gives
+        W on every pair of them and g: the inverse of the Kron reduction onto
+        the read vertices, or all of W, in O(V^2 b), for a factor with none.
+        Returns w with w[u][v] = W_uv, symmetric, diagonal included.
         """
         order, g, div = self.order, self.ground, self._div
-        first = self.first if tail else 0
+        first = self.first if block else 0
         w = {v: {} for v in order[first:]}
         for p in range(len(order) - 1, first - 1, -1):
             v, col, pivot = order[p], self.cols[p], self.pivots[p]
             w_v = w[v]
-            for q in (order[p + 1:] if full or tail else (q for q, _ in col)):
+            for q in (order[p + 1:] if block else (q for q, _ in col)):
                 w_q = w[q]
                 w_v[q] = w_q[v] = div(sum(w_q[s] * g_s for s, g_s in col), pivot)
             w_v[v] = div(self.scale * self.leads[p] + sum(g_q * w_v[q] for q, g_q in col), pivot)
         w[g] = {g: 0}
-        if full or tail:
+        if block:
             for v in order[first:]:
                 w[v][g] = w[g][v] = 0
         return w
@@ -773,7 +775,7 @@ def terminal_resistances(net: ResistanceNetwork, x, y, read) -> tuple:
     if y == x:
         raise NetworkError(f"terminals coincide at {x!r}")
     factor = _GroundedFactor(net, x, (*read, y))
-    w = factor.inverse(tail=True)
+    w = factor.inverse(block=True)
     w_y, scale = w[y], factor.scale
     return tuple((u, Rational(w[u][u], scale), Rational(w[u][u] + w_y[y] - 2 * w_y[u], scale))
                  for u in read)
@@ -898,7 +900,7 @@ def resistance_matrix(net: ResistanceNetwork) -> ResistanceMatrix:
     vs = net.vertices
     n = len(vs)
     factor = _GroundedFactor(net)
-    w = factor.inverse(full=True)
+    w = factor.inverse(block=True)
     diag = [w[v][v] for v in vs]
     rows = [[0] * n for _ in range(n)]
     for i, (w_i, d_i, row_i) in enumerate(zip(map(w.pop, vs), diag, rows)):
@@ -949,29 +951,9 @@ def simplify_chain_circuit(chain):
 
 
 # ---------------------------------------------------------------------------
-# output formats
+# edge-list output (a chain's DOT text is `chain_model.chain_to_dot`)
 
 
 def format_edge_list(net: ResistanceNetwork) -> str:
     lines = [f"{e.u} {e.v} {format_rational(e.r)}" for e in net.edges]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def network_to_dot(net: ResistanceNetwork, name="network", vertex_attrs=None) -> str:
-    """Graphviz rendering with resistances as edge labels.
-
-    `vertex_attrs` maps a vertex to extra DOT attributes ({"label": "a1"}).
-    """
-    vertex_attrs = vertex_attrs or {}
-    out = [f"graph {name} {{", "  node [shape=circle];"]
-    for v in net.vertices:
-        attrs = vertex_attrs.get(v)
-        if attrs:
-            rendered = ", ".join(f'{key}="{val}"' for key, val in attrs.items())
-            out.append(f'  "{v}" [{rendered}];')
-        else:
-            out.append(f'  "{v}";')
-    for e in net.edges:
-        out.append(f'  "{e.u}" -- "{e.v}" [label="{format_rational(e.r)}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -215,7 +215,7 @@ def test_chain_landmarks(build, arg):
 
 
 def test_chain_to_dot():
-    dot = chain_to_dot(build_chain(ChainCode(3, (0,))))
+    dot = "".join(chain_to_dot(build_chain(ChainCode(3, (0,)))))
     assert dot.startswith("graph")
     assert "a1" in dot
 

@@ -406,6 +406,23 @@ def test_cap_guard():
         check_cap(12, 100)
 
 
+def test_exhaustive_lemma6_refuses_past_its_cap(monkeypatch):
+    # without a code, check_lemma6 walks every code, so it refuses past the
+    # cap before the walk starts, as extremes does; one explicit code is one
+    # chain and takes no cap
+    def walk(n):
+        raise AssertionError(f"walked all 3^{n - 2} codes")
+
+    monkeypatch.setattr(extremal_search, "_transfer_lemma6", walk)
+    with pytest.raises(SearchCapExceeded, match=r"n=30 needs 3\^28 codes but the cap is 2187"):
+        check_lemma6(30)
+    with pytest.raises(SearchCapExceeded, match=r"n=5 needs 27 codes but the cap is 26"):
+        check_lemma6(5, cap=26)
+    assert check_lemma6(5, code=helicene(5), cap=1).passed
+    monkeypatch.undo()
+    assert len(check_lemma6(5, cap=27).instances) == 27
+
+
 # -- kink flips --------------------------------------------------------------
 
 

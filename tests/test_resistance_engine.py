@@ -31,7 +31,6 @@ from phenkf.resistance_engine import (
     format_edge_list,
     grounded_resistances,
     kirchhoff_index,
-    network_to_dot,
     parallel_reduce,
     reduce_series_parallel,
     resistance_matrix,
@@ -896,7 +895,7 @@ def test_integral_factor_refuses_a_corrupted_entry():
             q, g = factor.cols[p][i]
             factor.cols[p][i] = (q, g + delta)
             with pytest.raises(ArithmeticError):
-                factor.inverse(full=True)
+                factor.inverse(block=True)
                 factor.solve(dict.fromkeys(net.vertices, 1))
 
 
@@ -990,11 +989,3 @@ def test_format_edge_list():
     assert format_edge_list(net) == "2 a 1/2\na b 1\nb c 3\n"
     assert format_edge_list(ResistanceNetwork(())) == ""
 
-
-def test_network_to_dot():
-    net = ResistanceNetwork([("a", "b", Fraction(1, 2))])
-    dot = network_to_dot(net, name="demo", vertex_attrs={"a": {"label": "start"}})
-    assert dot.startswith("graph demo {")
-    assert "1/2" in dot
-    assert "start" in dot
-    assert dot.rstrip().endswith("}")

@@ -1,12 +1,16 @@
 """Checks on the package's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "phenkf"
+# the oldest Python the package declares it runs on
+FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                 (TESTS.parent / "pyproject.toml").read_text()).groups()))
 
 
 def _unused_imports(tree):
@@ -28,6 +32,19 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     # no linter is part of the toolchain; __init__.py imports to re-export
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_source_parses_at_the_python_floor(path):
+    # the tests run on one newer Python, so syntax past the floor would
+    # pass them and fail on the oldest Python the package claims
+    ast.parse(path.read_text(), feature_version=FLOOR)
+
+
+def test_python_floor_check_refuses_newer_syntax():
+    assert FLOOR == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
 
 
 def test_unused_import_check_sees_a_dead_name():
