@@ -653,7 +653,7 @@ class _GroundedFactor:
             ground = order[-1]
         tail = dict.fromkeys(v for v in read if v != ground)
         order = [v for v in order if v != ground and v not in tail] + list(tail)
-        self.ground, self.order, self.first = ground, order, len(order) - (len(tail) or len(order))
+        self.ground, self.order, self.first = ground, order, len(order) - len(tail) if tail else 0
         self.integral = all(c.denominator == 1 for row in graph.values() for c in row.values())
         self.pivots, self.cols = [], []
         if self.integral:
