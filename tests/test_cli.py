@@ -691,6 +691,21 @@ def test_failing_draws_are_reported_in_draw_order(target, monkeypatch, capsys):
     assert lines[-2].endswith("failures: 2")
 
 
+@pytest.mark.parametrize("target, digest", [
+    ("lemma4", "9428a9fa3aebbf0263e3f201530f1e59551bf6f40893c26404eca8d5e3bf358f"),
+    ("lemma5", "4f74d3909cc976603ae9f59a6f2216b630c6b21808a4bcb5179e7105f6db89ab"),
+    ("lemma6", "2669e1e604e17000c1d119f0a3758a6d86f920b57ca845e910b67cba7e6417a0"),
+])
+def test_failing_draws_match_golden_digest(target, digest, monkeypatch, capsys):
+    # sha256 of the json report with draws 1 and 3 failing: the bytes each
+    # failing record is written as (a Lemma 4 check, a Lemma 5 report, a
+    # Lemma 6 report with its instances), which the test above reads back
+    # only through the record's own as_dict
+    _fail_chosen(monkeypatch, target, fail_samples=(1, 3))
+    assert cli.main(SAMPLED_VERDICTS[target][1] + ["--format", "json"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("target", sorted(SAMPLED_VERDICTS))
 def test_failing_unit_check_alone_fails_the_verdict(target, monkeypatch, capsys):
     argv = SAMPLED_VERDICTS[target][1]
