@@ -57,32 +57,28 @@ class ChainCode(_ChainCodeFields):
         return cls(*iterable)
 
     @classmethod
-    def parse(cls, text: str, n=None) -> "ChainCode":
+    def parse(cls, text: str) -> "ChainCode":
         """Parse "020", "0,2,0", "w=020", "n=5 w=0,2,0", or "n=1".
 
-        An explicit `n` argument or n= token must agree with the word length;
-        a bare empty word needs n (1 and 2 both have empty words).
+        An n= token must agree with the word length; a bare empty word
+        needs one (1 and 2 both have empty words).
         """
         if not isinstance(text, str):
             raise ChainCodeError(f"expected string, got {type(text).__name__}")
         word = None
-        n_token = None
+        n = None
         for token in text.split():
             if token.startswith("n="):
-                if n_token is not None:
+                if n is not None:
                     raise ChainCodeError(f"repeated n= in {text!r}")
                 try:
-                    n_token = int(token[2:])
+                    n = int(token[2:])
                 except ValueError:
                     raise ChainCodeError(f"bad hexagon count in {text!r}") from None
             else:
                 if word is not None:
                     raise ChainCodeError(f"more than one code word in {text!r}")
                 word = token[2:] if token.startswith("w=") else token
-        if n_token is not None:
-            if n is not None and n != n_token:
-                raise ChainCodeError(f"conflicting hexagon counts {n} and {n_token}")
-            n = n_token
         entries = cls._parse_word(word or "", text)
         if n is None:
             if not entries:
@@ -238,8 +234,9 @@ class LabeledChain(NamedTuple):
         return self.hexagons[-1][2]
 
     def reweighted(self, weights) -> "LabeledChain":
-        """Copy with `weights` (unordered vertex pair -> resistance) applied; unit_edge stays 1."""
-        b, k = self.unit_edge
+        """Copy with `weights` (unordered vertex pair -> resistance) applied;
+        unit_edge, on a chain with a square, stays 1."""
+        b, k = self.unit_edge if self.square_corners else (None, None)
         for (u, v), r in dict(weights).items():
             if {u, v} == {b, k} and Rational(r) != 1:
                 raise InvalidNetworkError(

@@ -10,7 +10,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import random
 import sys
 
@@ -41,7 +40,6 @@ from .resistance_engine import (
 )
 from .st_isomer import STPair, random_st_pair, verify_lemma4
 
-CAP_ENV = "PHENKF_MAX_CODES"
 JOBS_HELP = "ignored: the search runs in one process (accepted for compatibility)"
 # longest chain, in hexagons, that each kf route takes: on a 2-vCPU host plain
 # kf takes about 3 s there and --sums about 8 s; --sums --matrix about 0.6 s,
@@ -95,18 +93,6 @@ def _emit_json(obj):
     sys.stdout.write("\n")
 
 
-def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-
-
 def _int_at_least(low, most=None):
     """argparse type: an int no smaller than `low` and, if `most` is given,
     no larger than it."""
@@ -123,7 +109,7 @@ def _int_at_least(low, most=None):
 
 def _parse_code(args, route, limit) -> ChainCode:
     """The chain of --code, refused past `limit` hexagons, the bound of `route`."""
-    code = ChainCode.parse(args.code, n=getattr(args, "n", None))
+    code = ChainCode.parse(args.code)
     if code.n > limit:
         raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
     return code
@@ -184,7 +170,7 @@ def _cmd_kf(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    count = check_cap(args.n, _resolve_cap(args))
+    count = check_cap(args.n, args.cap)
     codes = functools.partial(enumerate_words, args.n, canonical_only=args.canonical)
     if args.format == "json":
         if args.canonical:
@@ -205,13 +191,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_extrema(args) -> int:
     _refuse_unshown(args, "approx", ("text",))
-    cap = _resolve_cap(args)
     if args.format == "json":
-        _emit_json(find_extrema(args.n, cap=cap).as_dict())
+        _emit_json(find_extrema(args.n, cap=args.cap).as_dict())
     elif args.format == "csv":
-        _emit_pieces(find_extrema(args.n, cap=cap).csv_lines())
+        _emit_pieces(find_extrema(args.n, cap=args.cap).csv_lines())
     else:
-        table = extremes(args.n, cap=cap)
+        table = extremes(args.n, cap=args.cap)
         _emit(f"n: {table.n}")
         _emit(f"codes: {table.count}")
         for side, kf, codes in (("min", table.min_kf, table.min_codes), ("max", table.max_kf, table.max_codes)):
@@ -291,7 +276,7 @@ def _cmd_verify_lemma5(args) -> int:
 
 
 def _cmd_verify_lemma6(args) -> int:
-    unit = check_lemma6(args.n, cap=_resolve_cap(args))
+    unit = check_lemma6(args.n, cap=args.cap)
     codes = [inst.code for inst in unit.instances]
 
     def draw(rng):
@@ -304,7 +289,7 @@ def _cmd_verify_lemma6(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    report = verify_theorem1(args.n, cap=_resolve_cap(args))
+    report = verify_theorem1(args.n, cap=args.cap)
     out = {"check": "theorem1", **report.as_dict()}
     lines = [
         f"min class: {' '.join(c.word for c in report.min_codes)}",
@@ -314,7 +299,7 @@ def _cmd_verify_theorem1(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    report = verify_conjecture(args.n, cap=_resolve_cap(args))
+    report = verify_conjecture(args.n, cap=args.cap)
     out = {"check": "conjecture", **report.as_dict()}
     lines = [
         f"min kf: {format_rational(report.min_kf)}  class: {' '.join(c.word for c in report.min_codes)}",
@@ -381,11 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="text")
 
     def add_code(p):
-        p.add_argument("--code", required=True, help='chain code: "020", "0,2,0", or "n=5 w=020"')
-        p.add_argument("--n", type=int, help="hexagon count (needed for empty codes)")
+        p.add_argument("--code", required=True, help='chain code: "020", "0,2,0", "n=5 w=020", or "n=1"')
 
     def add_cap(p):
-        p.add_argument("--cap", type=int, help=f"exhaustive code cap (default {DEFAULT_CAP}, env {CAP_ENV})")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="exhaustive code cap (default %(default)s)")
 
     def add_search(p):
         p.add_argument("--n", type=int, required=True)
@@ -435,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("lemma6", help="first-hexagon terminal inequalities on chains")
     p.add_argument("--n", type=int, required=True)
+    add_cap(p)
     add_sampling(p, 5)
     add_format(p, ("text", "json"))
     p.set_defaults(handler=_cmd_verify_lemma6)

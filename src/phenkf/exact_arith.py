@@ -45,10 +45,18 @@ def format_rational(q) -> str:
 
 
 def _fields_json(record, **renamed) -> dict:
-    """A NamedTuple's fields in order, under their names or `renamed`'s,
-    each Rational formatted and every other value as it is."""
-    return {renamed.get(name, name): format_rational(value) if type(value) is Rational else value
-            for name, value in zip(record._fields, record)}
+    """A NamedTuple's fields in order, under their names or `renamed`'s:
+    each Rational formatted, a tuple of codes as their words, a tuple of
+    records as their as_dict(), and every other value as it is."""
+    return {renamed.get(name, name): _json_value(value) for name, value in zip(record._fields, record)}
+
+
+def _json_value(value):
+    if type(value) is Rational:
+        return format_rational(value)
+    if type(value) is tuple:
+        return [item.as_dict() if hasattr(item, "as_dict") else item.word for item in value]
+    return value
 
 
 class _LazyList(list):

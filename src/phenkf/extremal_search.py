@@ -521,14 +521,10 @@ class ExtremaTable(NamedTuple):
             yield word, canonical_word(word), k // g, scale // g, k == lo, k == hi
 
     def as_dict(self) -> dict:
-        """The json listing; its reports are made as they are read."""
+        """The json listing: the fields of `Extremes`, then the reports,
+        made as they are read."""
         return {
-            "n": self.n,
-            "count": self.count,
-            "min_kf": format_rational(self.min_kf),
-            "max_kf": format_rational(self.max_kf),
-            "min_class": [c.word for c in self.min_codes],
-            "max_class": [c.word for c in self.max_codes],
+            **_fields_json(Extremes(*self[:6]), min_codes="min_class", max_codes="max_class"),
             "reports": _LazyList(lambda: (_report_dict(self.n, word, canonical, num, den)
                                           for word, canonical, num, den, _, _ in self.reports),
                                  self.count),
@@ -559,8 +555,7 @@ def check_cap(n: int, cap: int):
             return total
         count = str(total)
     raise SearchCapExceeded(
-        f"n={n} needs {count} codes but the cap is {cap}; raise it (--cap where offered, "
-        f"or the PHENKF_MAX_CODES environment variable) to search this size exhaustively")
+        f"n={n} needs {count} codes but the cap is {cap}; raise it with --cap to search this size exhaustively")
 
 
 def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
@@ -787,11 +782,7 @@ class Lemma6Report(NamedTuple):
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "instances": [i.as_dict() for i in self.instances],
-            "pass": self.passed,
-        }
+        return _fields_json(self, passed="pass")
 
 
 def check_lemma6(n: int, weights=None, code=None, cap=DEFAULT_CAP) -> Lemma6Report:
@@ -902,12 +893,7 @@ class Theorem1Report(NamedTuple):
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_class": [c.word for c in self.min_codes],
-            "violations": [c.word for c in self.violations],
-            "pass": self.passed,
-        }
+        return _fields_json(self, min_codes="min_class", passed="pass")
 
 
 def verify_theorem1(n: int, cap=DEFAULT_CAP) -> Theorem1Report:
@@ -928,16 +914,8 @@ class ConjectureReport(NamedTuple):
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_class": [c.word for c in self.min_codes],
-            "max_class": [c.word for c in self.max_codes],
-            "min_kf": format_rational(self.min_kf),
-            "max_kf": format_rational(self.max_kf),
-            "expected_min_class": [c.word for c in self.expected_min],
-            "expected_max_class": [c.word for c in self.expected_max],
-            "pass": self.passed,
-        }
+        return _fields_json(self, min_codes="min_class", max_codes="max_class", expected_min="expected_min_class",
+                            expected_max="expected_max_class", passed="pass")
 
 
 def verify_conjecture(n: int, cap=DEFAULT_CAP) -> ConjectureReport:

@@ -14,7 +14,7 @@ from phenkf.chain_model import (
     helicene,
     linear,
 )
-from phenkf.resistance_engine import ResistanceNetwork
+from phenkf.resistance_engine import InvalidNetworkError, ResistanceNetwork
 
 
 # -- codes -------------------------------------------------------------------
@@ -41,12 +41,6 @@ def test_parse_grammar(text, n, word):
 def test_parse_rejects(text):
     with pytest.raises(ChainCodeError):
         ChainCode.parse(text)
-
-
-def test_parse_with_expected_n():
-    assert ChainCode.parse("020", n=5).n == 5
-    with pytest.raises(ChainCodeError):
-        ChainCode.parse("020", n=4)
 
 
 def test_str_form_roundtrips():
@@ -212,6 +206,15 @@ def test_chain_landmarks(build, arg):
     assert {b, k} in [{u, v} for u, v in zip(last, last[1:] + last[:1])]
     assert {chain.a1, chain.l1} <= set(chain.square_corners[0])
     assert len(net.edges_between(chain.a1, chain.l1)) == 1
+
+
+def test_reweighted_guards_the_unit_edge_only_where_there_is_one():
+    # one hexagon has no square, so no unit edge: any edge takes a weight
+    hexagon = build_chain(ChainCode(1, ())).reweighted({(0, 1): 2})
+    assert [e.r for e in hexagon.network.edges_between(0, 1)] == [2]
+    chain = build_chain(ChainCode(2, ()))
+    with pytest.raises(InvalidNetworkError, match="designated unit edge"):
+        chain.reweighted({chain.unit_edge: 2})
 
 
 def test_chain_to_dot():

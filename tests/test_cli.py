@@ -1,8 +1,7 @@
 """End-to-end tests of the command line interface.
 
 Every CLI run is a subprocess that imports phenkf from this checkout's
-``src`` directory, whatever the caller's ``PYTHONPATH`` or installed copy,
-and that sees ``PHENKF_MAX_CODES`` only when a test sets it.
+``src`` directory, whatever the caller's ``PYTHONPATH`` or installed copy.
 """
 
 import argparse
@@ -13,6 +12,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,22 +30,18 @@ from phenkf.resistance_engine import resistance_matrix
 CLI = [sys.executable, "-m", "phenkf.cli"]
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-CAP_ENV = "PHENKF_MAX_CODES"
 
 
-def child_env(env=()):
-    """The caller's environment with SRC first on PYTHONPATH, the cap
-    variable dropped, and then ``env`` applied."""
+def child_env():
+    """The caller's environment with SRC first on PYTHONPATH."""
     out = dict(os.environ)
-    out.pop(CAP_ENV, None)
     out["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), out.get("PYTHONPATH")]))
-    out.update(env)
     return out
 
 
-def run_cli(*args, check=True, env=(), timeout=None):
-    """Run the CLI in `child_env(env)`."""
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env(env),
+def run_cli(*args, check=True, timeout=None):
+    """Run the CLI in `child_env()`."""
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env(),
                           timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -137,7 +134,7 @@ def test_kf_matrix_rows_match_the_held_encoding(n, capsys):
             reference["kf_approx"] = approx_text(report.kf)
         reference["matrix"] = _held_matrix(resistance_matrix(build_chain(code).network))
         flags = ["--sums"] * sums + ["--approx"] * approx
-        assert cli.main(["kf", "--n", str(n), "--code", code.word, "--matrix", *flags, "--format", "json"]) == 0
+        assert cli.main(["kf", "--code", str(code), "--matrix", *flags, "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
 
 
@@ -181,11 +178,13 @@ def test_extrema_cap_refused():
     assert "cap" in proc.stderr.lower()
 
 
-def test_extrema_cap_from_environment():
-    proc = run_cli("extrema", "--n", "5", check=False, env={CAP_ENV: "5"})
+def test_lemma6_cap_flag():
+    proc = run_cli("verify", "lemma6", "--n", "5", "--cap", "26", check=False)
     assert proc.returncode == 2
-    assert "n=5 needs 27 codes but the cap is 5" in proc.stderr
-    assert CAP_ENV in proc.stderr
+    assert "n=5 needs 27 codes but the cap is 26; raise it with --cap" in proc.stderr
+    assert proc.stdout == ""
+    proc = run_cli("verify", "lemma6", "--n", "5", "--cap", "27")
+    assert "unit weights: 27 chains checked, pass: True" in proc.stdout
 
 
 @pytest.mark.parametrize("args", [("enumerate", "--n", "30"), ("verify", "lemma6", "--n", "30")],
@@ -409,12 +408,11 @@ def test_enumerate_canonical_json_counts_its_words():
 
 
 def test_enumerate_cap_flag():
-    # --cap overrides the environment variable, either way
-    proc = run_cli("enumerate", "--n", "5", "--cap", "26", check=False, env={CAP_ENV: "27"})
+    proc = run_cli("enumerate", "--n", "5", "--cap", "26", check=False)
     assert proc.returncode == 2
     assert "n=5 needs 27 codes but the cap is 26" in proc.stderr
     assert proc.stdout == ""
-    proc = run_cli("enumerate", "--n", "5", "--cap", "27", env={CAP_ENV: "26"})
+    proc = run_cli("enumerate", "--n", "5", "--cap", "27")
     assert len(proc.stdout.splitlines()) == 27
 
 
@@ -737,22 +735,23 @@ def _subparsers(parser):
 
 ALL_FORMATS = {"--format": ("text", False, ("text", "json", "csv"))}
 TEXT_JSON = {"--format": ("text", False, ("text", "json"))}
-CODE_N = {"--code": (None, True), "--n": (None, False)}
-N_CAP_JOBS = {"--n": (None, True), "--cap": (None, False), "--jobs": (1, False)}
+CODE = {"--code": (None, True)}
+N_CAP = {"--n": (None, True), "--cap": (2187, False)}
+N_CAP_JOBS = {**N_CAP, "--jobs": (1, False)}
 SAMPLES_SEED = {"--samples": (5, False), "--seed": (1729, False)}
 FLAG_VOCABULARY = {
-    "kf": {**CODE_N, "--sums": (False, False), "--matrix": (False, False),
+    "kf": {**CODE, "--sums": (False, False), "--matrix": (False, False),
            "--approx": (False, False), **ALL_FORMATS},
-    "enumerate": {"--n": (None, True), "--cap": (None, False), "--canonical": (False, False), **ALL_FORMATS},
+    "enumerate": {**N_CAP, "--canonical": (False, False), **ALL_FORMATS},
     "extrema": {**N_CAP_JOBS, "--approx": (False, False), **ALL_FORMATS},
     "verify lemma4": {**SAMPLES_SEED, "--samples": (100, False), "--max-vertices": (8, False), **TEXT_JSON},
     "verify lemma5": {"--n": (None, True), **SAMPLES_SEED, **TEXT_JSON},
-    "verify lemma6": {"--n": (None, True), **SAMPLES_SEED, **TEXT_JSON},
+    "verify lemma6": {**N_CAP, **SAMPLES_SEED, **TEXT_JSON},
     "verify theorem1": {**N_CAP_JOBS, **TEXT_JSON},
     "verify conjecture": {**N_CAP_JOBS, **TEXT_JSON},
     "verify hexagon": {"--r": (None, True), **TEXT_JSON},
-    "reduce": {**CODE_N, "--trace": (False, False), **TEXT_JSON},
-    "export-dot": CODE_N,
+    "reduce": {**CODE, "--trace": (False, False), **TEXT_JSON},
+    "export-dot": CODE,
 }
 
 
@@ -760,8 +759,8 @@ def test_flag_vocabulary():
     # every subcommand's option strings, defaults, required flags and formats:
     # --cap on the commands that list every code, --jobs only on the
     # exhaustive commands, --samples/--seed only on
-    # the lemma targets, --max-vertices only on lemma4, --code with an
-    # optional --n on kf, reduce and export-dot
+    # the lemma targets, --max-vertices only on lemma4, --code alone on
+    # kf, reduce and export-dot
     commands = {}
     for name, sub in _subparsers(cli.build_parser()).items():
         if name == "verify":
@@ -782,3 +781,31 @@ def test_every_code_command_bounds_its_chain(command):
     assert proc.returncode == 2
     assert "takes at most" in proc.stderr and "hexagons, got n=130002" in proc.stderr
     assert proc.stdout == ""
+
+
+README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _readme_examples():
+    """(argv, shown stdout) of each `$ phenkf ...` line in the README's
+    fenced blocks: the lines up to the next `$` line or the block's end."""
+    for _, block in README_BLOCKS:
+        for example in re.split(r"^(?=\$ )", block, flags=re.M):
+            command, _, shown = example.partition("\n")
+            if command.startswith("$ phenkf "):
+                yield pytest.param(shlex.split(command)[2:], shown, id=command[9:])
+
+
+@pytest.mark.parametrize("argv, shown", _readme_examples())
+def test_readme_examples_print_what_they_show(argv, shown, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_readme_library_block_runs():
+    # and binds kf to the Fraction its comment shows
+    (block,) = [text for lang, text in README_BLOCKS if lang == "python"]
+    names = {}
+    exec(block, names)
+    (shown,) = re.findall(r"^kf = .*# (Fraction\(.*\))$", block, re.M)
+    assert names["kf"] == eval(shown, names)

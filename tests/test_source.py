@@ -52,6 +52,30 @@ def test_unused_import_check_sees_a_dead_name():
     assert _unused_imports(tree) == [(1, "os"), (2, "argv")]
 
 
+ENVIRONMENT_READERS = {"environ", "getenv"}
+
+
+def _environment_reads(tree):
+    """Lines where a tree reads os.environ or os.getenv, as an attribute of
+    os or as a name imported from it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"
+                  or isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name in ENVIRONMENT_READERS for alias in node.names))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # a setting has one channel, its flag: no module reads the environment
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_read_check_sees_a_read():
+    tree = ast.parse("import os\nfrom os import getenv\nos.environ.get('A')\nos.path.join('a')\n")
+    assert _environment_reads(tree) == [2, 3]
+
+
 def _definitions(tree, private=True):
     """Module-level functions and classes whose name starts with "_", or
     with `private` false, whose name does not."""
