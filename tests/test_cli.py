@@ -511,10 +511,23 @@ def test_verify_lemma6_reaches_cap():
     (("verify", "lemma6", "--n", "7"), "json", "b1fd18b6255b4f427cc36ecae48e38455849db2af9b664a30ec9c5532669dd6a"),
     (("kf", "--code", "0" * 298), "text", "bd58abefb79604359b0e8fbd34acdcb5e9df8826706e334dc9fd3dc34e3b7acb"),
     (("kf", "--code", "1" * 298), "text", "52609214f7e9bfd85ee089e2299e396b575a19a820b10dafb2595948756429b2"),
+    (("verify", "conjecture", "--n", "11", "--cap", "19683"), "text",
+     "bfa343ff4ae9e5fa498b3d43bbe435accf93693d3d105b4f6b87307ca36790d5"),
+    (("verify", "conjecture", "--n", "11", "--cap", "19683"), "json",
+     "8ab0d0dcc31d64414e8c9a9a11a23da1780e17be5e06df1d29d67ed0574b3da2"),
+    (("verify", "theorem1", "--n", "11", "--cap", "19683"), "text",
+     "f39e1d2b388d4e99eea63d835db696aebfbf3f4d95ee6df338c1aeea4c3d2721"),
+    (("verify", "theorem1", "--n", "11", "--cap", "19683"), "json",
+     "36864dfe2563245f032a0793dc2df9bbf8868a5d8d5edd93fb4dec8451ad18cc"),
+    (("extrema", "--n", "11", "--cap", "19683"), "text",
+     "638c0e8b6a7598a0cfe4164080d59767a86254d5112f85b137e897f588318512"),
+    (("extrema", "--n", "10", "--cap", "6561"), "csv",
+     "939790dc9d414c45121115839fc408fd4f4e6bb6c6513f419dc28cb07fa0f5ba"),
 ], ids=["lemma5", "lemma6", "lemma4", "lemma5-n20", "lemma4-text", "lemma5-text", "lemma6-text",
         "theorem1-text", "theorem1-json", "conjecture-text", "conjecture-json", "hexagon-text",
         "hexagon-json", "extrema-n9-csv", "extrema-n9-text", "extrema-n9-json", "lemma6-n7-json",
-        "helicene300-text", "linear300-text"])
+        "helicene300-text", "linear300-text", "conjecture-n11-text", "conjecture-n11-json",
+        "theorem1-n11-text", "theorem1-n11-json", "extrema-n11-text", "extrema-n10-csv"])
 def test_lemma_reports_match_golden_digest(args, fmt, digest):
     # sha256 of the whole report of every verify target, default seed; a
     # changed value, field, line or verdict anywhere in it changes the digest.
