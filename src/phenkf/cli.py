@@ -71,6 +71,12 @@ MAX_REDUCE_HEXAGONS = 1000
 # export-dot holds the chain, about 4 KB a hexagon, and writes each DOT line as it
 # is made: 0.5 s, 59 MB peak RSS and 5 MB of output at this bound (2-vCPU host)
 MAX_DOT_HEXAGONS = 10000
+# verify conjecture, verify theorem1 and text extrema hold two halves of
+# 3^ceil((n-2)/2) states each (extremal_search.extremes): n = 17 takes about
+# 0.2 s and 19 MB peak RSS, n = 20 about 1.1 s and 28 MB, and n = 24, this
+# bound, about 12 s and 130 MB; n = 25 takes about 30 s and 252 MB, and each
+# hexagon past that triples one half (2-vCPU host)
+MAX_SEARCH_HEXAGONS = 24
 # pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory
 PIECES_PER_WRITE = 8192
@@ -113,6 +119,15 @@ def _parse_code(args, route, limit) -> ChainCode:
     if code.n > limit:
         raise ValueError(f"{route} takes at most {limit} hexagons, got n={code.n}")
     return code
+
+
+def _search_n(args, route) -> int:
+    """--n, refused past --cap, as the search itself would, and then past
+    `route`'s bound, before any walk."""
+    check_cap(args.n, args.cap)
+    if args.n > MAX_SEARCH_HEXAGONS:
+        raise ValueError(f"{route} takes at most {MAX_SEARCH_HEXAGONS} hexagons, got n={args.n}")
+    return args.n
 
 
 def _refuse_unshown(args, flag, shown_in):
@@ -196,7 +211,7 @@ def _cmd_extrema(args) -> int:
     elif args.format == "csv":
         _emit_pieces(find_extrema(args.n, cap=args.cap).csv_lines())
     else:
-        table = extremes(args.n, cap=args.cap)
+        table = extremes(_search_n(args, "extrema"), cap=args.cap)
         _emit(f"n: {table.n}")
         _emit(f"codes: {table.count}")
         for side, kf, codes in (("min", table.min_kf, table.min_codes), ("max", table.max_kf, table.max_codes)):
@@ -289,7 +304,7 @@ def _cmd_verify_lemma6(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    report = verify_theorem1(args.n, cap=args.cap)
+    report = verify_theorem1(_search_n(args, "verify theorem1"), cap=args.cap)
     out = {"check": "theorem1", **report.as_dict()}
     lines = [
         f"min class: {' '.join(c.word for c in report.min_codes)}",
@@ -299,7 +314,7 @@ def _cmd_verify_theorem1(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    report = verify_conjecture(args.n, cap=args.cap)
+    report = verify_conjecture(_search_n(args, "verify conjecture"), cap=args.cap)
     out = {"check": "conjecture", **report.as_dict()}
     lines = [
         f"min kf: {format_rational(report.min_kf)}  class: {' '.join(c.word for c in report.min_codes)}",

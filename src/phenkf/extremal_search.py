@@ -8,7 +8,7 @@ extremal claims are only meaningful when the enumeration is complete.
 """
 
 from functools import cache
-from itertools import islice, product
+from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -249,19 +249,25 @@ def _scales(steps: int):
 
 def _level(block: _Block, scales: tuple, size: int, den: int) -> _Level:
     """The _Level of appending `block` at a depth with `scales` = (S, S',
-    R' S') to a prefix of `size` vertices."""
+    R' S') to a prefix of `size` vertices.  Each coefficient is `_at` of
+    its polynomial, written out: degree 1, and degree 2 for new_pp."""
     s, s_next, r = scales
     u = _TREES * s  # t S'
-    b = _at(block.beta, s_next, u)
+
+    def at(poly):
+        return poly[0] * s_next + poly[1] * u
+
+    b = at(block.beta)
+    pp0, pp1, pp2 = block.new_pp
     return _Level(
         size=size, den=den, den2=den * den, ds=den * s, dt=den * s_next, dq=den * _TREES,
-        dp=_at(block.delta, s_next, u),
-        x1=s * (size * _at(block.gamma, s_next, u) + _at(block.new_x, s_next, u)),
+        dp=at(block.delta),
+        x1=s * (size * at(block.gamma) + at(block.new_x)),
         a=_TREES * block.alpha[1], b=b,
-        p1=size * b + _at(block.new_p, s_next, u),
-        q1=size * b * b + den * _at(block.new_pp, s_next, u),
-        kp=_at(block.cross_p, s_next, u),
-        k1=s * (size * _at(block.cross_n, s_next, u) + _at(block.kf_new, s_next, u)),
+        p1=size * b + at(block.new_p),
+        q1=size * b * b + den * ((pp0 * s_next + pp1 * u) * s_next + pp2 * u * u),
+        kp=at(block.cross_p),
+        k1=s * (size * at(block.cross_n) + at(block.kf_new)),
         scale=s_next, r=r)
 
 
@@ -302,7 +308,7 @@ def _levels(n: int, feet=False) -> tuple:
     c = _transfer_constants()
     blocks = c.blocks
     if feet:
-        blocks = [b._replace(new_x=(), new_p=(), new_pp=()) for b in blocks]
+        blocks = [b._replace(new_x=(0, 0), new_p=(0, 0), new_pp=(0, 0, 0)) for b in blocks]
     levels = [tuple(_level(b, scales, 1 if feet else _CELL * (depth + 1), c.den) for b in blocks)
               for depth, scales in enumerate(_scales(n - 1))]
     return levels[:-1], levels[-1][0]
@@ -329,24 +335,65 @@ def _walk(start, levels: tuple, advance, finish):
             todo.extend((advance(state, level), depth + 1) for level in reversed(levels[depth]))
 
 
-def _kf_numerators(n: int, cap: int) -> tuple:
-    """(S, numerators): the Kf of the codes with n hexagons in word order
-    up to the all-1 word, the first (3^(n-2) + 1)/2, as integers over the
-    one scale S they all share, which depends on n alone.  A word's
-    complement 2 - w (0 <-> 2), at index 3^(n-2) - 1 - i, is its chain's
-    mirror image, so Kf(w) = Kf(2 - w); a word comes before the all-1 word
-    exactly when its first letter other than 1 is a 0, so these codes hold
-    one of every mirror pair.  The cap, on every code, and n are checked
-    before the walk starts; the numerators are then made one at a time as
-    the walk reaches them."""
-    count = check_cap(n, cap)
-    helicene(n)  # ChainCodeError for n < 1
+def _split(n: int, cut: int) -> tuple:
+    """(S, heads, tails, F) for the codes with n hexagons cut after `cut`
+    letters, 0 <= cut <= m = n - 2: the code of word uv has Kf numerator
+        h_u + B_v + D_u E_v / F
+    over the one scale S they all share, with heads[u] = (h_u, D_u) per
+    prefix u of `cut` letters and tails[v] = (B_v, E_v) per suffix v of
+    b = m - cut letters, each in word order, and F > 0 (see `extremes`).
+
+    One walk of the prefix trie extends each prefix by v0 = 0^b and
+    v1 = 0^(b-1)2, for A_u = Kf(u v0) and Kf(u v1); two walks of the
+    suffix trie, from u0 = 0^cut and u1 = 0^(cut-1)2, give B_v = Kf(u0 v)
+    and Kf(u1 v).  Then h_u = A_u - C with C = Kf(u0 v0), D_u = M(u, v1),
+    E_v = M(u1, v) and F = M(u1, v1) for the mixed difference
+    M(u, v) = Kf(uv) - Kf(u v0) - Kf(u0 v) + C.  The four codes both
+    walks meet must agree, and F must not be 0.  With no letter on one
+    side there is no cross term: D = E = 0 and F = 1."""
     start = _transfer_constants().start
     if n == 1:
-        return _SCALE, iter((start[3],))
-    levels = _levels(n)
-    leaves = _walk(start, levels, _advance, lambda state, last: _kf(last, *state))
-    return levels[1].scale, islice(leaves, (count + 1) // 2)
+        return _SCALE, [(0, 0)], [(start[3], 0)], 1
+    levels, last = _levels(n)
+    prefix, tail = levels[:cut], levels[cut:]
+
+    def ends(state, last):  # (Kf(u v0), Kf(u v1)) of the prefix u
+        if not tail:
+            return 2 * (_kf(last, *state),)
+        for level in tail[:-1]:
+            state = _advance(state, level[0])
+        return tuple(_kf(last, *_advance(state, level)) for level in tail[-1][::2])
+
+    def kfs(letters):  # Kf(uv) for every suffix v of the prefix u = `letters`
+        state = start
+        for level, e in zip(prefix, letters):
+            state = _advance(state, level[e])
+        return list(_walk(state, (tail, last), _advance, lambda state, last: _kf(last, *state)))
+
+    heads = list(_walk(start, (prefix, last), _advance, ends))
+    b = kfs([0] * cut)
+    if not 0 < cut < len(levels):
+        return last.scale, [(a - b[0], 0) for a, _ in heads], [(k, 0) for k in b], 1
+    b1 = kfs([0] * (cut - 1) + [2])
+    (c, c_v1), (c_u1, _) = heads[0], heads[2]
+    if (*heads[0], *heads[2]) != (b[0], b[2], b1[0], b1[2]):
+        raise ArithmeticError(f"the prefix and suffix walks of n={n} cut at {cut} disagree")
+    heads = [(a - c, a1 - a - c_v1 + c) for a, a1 in heads]
+    tails = [(k, k1 - k - c_u1 + c) for k, k1 in zip(b, b1)]
+    f = heads[2][1]
+    if not f:
+        raise ArithmeticError(f"the cross term of n={n} cut at {cut} has F = 0")
+    if f < 0:
+        f, heads = -f, [(h, -d) for h, d in heads]
+    return last.scale, heads, tails, f
+
+
+def _halves(n: int, cap: int) -> tuple:
+    """(code count, `_split` of n at its middle), the cap and n checked
+    first."""
+    count = check_cap(n, cap)
+    helicene(n)  # ChainCodeError for n < 1
+    return count, _split(n, max(n - 2, 0) // 2)
 
 
 def _transfer_lemma6(n: int):
@@ -440,31 +487,59 @@ def _code_at(n: int, index: int) -> ChainCode:
     return ChainCode(n, [index // 3 ** e % 3 for e in reversed(range(max(n - 2, 0)))])
 
 
-def _fold(n: int, scale: int, numerators) -> tuple:
-    """(count, min Kf, max Kf, min codes, max codes) over every code with n
-    hexagons, from the numerators over `scale` of `_kf_numerators`' half of
-    word order, in one pass that keeps only the extreme numerators and the
-    indices that reach them.  The half ends at the all-1 word, index i, its
-    own mirror, and code i + d has the Kf of code i - d, so each class is
-    its indices followed by their mirrors 2 i - j, the middle once.  Codes
-    and fractions are made for those indices alone."""
-    numerators = iter(numerators)
-    lo = hi = next(numerators)
-    lo_at, hi_at = [0], [0]
-    i = 0
-    for i, k in enumerate(numerators, 1):
-        if k <= lo:
-            if k < lo:
-                lo, lo_at = k, []
-            lo_at.append(i)
-        if k >= hi:
-            if k > hi:
-                hi, hi_at = k, []
-            hi_at.append(i)
-    for at in lo_at, hi_at:
-        at += [2 * i - j for j in reversed(at) if j != i]
-    return (2 * i + 1, Rational(lo, scale), Rational(hi, scale),
-            tuple(_code_at(n, at) for at in lo_at), tuple(_code_at(n, at) for at in hi_at))
+def _lower_envelope(lines, xs) -> list:
+    """min(m x + c for (m, c) in lines) for each x of xs, in xs' order: the
+    lower envelope of the lines, in integers (the convex-hull trick).
+
+    The lines are taken by falling slope, and for one slope by falling
+    intercept.  Each one pops the hull's last line l2 while the line l1
+    before it meets the new line l3 at or left of where it meets l2, so
+    that l2 is nowhere alone below both: duplicates, concurrent lines and
+    each slope's higher lines go.  Along the hull each line is then lower
+    than the next exactly left of where they meet, and the queries, in
+    rising order, walk it once."""
+    hull = []
+    for m3, c3 in sorted(lines, reverse=True):
+        while len(hull) > 1:
+            (m1, c1), (m2, c2) = hull[-2:]
+            if (c3 - c1) * (m1 - m2) > (c2 - c1) * (m1 - m3):
+                break
+            hull.pop()
+        hull.append((m3, c3))
+    values, j = [0] * len(xs), 0
+    for i in sorted(range(len(xs)), key=xs.__getitem__):
+        x = xs[i]
+        value = hull[j][0] * x + hull[j][1]
+        while j + 1 < len(hull) and (ahead := hull[j + 1][0] * x + hull[j + 1][1]) < value:
+            j, value = j + 1, ahead
+        values[i] = value
+    return values
+
+
+def _class(n: int, scale: int, numerator: int, indices) -> tuple:
+    """(Kf, codes): numerator / scale and the codes with n hexagons at
+    `indices` of word order, each of whose Kf `_transfer_kf` must find to
+    be that."""
+    kf, codes = Rational(numerator, scale), tuple(_code_at(n, i) for i in indices)
+    for code in codes:
+        if _transfer_kf(code) != kf:
+            raise ArithmeticError(f"{code}: the split route gives Kf {kf}, the engine {_transfer_kf(code)}")
+    return kf, codes
+
+
+def _extreme(n: int, split: tuple, sign: int) -> tuple:
+    """(Kf, codes) of the least Kf of `split` for sign 1, the greatest for
+    sign -1: F sign Kf(uv) = F sign h_u + line_v(D_u), with the lines
+    line_v(x) = sign (E_v x + F B_v), whose lower envelope at D_u gives
+    each prefix's best suffix.  The lines are scanned only for the
+    prefixes that reach the extreme."""
+    scale, heads, tails, f = split
+    lines = [(sign * e, sign * f * b) for b, e in tails]
+    best = [sign * f * h + y for (h, _), y in zip(heads, _lower_envelope(lines, [d for _, d in heads]))]
+    low = min(best)
+    at = [u * len(lines) + v for u, (h, d) in enumerate(heads) if best[u] == low
+          for v, (e, c) in enumerate(lines) if sign * f * h + e * d + c == low]
+    return _class(n, scale, sign * _exact(low, f), at)
 
 
 class Extremes(NamedTuple):
@@ -480,19 +555,50 @@ class Extremes(NamedTuple):
 
 
 def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
-    """Exact min/max Kirchhoff classes over every code with n hexagons.
+    """Exact min/max Kirchhoff classes over every code with n hexagons, by
+    meet in the middle: 3^ceil(m/2) states a side for the 3^m codes,
+    m = n - 2.
 
-    Every code's Kf is an integer over the same S (`_kf_numerators`), so the
-    classes are decided on the integers as the walk makes them, in O(n)
-    memory: nothing is kept per code.  The walk meets one code of every
-    mirror pair, and the verdict rests on Kf(w) = Kf(2 - w) (`_fold`).
+    Cut a word w = uv after its first a letters, at the square after
+    hexagon a + 1.  The prefix A, of N_A = 6 (a + 1) vertices, and the
+    rest B, of N_B = 6 (m - a + 1), meet at that square's corners.  By the
+    header's three formulas, Kf(uv) sums r_A(u, u') - t (p_u - p_u')^2 over
+    pairs in A, r_B(X, Y) - t (s_X - s_Y)^2 over pairs in B, and
+    x_u + y_X + (p_u + s_X) - t (p_u + s_X)^2 over the N_A N_B cross
+    pairs.  Expanded, the squares give N_A sum p^2 - (sum p)^2 inside A,
+    the same in s inside B, and N_B sum p^2 + N_A sum s^2 + 2 P S across,
+    with P = sum p over A and S = sum s over B.  Every term but the last
+    is N_B or N_A times a sum over one side, or t times one: a function of
+    u alone or of v alone.  t = 1/(R + rho) with R = r_A(a, l) and
+    rho = r_B(a, l).  R depends on the depth alone (the header), and so
+    does rho: read from the far end, B less the square's two single edges
+    is a prefix of the reversed chain, so rho is 2 plus its R.  N_A and
+    N_B count hexagons.  So
+        Kf(uv) = f(u) + g(v) - 2 t P(u) S(v),
+    with t the same for every code, and over the one scale the numerators
+    of the prefixes by the suffixes form a matrix of rank at most 3.  Its
+    mixed difference M(u, v) (`_split`) is then -2 t (P(u) - P(u0))
+    (S(v) - S(v0)), a product, so M(u, v) F = M(u, v1) M(u1, v) and
+        Kf(uv) = A_u + B_v - C + D_u E_v / F.
+    For each prefix the least Kf is the lower envelope of the lines
+    (E_v, F B_v) read at D_u (`_lower_envelope`), the greatest the same of
+    the negated lines; every comparison is exact, on integers.  Each class
+    member's Kf is re-derived by `_transfer_kf` (`_class`).  The halves
+    are kept, nothing per code.
     """
-    return Extremes(n, *_fold(n, *_kf_numerators(n, cap)))
+    return _extremes(n, *_halves(n, cap))
+
+
+def _extremes(n: int, count: int, split: tuple) -> Extremes:
+    """`extremes` of the `count` codes with n hexagons from their `_split`."""
+    (min_kf, min_codes), (max_kf, max_codes) = _extreme(n, split, 1), _extreme(n, split, -1)
+    return Extremes(n, count, min_kf, max_kf, min_codes, max_codes)
 
 
 class ExtremaTable(NamedTuple):
-    """The fields of `Extremes`, and every code's Kf: numerators[i] / scale
-    for the i-th code in word order."""
+    """The fields of `Extremes`, and every code's Kf: the i-th numerator
+    over `scale` for the i-th code in word order, the numerators made
+    afresh each time they are read."""
 
     n: int
     count: int
@@ -501,7 +607,7 @@ class ExtremaTable(NamedTuple):
     min_codes: tuple
     max_codes: tuple
     scale: int
-    numerators: tuple
+    numerators: _LazyList
 
     @property
     def reports(self) -> _LazyList:
@@ -562,13 +668,17 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     """`extremes` with every code's Kf kept, one integer per code, for a
     listing of every code.
 
-    The transfer engine walks the code trie once, up to the all-1 word, so
-    codes sharing a prefix share its updates; code i past that word takes
-    its mirror's numerator, at 3^(n-2) - 1 - i (`_kf_numerators`).
+    The extremes and classes are those of `extremes`, and the numerators
+    come from the same halves: by the rank-3 identity derived there,
+    Kf(uv) = f(u) + g(v) - 2 t P(u) S(v), where t, N_A and N_B depend on
+    the cut's depth alone, code uv's numerator is A_u + B_v - C +
+    D_u E_v / F, one product and one checked division (`_split`).  They
+    are made as the listing reads them, so only the halves are kept.
     """
-    scale, half = _kf_numerators(n, cap)
-    half = tuple(half)
-    return ExtremaTable(n, *_fold(n, scale, half), scale, half + half[-2::-1])
+    count, split = _halves(n, cap)
+    scale, heads, tails, f = split
+    numerators = _LazyList(lambda: (h + b + _exact(d * e, f) for h, d in heads for b, e in tails), count)
+    return ExtremaTable(*_extremes(n, count, split), scale, numerators)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,29 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, route", [
+    (("extrema",), "extrema"), (("verify", "theorem1"), "verify theorem1"),
+    (("verify", "conjecture"), "verify conjecture"),
+], ids=["extrema", "theorem1", "conjecture"])
+def test_search_refuses_chains_past_its_bound(args, route):
+    # refused after the cap and before any walk; n = 24 itself takes about 12 s
+    proc = run_cli(*args, "--n", "25", "--cap", str(3 ** 23), check=False, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {route} takes at most 24 hexagons, got n=25\n"
+    assert proc.stdout == ""
+    # past both, the cap's refusal is the one given, as it was before the bound
+    proc = run_cli(*args, "--n", "25", check=False, timeout=2)
+    assert proc.returncode == 2
+    assert "n=25 needs 3^23 codes but the cap is 2187" in proc.stderr
+
+
+def test_conjecture_reaches_n17():
+    # 14 348 907 codes from halves of 3^7 and 3^8 states, in about 0.2 s;
+    # the walk of every code took about 52 s
+    proc = run_cli("verify", "conjecture", "--n", "17", "--cap", "14348907", timeout=20)
+    assert proc.stdout.splitlines()[-1] == "PASS"
+
+
 def test_lemma5_refuses_chains_past_its_bound():
     # refused before any chain is built; n = 225 itself takes about 14 s
     proc = run_cli("verify", "lemma5", "--n", "226", check=False, timeout=2)
@@ -345,7 +368,7 @@ def test_reduce_json_streams_its_output():
 ], ids=["extrema", "enumerate"])
 def test_json_listings_stream_their_items(args, count):
     # each report or word is made as the encoder reaches it: peak RSS rises
-    # over a trivial command's by well under half the output (one int per
+    # over a trivial command's by well under half the output (nothing per
     # code for extrema), where building the list first took 2.5-4x
     base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
     peak, out = _peak_rss_and_stdout(*args, "--format", "json")
@@ -379,8 +402,9 @@ def test_export_dot_writes_its_lines_as_made():
 
 def test_extrema_csv_streams_its_lines():
     # the csv lines are written in chunks as they are made: peak RSS rises
-    # over a trivial command's by about 1.3x the output (one int per code
-    # and one chunk), where joining the text first took about 4.5x
+    # over a trivial command's by well under the output (one chunk), where
+    # joining the text first took about 4.5x and one int kept per code
+    # about 1.3x
     base, _ = _peak_rss_and_stdout("kf", "--code", "n=1")
     peak, out = _peak_rss_and_stdout("extrema", "--n", "12", "--format", "csv", "--cap", "59049")
     assert out.count(b"\n") == 59049 + 1

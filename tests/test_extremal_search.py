@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,14 +23,16 @@ from phenkf.extremal_search import (
     KfReport,
     SearchCapExceeded,
     _TREES,
+    _Level,
     _advance,
     _at,
     _block,
     _code_at,
-    _fold,
     _kf,
     _levels,
+    _lower_envelope,
     _scales,
+    _split,
     _transfer_constants,
     _walk,
     check_cap,
@@ -131,6 +134,40 @@ def test_transfer_resistance_depends_only_on_depth():
     assert c.blocks[0].r_next == c.blocks[1].r_next == c.blocks[2].r_next
     for s, s_next, r in _scales(30):
         assert {_at(block.r_next, s_next, _TREES * s) for block in c.blocks} == {c.den * r}
+
+
+def _generic_level(block, scales, size, den):
+    """The _Level of `_level`, each coefficient made by `_at`, the generic
+    form of a polynomial in t, whatever its degree."""
+    s, s_next, r = scales
+    u = _TREES * s
+    b = _at(block.beta, s_next, u)
+    return _Level(
+        size=size, den=den, den2=den * den, ds=den * s, dt=den * s_next, dq=den * _TREES,
+        dp=_at(block.delta, s_next, u),
+        x1=s * (size * _at(block.gamma, s_next, u) + _at(block.new_x, s_next, u)),
+        a=_TREES * block.alpha[1], b=b,
+        p1=size * b + _at(block.new_p, s_next, u),
+        q1=size * b * b + den * _at(block.new_pp, s_next, u),
+        kp=_at(block.cross_p, s_next, u),
+        k1=s * (size * _at(block.cross_n, s_next, u) + _at(block.kf_new, s_next, u)),
+        scale=s_next, r=r)
+
+
+@pytest.mark.parametrize("feet", [False, True], ids=["kf", "feet"])
+def test_levels_match_the_generic_form(feet):
+    # every level of depths 0..30, each coefficient written out, against the
+    # same through _at; the feet move one vertex and the block adds none
+    c = _transfer_constants()
+    blocks = c.blocks
+    if feet:
+        blocks = [b._replace(new_x=(), new_p=(), new_pp=()) for b in blocks]
+    levels, last = _levels(32, feet=feet)
+    rows = [*levels, (last,)]
+    assert len(rows) == 31
+    for depth, (row, scales) in enumerate(zip(rows, _scales(31))):
+        size = 1 if feet else 6 * (depth + 1)
+        assert list(row) == [_generic_level(b, scales, size, c.den) for b in blocks[:len(row)]]
 
 
 def _spanning_trees(net):
@@ -255,38 +292,6 @@ def test_streamed_route_matches_per_code_kf(n):
     assert conjecture.passed
 
 
-def test_fold_keeps_every_code_that_reaches_an_extreme():
-    # the half of word order up to the all-1 word, index 4 of 9: ties at
-    # both ends, the first numerator among them, each index and its mirror
-    # 8 - i in word order; on chains both classes are mirror pairs or
-    # palindromes, which would hide a reversed word or a dropped tie
-    count, lo, hi, min_codes, max_codes = _fold(4, 2, [3, 1, 3, 1, 2])
-    assert (count, lo, hi) == (9, Fraction(1, 2), Fraction(3, 2))
-    assert [c.word for c in min_codes] == ["01", "10", "12", "21"]
-    assert [c.word for c in max_codes] == ["00", "02", "20", "22"]
-
-
-@pytest.mark.parametrize("half, lows, highs", [
-    ([2, 1, 2, 1, 1], ["01", "10", "11", "12", "21"], ["00", "02", "20", "22"]),
-    ([2, 1, 2, 1, 2], ["01", "10", "12", "21"], ["00", "02", "11", "20", "22"]),
-    ([1, 1, 1, 1, 1], ["00", "01", "02", "10", "11", "12", "20", "21", "22"],
-     ["00", "01", "02", "10", "11", "12", "20", "21", "22"]),
-])
-def test_fold_counts_the_middle_code_once(half, lows, highs):
-    # the all-1 word is its own mirror: a tie there must list it once, and
-    # the count must be 3^(n-2), not twice the half
-    count, _, _, min_codes, max_codes = _fold(4, 1, half)
-    assert count == 9
-    assert ([c.word for c in min_codes], [c.word for c in max_codes]) == (lows, highs)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_fold_of_one_code(n):
-    count, lo, hi, min_codes, max_codes = _fold(n, 3, [6])
-    assert (count, lo, hi) == (1, 2, 2)
-    assert min_codes == max_codes == (ChainCode(n, ()),)
-
-
 def _full_walk(n):
     """The Kf numerator of every code with n hexagons in word order, from
     the whole transfer walk: both members of every mirror pair."""
@@ -305,51 +310,109 @@ def _reference_fold(n, numerators):
             tuple(_code_at(n, i) for i, k in enumerate(numerators) if k == hi))
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_half_walk_matches_the_full_walk(n):
-    # the verdicts and listings read the second half of word order off the
-    # first by Kf(w) = Kf(2 - w); the full walk must agree everywhere
+    # the verdicts and listings read every code's Kf off the walks of the
+    # two halves (_split); a scan of the walk of every code must give the
+    # same numerators, values, count and classes, both mirror images of a
+    # class kept in word order
     full = _full_walk(n)
-    last = len(full) - 1
     assert len(full) == 3 ** max(n - 2, 0)
-    assert all(full[i] == full[last - i] for i in range(len(full)))
     table = find_extrema(n, cap=len(full))
-    assert len(table.numerators) == len(full)
-    assert [i for i, k in enumerate(full) if table.numerators[i] != k] == []
+    numerators = list(table.numerators)
+    assert len(table.numerators) == len(numerators) == len(full)
+    assert [i for i, k in enumerate(full) if numerators[i] != k] == []
     count, lo, hi, min_codes, max_codes = _reference_fold(n, full)
-    result = extremes(n, cap=len(full))
-    assert (result.count, result.min_codes, result.max_codes) == (count, min_codes, max_codes)
-    assert (result.min_kf, result.max_kf) == (Fraction(lo, table.scale), Fraction(hi, table.scale))
+    expected = (n, count, Fraction(lo, table.scale), Fraction(hi, table.scale), min_codes, max_codes)
+    assert tuple(extremes(n, cap=len(full))) == tuple(table[:6]) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_split_identity_holds_at_every_cut(n):
+    # Kf(uv) = A_u + B_v - C + D_u E_v / F at every cut, not only the
+    # middle one the verdicts use, compared in integers with the full walk
+    full = _full_walk(n)
+    for cut in range(max(n - 2, 0) + 1):
+        _, heads, tails, f = _split(n, cut)
+        assert f > 0 and len(heads) == 3 ** cut and len(heads) * len(tails) == len(full)
+        assert [i for i, ((h, d), (b, e)) in enumerate(product(heads, tails))
+                if (full[i] - h - b) * f != d * e] == []
+
+
+def test_class_members_are_rechecked_by_the_engine(monkeypatch):
+    # one suffix's line lowered by 1000 in Kf: its codes reach the minimum
+    # with a value the engine, run on each class member, refuses
+    split = extremal_search._split
+
+    def tampered(n, cut):
+        scale, heads, tails, f = split(n, cut)
+        b, e = tails[4]
+        return scale, heads, [*tails[:4], (b - 1000 * scale, e), *tails[5:]], f
+
+    monkeypatch.setattr(extremal_search, "_split", tampered)
+    for search in extremes, find_extrema:
+        with pytest.raises(ArithmeticError, match="the split route gives Kf"):
+            search(7)
+
+
+def _envelope_scan(lines, xs):
+    return [min(m * x + c for m, c in lines) for x in xs]
+
+
+@pytest.mark.parametrize("lines", [
+    [(3, 0), (1, 4), (1, 4), (1, 4), (-2, 30), (-2, 30)],
+    [(2, 5), (2, -7), (2, 1), (0, 3), (0, -1), (0, 8), (-3, 40), (-3, 20)],
+    [(2, -4), (1, -2), (0, 0), (-1, 2), (3, -7)],
+    [(1, 0), (-1, 0), (0, 11), (0, -11), (5, 45), (-5, 45)],
+    [(4, 1)],
+], ids=["duplicated", "equal-slopes", "concurrent", "ties-at-both-ends", "one-line"])
+def test_lower_envelope_matches_a_scan(lines):
+    # duplicated lines; equal slopes; four lines through (2, 0), three of
+    # them on the hull; lines tied at -11 and 11, the ends of the queries.
+    # The queries come unsorted and repeated, and the max is the envelope
+    # of the negated lines, as the verdicts take it
+    xs = [7, -11, 2, 2, 0, 11, -3, 5, -11, 1, 9, -8, 4, -1, 10, -6]
+    assert _lower_envelope(lines, xs) == _envelope_scan(lines, xs)
+    negated = [(-m, -c) for m, c in lines]
+    assert _lower_envelope(negated, xs) == _envelope_scan(negated, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-20, 20)), min_size=1, max_size=12),
+       st.lists(st.integers(-12, 12), min_size=1, max_size=12))
+def test_lower_envelope_matches_a_scan_on_random_lines(lines, xs):
+    assert _lower_envelope(lines, xs) == _envelope_scan(lines, xs)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_mirrored_rows_match_per_code_kf(n):
-    # rows past the all-1 word take their mirror's numerator; check a seeded
-    # sample of them against the engine run on the row's own code
+    # rows past the all-1 word, the mirror images of those before it; check
+    # a seeded sample of them against the engine run on the row's own code
     table = find_extrema(n, cap=3 ** (n - 2))
-    rows = list(table.reports)
+    rows, numerators = list(table.reports), list(table.numerators)
     for i in random.Random(n).sample(range(table.count // 2 + 1, table.count), 20):
         code = _code_at(n, i)
         word, _, num, den, _, _ = rows[i]
         assert word == code.word
-        assert Fraction(num, den) == Fraction(table.numerators[i], table.scale) == kf_of_code(code).kf
+        assert Fraction(num, den) == Fraction(numerators[i], table.scale) == kf_of_code(code).kf
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 9])
-def test_verdict_walks_half_of_the_codes(monkeypatch, n):
-    # the walk stops at the all-1 word: (3^(n-2) + 1)/2 leaves, where the
-    # full walk finishes all 3^(n-2)
-    walk, finished = extremal_search._walk, []
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
+def test_verdict_advances_the_states_of_its_halves(monkeypatch, n):
+    # the halves hold 3^ceil(m/2) states a side, each extended by at most m
+    # letters, where the walk of every code advances 3^m leaves and more
+    advance, calls = extremal_search._advance, []
 
-    def counting(start, levels, advance, finish):
-        def counted(state, last):
-            finished.append(None)
-            return finish(state, last)
-        return walk(start, levels, advance, counted)
+    def counting(state, level):
+        calls.append(None)
+        return advance(state, level)
 
-    monkeypatch.setattr(extremal_search, "_walk", counting)
-    assert verify_conjecture(n).passed
-    assert len(finished) == (3 ** (n - 2) + 1) // 2
+    monkeypatch.setattr(extremal_search, "_advance", counting)
+    m = n - 2
+    assert verify_conjecture(n, cap=3 ** m).passed
+    assert len(calls) <= 2 * m * 3 ** ((m + 1) // 2)
+    if n == 13:
+        assert len(calls) < 3 ** 11 / 10
 
 
 def test_canonical_word_matches_canonical_code():
@@ -375,8 +438,8 @@ def test_reports_keep_their_length_and_rows_when_read_twice():
 
 
 def test_conjecture_keeps_nothing_per_code():
-    # the verdict folds the walk's numerators as they come, so over these
-    # 6561 codes its peak stays O(n) and keeps nothing per code
+    # the verdict holds the two halves, 81 states a side, so over these
+    # 6561 codes its peak stays small and keeps nothing per code
     verify_conjecture(3)  # the engine's constants are made once per process
     tracemalloc.start()
     try:
