@@ -73,9 +73,10 @@ MAX_REDUCE_HEXAGONS = 1000
 MAX_DOT_HEXAGONS = 10000
 # verify conjecture, verify theorem1 and text extrema hold two halves of
 # 3^ceil((n-2)/2) states each (extremal_search.extremes): n = 17 takes about
-# 0.2 s and 19 MB peak RSS, n = 20 about 1.1 s and 28 MB, and n = 24, this
-# bound, about 12 s and 130 MB; n = 25 takes about 30 s and 252 MB, and each
-# hexagon past that triples one half (2-vCPU host)
+# 0.4 s and 19 MB peak RSS, n = 20 about 1.4 s and 29 MB, and n = 24, this
+# bound, about 12-14 s and 131 MB, so even at half speed it ends well inside
+# a minute; n = 25 takes about 30 s and 252 MB, and each hexagon past that
+# triples one half (2-vCPU host)
 MAX_SEARCH_HEXAGONS = 24
 # pieces of streamed output joined per write: one write per piece is slow
 # through a pipe, the whole text at once costs its size in memory

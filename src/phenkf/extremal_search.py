@@ -250,25 +250,19 @@ def _scales(steps: int):
 def _level(block: _Block, scales: tuple, size: int, den: int) -> _Level:
     """The _Level of appending `block` at a depth with `scales` = (S, S',
     R' S') to a prefix of `size` vertices.  Each coefficient is `_at` of
-    its polynomial, written out: degree 1, and degree 2 for new_pp."""
+    its polynomial, written out: degree 1, and degree 2 for new_pp.  The
+    fields are passed by position, in their order: by keyword the call
+    took half as long again."""
     s, s_next, r = scales
     u = _TREES * s  # t S'
-
-    def at(poly):
-        return poly[0] * s_next + poly[1] * u
-
-    b = at(block.beta)
-    pp0, pp1, pp2 = block.new_pp
-    return _Level(
-        size=size, den=den, den2=den * den, ds=den * s, dt=den * s_next, dq=den * _TREES,
-        dp=at(block.delta),
-        x1=s * (size * at(block.gamma) + at(block.new_x)),
-        a=_TREES * block.alpha[1], b=b,
-        p1=size * b + at(block.new_p),
-        q1=size * b * b + den * ((pp0 * s_next + pp1 * u) * s_next + pp2 * u * u),
-        kp=at(block.cross_p),
-        k1=s * (size * at(block.cross_n) + at(block.kf_new)),
-        scale=s_next, r=r)
+    _, (_, a), (b0, b1), (g0, g1), (d0, d1), (x0, x1), (p0, p1), (q0, q1, q2), \
+        (k0, k1), (n0, n1), (c0, c1) = block
+    b = b0 * s_next + b1 * u
+    return _Level(size, den, den * den, den * s, den * s_next, den * _TREES, d0 * s_next + d1 * u,
+                  s * (size * (g0 * s_next + g1 * u) + x0 * s_next + x1 * u), _TREES * a, b,
+                  size * b + p0 * s_next + p1 * u,
+                  size * b * b + den * ((q0 * s_next + q1 * u) * s_next + q2 * u * u), c0 * s_next + c1 * u,
+                  s * (size * (n0 * s_next + n1 * u) + k0 * s_next + k1 * u), s_next, r)
 
 
 def _move(c: _Level, x: int, p: int, q: int) -> tuple:
@@ -289,13 +283,19 @@ def _advance(state: tuple, c: _Level) -> tuple:
     return (*_move(c, *state[:3]), _kf(c, *state))
 
 
-def _transfer_kf(code: ChainCode) -> Rational:
-    """Kf of the unit chain of `code`, one block per hexagon after the first."""
+def _transfer_kf(code: ChainCode, levels=None) -> Rational:
+    """Kf of the unit chain of `code`, one block per hexagon after the
+    first, each block's level made for its letter or, given `levels` =
+    `_levels(code.n)`, read off them."""
     c = _transfer_constants()
     state, scale = c.start, _SCALE
-    letters = code.full_entries()[1:]
-    for depth, (e, scales) in enumerate(zip(letters, _scales(len(letters)))):
-        level = _level(c.blocks[e], scales, _CELL * (depth + 1), c.den)
+    if levels:
+        steps = [*(row[e] for row, e in zip(levels[0], code.w)), levels[1]]
+    else:
+        letters = code.full_entries()[1:]
+        steps = (_level(c.blocks[e], scales, _CELL * (depth + 1), c.den)
+                 for depth, (e, scales) in enumerate(zip(letters, _scales(len(letters)))))
+    for level in steps:
         state, scale = _advance(state, level), level.scale
     return Rational(state[3], scale)
 
@@ -335,13 +335,22 @@ def _walk(start, levels: tuple, advance, finish):
             todo.extend((advance(state, level), depth + 1) for level in reversed(levels[depth]))
 
 
-def _split(n: int, cut: int) -> tuple:
-    """(S, heads, tails, F) for the codes with n hexagons cut after `cut`
-    letters, 0 <= cut <= m = n - 2: the code of word uv has Kf numerator
-        h_u + B_v + D_u E_v / F
-    over the one scale S they all share, with heads[u] = (h_u, D_u) per
-    prefix u of `cut` letters and tails[v] = (B_v, E_v) per suffix v of
-    b = m - cut letters, each in word order, and F > 0 (see `extremes`).
+class _Split(NamedTuple):
+    """The codes with n hexagons cut after `cut` letters (`_split`): the
+    code of word uv has Kf numerator h_u + B_v + D_u E_v / f over `scale`,
+    with heads[u] = (h_u, D_u) per prefix u of `cut` letters and
+    tails[v] = (B_v, E_v) per suffix v, each in word order, and f > 0."""
+
+    scale: int
+    heads: list
+    tails: list
+    f: int
+    levels: object     # the `_levels(n)` the walks ran on, None for n = 1
+
+
+def _split(n: int, cut: int) -> _Split:
+    """The _Split of the codes with n hexagons cut after `cut` letters,
+    0 <= cut <= m = n - 2 (see `extremes`).
 
     One walk of the prefix trie extends each prefix by v0 = 0^b and
     v1 = 0^(b-1)2, for A_u = Kf(u v0) and Kf(u v1); two walks of the
@@ -353,8 +362,8 @@ def _split(n: int, cut: int) -> tuple:
     side there is no cross term: D = E = 0 and F = 1."""
     start = _transfer_constants().start
     if n == 1:
-        return _SCALE, [(0, 0)], [(start[3], 0)], 1
-    levels, last = _levels(n)
+        return _Split(_SCALE, [(0, 0)], [(start[3], 0)], 1, None)
+    table = levels, last = _levels(n)
     prefix, tail = levels[:cut], levels[cut:]
 
     def ends(state, last):  # (Kf(u v0), Kf(u v1)) of the prefix u
@@ -373,7 +382,7 @@ def _split(n: int, cut: int) -> tuple:
     heads = list(_walk(start, (prefix, last), _advance, ends))
     b = kfs([0] * cut)
     if not 0 < cut < len(levels):
-        return last.scale, [(a - b[0], 0) for a, _ in heads], [(k, 0) for k in b], 1
+        return _Split(last.scale, [(a - b[0], 0) for a, _ in heads], [(k, 0) for k in b], 1, table)
     b1 = kfs([0] * (cut - 1) + [2])
     (c, c_v1), (c_u1, _) = heads[0], heads[2]
     if (*heads[0], *heads[2]) != (b[0], b[2], b1[0], b1[2]):
@@ -385,7 +394,7 @@ def _split(n: int, cut: int) -> tuple:
         raise ArithmeticError(f"the cross term of n={n} cut at {cut} has F = 0")
     if f < 0:
         f, heads = -f, [(h, -d) for h, d in heads]
-    return last.scale, heads, tails, f
+    return _Split(last.scale, heads, tails, f, table)
 
 
 def _halves(n: int, cap: int) -> tuple:
@@ -516,30 +525,31 @@ def _lower_envelope(lines, xs) -> list:
     return values
 
 
-def _class(n: int, scale: int, numerator: int, indices) -> tuple:
-    """(Kf, codes): numerator / scale and the codes with n hexagons at
-    `indices` of word order, each of whose Kf `_transfer_kf` must find to
-    be that."""
-    kf, codes = Rational(numerator, scale), tuple(_code_at(n, i) for i in indices)
+def _class(n: int, split: _Split, numerator: int, indices) -> tuple:
+    """(Kf, codes): the numerator over the scale of `split`, and the codes
+    with n hexagons at `indices` of word order, each of whose Kf
+    `_transfer_kf` must find to be that, walking the code's own letters
+    through the levels of `split`."""
+    kf, codes = Rational(numerator, split.scale), tuple(_code_at(n, i) for i in indices)
     for code in codes:
-        if _transfer_kf(code) != kf:
-            raise ArithmeticError(f"{code}: the split route gives Kf {kf}, the engine {_transfer_kf(code)}")
+        if (engine := _transfer_kf(code, split.levels)) != kf:
+            raise ArithmeticError(f"{code}: the split route gives Kf {kf}, the engine {engine}")
     return kf, codes
 
 
-def _extreme(n: int, split: tuple, sign: int) -> tuple:
+def _extreme(n: int, split: _Split, sign: int) -> tuple:
     """(Kf, codes) of the least Kf of `split` for sign 1, the greatest for
     sign -1: F sign Kf(uv) = F sign h_u + line_v(D_u), with the lines
     line_v(x) = sign (E_v x + F B_v), whose lower envelope at D_u gives
     each prefix's best suffix.  The lines are scanned only for the
     prefixes that reach the extreme."""
-    scale, heads, tails, f = split
+    _, heads, tails, f, _ = split
     lines = [(sign * e, sign * f * b) for b, e in tails]
     best = [sign * f * h + y for (h, _), y in zip(heads, _lower_envelope(lines, [d for _, d in heads]))]
     low = min(best)
     at = [u * len(lines) + v for u, (h, d) in enumerate(heads) if best[u] == low
           for v, (e, c) in enumerate(lines) if sign * f * h + e * d + c == low]
-    return _class(n, scale, sign * _exact(low, f), at)
+    return _class(n, split, sign * _exact(low, f), at)
 
 
 class Extremes(NamedTuple):
@@ -589,7 +599,7 @@ def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
     return _extremes(n, *_halves(n, cap))
 
 
-def _extremes(n: int, count: int, split: tuple) -> Extremes:
+def _extremes(n: int, count: int, split: _Split) -> Extremes:
     """`extremes` of the `count` codes with n hexagons from their `_split`."""
     (min_kf, min_codes), (max_kf, max_codes) = _extreme(n, split, 1), _extreme(n, split, -1)
     return Extremes(n, count, min_kf, max_kf, min_codes, max_codes)
@@ -676,9 +686,9 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     are made as the listing reads them, so only the halves are kept.
     """
     count, split = _halves(n, cap)
-    scale, heads, tails, f = split
+    _, heads, tails, f, _ = split
     numerators = _LazyList(lambda: (h + b + _exact(d * e, f) for h, d in heads for b, e in tails), count)
-    return ExtremaTable(*_extremes(n, count, split), scale, numerators)
+    return ExtremaTable(*_extremes(n, count, split), split.scale, numerators)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
     (("verify", "conjecture"), "verify conjecture"),
 ], ids=["extrema", "theorem1", "conjecture"])
 def test_search_refuses_chains_past_its_bound(args, route):
-    # refused after the cap and before any walk; n = 24 itself takes about 12 s
+    # refused after the cap and before any walk; n = 24 itself takes 12-14 s
     proc = run_cli(*args, "--n", "25", "--cap", str(3 ** 23), check=False, timeout=2)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {route} takes at most 24 hexagons, got n=25\n"
@@ -266,7 +266,7 @@ def test_search_refuses_chains_past_its_bound(args, route):
 
 
 def test_conjecture_reaches_n17():
-    # 14 348 907 codes from halves of 3^7 and 3^8 states, in about 0.2 s;
+    # 14 348 907 codes from halves of 3^7 and 3^8 states, in about 0.4 s;
     # the walk of every code took about 52 s
     proc = run_cli("verify", "conjecture", "--n", "17", "--cap", "14348907", timeout=20)
     assert proc.stdout.splitlines()[-1] == "PASS"

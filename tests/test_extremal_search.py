@@ -333,7 +333,7 @@ def test_split_identity_holds_at_every_cut(n):
     # middle one the verdicts use, compared in integers with the full walk
     full = _full_walk(n)
     for cut in range(max(n - 2, 0) + 1):
-        _, heads, tails, f = _split(n, cut)
+        _, heads, tails, f, _ = _split(n, cut)
         assert f > 0 and len(heads) == 3 ** cut and len(heads) * len(tails) == len(full)
         assert [i for i, ((h, d), (b, e)) in enumerate(product(heads, tails))
                 if (full[i] - h - b) * f != d * e] == []
@@ -345,9 +345,9 @@ def test_class_members_are_rechecked_by_the_engine(monkeypatch):
     split = extremal_search._split
 
     def tampered(n, cut):
-        scale, heads, tails, f = split(n, cut)
-        b, e = tails[4]
-        return scale, heads, [*tails[:4], (b - 1000 * scale, e), *tails[5:]], f
+        out = split(n, cut)
+        b, e = out.tails[4]
+        return out._replace(tails=[*out.tails[:4], (b - 1000 * out.scale, e), *out.tails[5:]])
 
     monkeypatch.setattr(extremal_search, "_split", tampered)
     for search in extremes, find_extrema:
