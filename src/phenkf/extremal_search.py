@@ -675,15 +675,18 @@ def check_cap(n: int, cap: int):
 
 
 def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
-    """`extremes` with every code's Kf kept, one integer per code, for a
-    listing of every code.
+    """`extremes` with every code's Kf, one integer numerator per code,
+    for a listing of every code.
 
     The extremes and classes are those of `extremes`, and the numerators
-    come from the same halves: by the rank-3 identity derived there,
-    Kf(uv) = f(u) + g(v) - 2 t P(u) S(v), where t, N_A and N_B depend on
-    the cut's depth alone, code uv's numerator is A_u + B_v - C +
-    D_u E_v / F, one product and one checked division (`_split`).  They
-    are made as the listing reads them, so only the halves are kept.
+    come from the same halves: by the rank-3 identity derived there from
+    the header's formulas, Kf(uv) = f(u) + g(v) - 2 t P(u) S(v), where t,
+    N_A and N_B depend on the cut's depth alone (N_A and N_B count the
+    hexagons on each side, and t = 1/(R + rho) takes the two sides'
+    corner resistances, which depend on their hexagon counts alone).  So
+    code uv's numerator is A_u + B_v - C + D_u E_v / F, one product and
+    one checked division (`_split`).  They are made as the listing reads
+    them, so only the halves are kept.
     """
     count, split = _halves(n, cap)
     _, heads, tails, f, _ = split

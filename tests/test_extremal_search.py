@@ -268,7 +268,7 @@ def test_find_extrema_refuses_fewer_than_one_hexagon(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_streamed_route_matches_per_code_kf(n):
-    # the walk's integer numerators, folded or listed, against one
+    # the halves' integer numerators, as classes or listed, against one
     # kf_of_code per code: the listing's rows and JSON reports, both
     # classes and both verdicts
     kfs = {code: kf_of_code(code).kf for code in enumerate_words(n)}
@@ -301,7 +301,7 @@ def _full_walk(n):
     return list(_walk(start, _levels(n), _advance, lambda state, last: _kf(last, *state)))
 
 
-def _reference_fold(n, numerators):
+def _reference_scan(n, numerators):
     """(count, min numerator, max numerator, min codes, max codes) by
     scanning every numerator."""
     lo, hi = min(numerators), max(numerators)
@@ -318,11 +318,12 @@ def test_half_walk_matches_the_full_walk(n):
     # class kept in word order
     full = _full_walk(n)
     assert len(full) == 3 ** max(n - 2, 0)
+    assert full == full[::-1]  # Kf(w) = Kf(2 - w), the complement at the mirrored index
     table = find_extrema(n, cap=len(full))
     numerators = list(table.numerators)
     assert len(table.numerators) == len(numerators) == len(full)
     assert [i for i, k in enumerate(full) if numerators[i] != k] == []
-    count, lo, hi, min_codes, max_codes = _reference_fold(n, full)
+    count, lo, hi, min_codes, max_codes = _reference_scan(n, full)
     expected = (n, count, Fraction(lo, table.scale), Fraction(hi, table.scale), min_codes, max_codes)
     assert tuple(extremes(n, cap=len(full))) == tuple(table[:6]) == expected
 
@@ -362,13 +363,14 @@ def _envelope_scan(lines, xs):
 @pytest.mark.parametrize("lines", [
     [(3, 0), (1, 4), (1, 4), (1, 4), (-2, 30), (-2, 30)],
     [(2, 5), (2, -7), (2, 1), (0, 3), (0, -1), (0, 8), (-3, 40), (-3, 20)],
-    [(2, -4), (1, -2), (0, 0), (-1, 2), (3, -7)],
+    [(4, -7), (2, -4), (0, 0), (-2, 4), (1, 9)],
     [(1, 0), (-1, 0), (0, 11), (0, -11), (5, 45), (-5, 45)],
     [(4, 1)],
 ], ids=["duplicated", "equal-slopes", "concurrent", "ties-at-both-ends", "one-line"])
 def test_lower_envelope_matches_a_scan(lines):
-    # duplicated lines; equal slopes; four lines through (2, 0), three of
-    # them on the hull; lines tied at -11 and 11, the ends of the queries.
+    # duplicated lines; equal slopes; three lines through (2, 0), the middle
+    # one lowest there alone; lines tied at -11 and 11, the ends of the
+    # queries.
     # The queries come unsorted and repeated, and the max is the envelope
     # of the negated lines, as the verdicts take it
     xs = [7, -11, 2, 2, 0, 11, -3, 5, -11, 1, 9, -8, 4, -1, 10, -6]
