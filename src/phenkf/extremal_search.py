@@ -309,9 +309,10 @@ def _levels(n: int, feet=False) -> tuple:
     blocks = c.blocks
     if feet:
         blocks = [b._replace(new_x=(0, 0), new_p=(0, 0), new_pp=(0, 0, 0)) for b in blocks]
-    levels = [tuple(_level(b, scales, 1 if feet else _CELL * (depth + 1), c.den) for b in blocks)
-              for depth, scales in enumerate(_scales(n - 1))]
-    return levels[:-1], levels[-1][0]
+    rows = [tuple(_level(b, scales, 1 if feet else _CELL * (depth + 1), c.den)
+                  for b in (blocks if depth < n - 2 else blocks[:1]))
+            for depth, scales in enumerate(_scales(n - 1))]
+    return rows[:-1], rows[-1][0]
 
 
 def _walk(start, levels: tuple, advance, finish):
@@ -337,64 +338,74 @@ def _walk(start, levels: tuple, advance, finish):
 
 class _Split(NamedTuple):
     """The codes with n hexagons cut after `cut` letters (`_split`): the
-    code of word uv has Kf numerator h_u + B_v + D_u E_v / f over `scale`,
-    with heads[u] = (h_u, D_u) per prefix u of `cut` letters and
-    tails[v] = (B_v, E_v) per suffix v, each in word order, and f > 0."""
+    code of word uv has Kf numerator (F_u + G_v) / den - p_u s_v over
+    `scale`, one product and one checked division, with heads[u] =
+    (F_u, p_u) per prefix u of `cut` letters and tails[v] = (G_v, s_v)
+    per suffix v, each in word order, and den > 0."""
 
     scale: int
     heads: list
     tails: list
-    f: int
+    den: int
     levels: object     # the `_levels(n)` the walks ran on, None for n = 1
+
+
+def _layer(rows, reverse=False) -> tuple:
+    """(states, S): the state (x, p, q, k) over S of every word over
+    `rows`, rows of `_levels`, each grown from the first hexagon's state a
+    letter at a time, one `_advance` per trie node below the root.  The
+    states are in word order, or with `reverse` in the word order of the
+    reversed words: each letter added is then the most significant."""
+    states, scale = [_transfer_constants().start], _SCALE
+    for row in rows:
+        states = ([_advance(state, c) for c in row for state in states] if reverse
+                  else [_advance(state, c) for state in states for c in row])
+        scale = row[0].scale
+    return states, scale
+
+
+def _seen_from_cut(x: int, p: int, q: int, k: int, size: int, scale: int) -> tuple:
+    """(y, s, s2, k) over `scale` of the far side B of a cut, from the
+    state of the chain of its `size` vertices read from its far end: B
+    adds the cut square's two single edges, and each moves a foot by 1."""
+    s = p + size * scale
+    return x, s, q + (p + s) * scale, k
 
 
 def _split(n: int, cut: int) -> _Split:
     """The _Split of the codes with n hexagons cut after `cut` letters,
     0 <= cut <= m = n - 2 (see `extremes`).
 
-    One walk of the prefix trie extends each prefix by v0 = 0^b and
-    v1 = 0^(b-1)2, for A_u = Kf(u v0) and Kf(u v1); two walks of the
-    suffix trie, from u0 = 0^cut and u1 = 0^(cut-1)2, give B_v = Kf(u0 v)
-    and Kf(u1 v).  Then h_u = A_u - C with C = Kf(u0 v0), D_u = M(u, v1),
-    E_v = M(u1, v) and F = M(u1, v1) for the mixed difference
-    M(u, v) = Kf(uv) - Kf(u v0) - Kf(u0 v) + C.  The four codes both
-    walks meet must agree, and F must not be 0.  With no letter on one
-    side there is no cross term: D = E = 0 and F = 1."""
+    The a = cut letters of u leave A, the first a + 1 hexagons, in its
+    state (x, p, q, k) over S_A.  The b = m - a letters of v and the
+    terminal hexagon make B, which less the cut square's two single edges
+    is the chain of b + 1 hexagons with the letters of rev(v), read from
+    its far end: its state (x, p, q, k) over S_B is that of rev(v) over
+    the same levels[:b], since a level depends only on its depth and
+    letter.  Each single edge moves a foot by 1, so B seen from the cut's
+    corners (`_seen_from_cut`) has s = p + N_B S_B, y = x, Kf k and
+    s2 = q + 2 p S_B + N_B S_B^2.  With N = 6 n and D = 2 S_(n-1), which
+    is S_A S_B (R_A + 2 + R_B) by the 2-sum identity, R_A and R_B the two
+    chains' corner resistances, t = S_A S_B / D, and
+        F_u = S_B ((k + N_B (x + p)) D - S_B (N q - p^2))
+    over D S_A S_B is f(u), G_v is the same of (y, s, s2, k) with the
+    sides swapped, and den = 2 S_A S_B.  With no letter on one side that
+    side is the first hexagon."""
     start = _transfer_constants().start
     if n == 1:
         return _Split(_SCALE, [(0, 0)], [(start[3], 0)], 1, None)
     table = levels, last = _levels(n)
-    prefix, tail = levels[:cut], levels[cut:]
+    b = len(levels) - cut
+    (prefixes, s_a), (suffixes, s_b) = _layer(levels[:cut]), _layer(levels[:b], reverse=True)
+    n_a, n_b, size, d = _CELL * (cut + 1), _CELL * (b + 1), _CELL * n, 2 * last.scale
 
-    def ends(state, last):  # (Kf(u v0), Kf(u v1)) of the prefix u
-        if not tail:
-            return 2 * (_kf(last, *state),)
-        for level in tail[:-1]:
-            state = _advance(state, level[0])
-        return tuple(_kf(last, *_advance(state, level)) for level in tail[-1][::2])
+    def read(x, p, q, k, n_far, s_far):  # F_u of a prefix, G_v of a suffix's (y, s, s2, k)
+        return s_far * ((k + n_far * (x + p)) * d - s_far * (size * q - p * p))
 
-    def kfs(letters):  # Kf(uv) for every suffix v of the prefix u = `letters`
-        state = start
-        for level, e in zip(prefix, letters):
-            state = _advance(state, level[e])
-        return list(_walk(state, (tail, last), _advance, lambda state, last: _kf(last, *state)))
-
-    heads = list(_walk(start, (prefix, last), _advance, ends))
-    b = kfs([0] * cut)
-    if not 0 < cut < len(levels):
-        return _Split(last.scale, [(a - b[0], 0) for a, _ in heads], [(k, 0) for k in b], 1, table)
-    b1 = kfs([0] * (cut - 1) + [2])
-    (c, c_v1), (c_u1, _) = heads[0], heads[2]
-    if (*heads[0], *heads[2]) != (b[0], b[2], b1[0], b1[2]):
-        raise ArithmeticError(f"the prefix and suffix walks of n={n} cut at {cut} disagree")
-    heads = [(a - c, a1 - a - c_v1 + c) for a, a1 in heads]
-    tails = [(k, k1 - k - c_u1 + c) for k, k1 in zip(b, b1)]
-    f = heads[2][1]
-    if not f:
-        raise ArithmeticError(f"the cross term of n={n} cut at {cut} has F = 0")
-    if f < 0:
-        f, heads = -f, [(h, -d) for h, d in heads]
-    return _Split(last.scale, heads, tails, f, table)
+    heads = [(read(*state, n_b, s_b), state[1]) for state in prefixes]
+    views = (_seen_from_cut(*state, n_b, s_b) for state in suffixes)
+    tails = [(read(*view, n_a, s_a), view[1]) for view in views]
+    return _Split(last.scale, heads, tails, 2 * s_a * s_b, table)
 
 
 def _halves(n: int, cap: int) -> tuple:
@@ -539,17 +550,18 @@ def _class(n: int, split: _Split, numerator: int, indices) -> tuple:
 
 def _extreme(n: int, split: _Split, sign: int) -> tuple:
     """(Kf, codes) of the least Kf of `split` for sign 1, the greatest for
-    sign -1: F sign Kf(uv) = F sign h_u + line_v(D_u), with the lines
-    line_v(x) = sign (E_v x + F B_v), whose lower envelope at D_u gives
-    each prefix's best suffix.  The lines are scanned only for the
-    prefixes that reach the extreme."""
-    _, heads, tails, f, _ = split
-    lines = [(sign * e, sign * f * b) for b, e in tails]
-    best = [sign * f * h + y for (h, _), y in zip(heads, _lower_envelope(lines, [d for _, d in heads]))]
+    sign -1: den sign (numerator of uv) = sign F_u + line_v(den p_u), with
+    the lines line_v(x) = sign (G_v - s_v x), whose lower envelope at
+    den p_u gives each prefix's best suffix.  The lines are scanned only
+    for the prefixes that reach the extreme."""
+    _, heads, tails, den, _ = split
+    lines = [(-sign * s, sign * g) for g, s in tails]
+    xs = [den * p for _, p in heads]
+    best = [sign * f + y for (f, _), y in zip(heads, _lower_envelope(lines, xs))]
     low = min(best)
-    at = [u * len(lines) + v for u, (h, d) in enumerate(heads) if best[u] == low
-          for v, (e, c) in enumerate(lines) if sign * f * h + e * d + c == low]
-    return _class(n, split, sign * _exact(low, f), at)
+    at = [u * len(lines) + v for u, (f, _) in enumerate(heads) if best[u] == low
+          for v, (m, c) in enumerate(lines) if sign * f + m * xs[u] + c == low]
+    return _class(n, split, sign * _exact(low, den), at)
 
 
 class Extremes(NamedTuple):
@@ -585,16 +597,14 @@ def extremes(n: int, cap=DEFAULT_CAP) -> Extremes:
     is a prefix of the reversed chain, so rho is 2 plus its R.  N_A and
     N_B count hexagons.  So
         Kf(uv) = f(u) + g(v) - 2 t P(u) S(v),
-    with t the same for every code, and over the one scale the numerators
-    of the prefixes by the suffixes form a matrix of rank at most 3.  Its
-    mixed difference M(u, v) (`_split`) is then -2 t (P(u) - P(u0))
-    (S(v) - S(v0)), a product, so M(u, v) F = M(u, v1) M(u1, v) and
-        Kf(uv) = A_u + B_v - C + D_u E_v / F.
+    with t the same for every code.  `_split` reads f(u) and P(u) off the
+    state of u, and g(v) and S(v) off the state of rev(v), one walk a
+    side, so that the numerator of uv is (F_u + G_v) / den - p_u s_v.
     For each prefix the least Kf is the lower envelope of the lines
-    (E_v, F B_v) read at D_u (`_lower_envelope`), the greatest the same of
-    the negated lines; every comparison is exact, on integers.  Each class
-    member's Kf is re-derived by `_transfer_kf` (`_class`).  The halves
-    are kept, nothing per code.
+    (-s_v, G_v) read at den p_u (`_lower_envelope`), the greatest the same
+    of the negated lines; every comparison is exact, on integers.  Each
+    class member's Kf is re-derived by `_transfer_kf` (`_class`).  The
+    halves are kept, nothing per code.
     """
     return _extremes(n, *_halves(n, cap))
 
@@ -679,18 +689,18 @@ def find_extrema(n: int, cap=DEFAULT_CAP) -> ExtremaTable:
     for a listing of every code.
 
     The extremes and classes are those of `extremes`, and the numerators
-    come from the same halves: by the rank-3 identity derived there from
-    the header's formulas, Kf(uv) = f(u) + g(v) - 2 t P(u) S(v), where t,
-    N_A and N_B depend on the cut's depth alone (N_A and N_B count the
+    come from the same halves: by the identity derived there from the
+    header's formulas, Kf(uv) = f(u) + g(v) - 2 t P(u) S(v), where t, N_A
+    and N_B depend on the cut's depth alone (N_A and N_B count the
     hexagons on each side, and t = 1/(R + rho) takes the two sides'
     corner resistances, which depend on their hexagon counts alone).  So
-    code uv's numerator is A_u + B_v - C + D_u E_v / F, one product and
+    code uv's numerator is (F_u + G_v) / den - p_u s_v, one product and
     one checked division (`_split`).  They are made as the listing reads
     them, so only the halves are kept.
     """
     count, split = _halves(n, cap)
-    _, heads, tails, f, _ = split
-    numerators = _LazyList(lambda: (h + b + _exact(d * e, f) for h, d in heads for b, e in tails), count)
+    _, heads, tails, den, _ = split
+    numerators = _LazyList(lambda: (_exact(f + g, den) - p * s for f, p in heads for g, s in tails), count)
     return ExtremaTable(*_extremes(n, count, split), split.scale, numerators)
 
 

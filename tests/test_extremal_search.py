@@ -29,9 +29,11 @@ from phenkf.extremal_search import (
     _block,
     _code_at,
     _kf,
+    _layer,
     _levels,
     _lower_envelope,
     _scales,
+    _seen_from_cut,
     _split,
     _transfer_constants,
     _walk,
@@ -63,6 +65,7 @@ from phenkf.resistance_engine import (
     effective_resistance,
     grounded_resistances,
     kirchhoff_index,
+    resistance_matrix,
     simplify_chain_circuit,
     step_preserves_resistances,
     terminal_resistances,
@@ -330,25 +333,71 @@ def test_half_walk_matches_the_full_walk(n):
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_split_identity_holds_at_every_cut(n):
-    # Kf(uv) = A_u + B_v - C + D_u E_v / F at every cut, not only the
-    # middle one the verdicts use, compared in integers with the full walk
+    # (F_u + G_v) / den - p_u s_v at every cut, not only the middle one the
+    # verdicts use, compared in integers with the full walk
     full = _full_walk(n)
     for cut in range(max(n - 2, 0) + 1):
-        _, heads, tails, f, _ = _split(n, cut)
-        assert f > 0 and len(heads) == 3 ** cut and len(heads) * len(tails) == len(full)
-        assert [i for i, ((h, d), (b, e)) in enumerate(product(heads, tails))
-                if (full[i] - h - b) * f != d * e] == []
+        _, heads, tails, den, _ = _split(n, cut)
+        assert den > 0 and len(heads) == 3 ** cut and len(heads) * len(tails) == len(full)
+        assert [i for i, ((f, p), (g, s)) in enumerate(product(heads, tails))
+                if (full[i] + p * s) * den != f + g] == []
+
+
+@pytest.mark.parametrize("b", range(7))
+def test_suffix_readings_match_their_own_networks(b):
+    # every suffix v of b letters, read off the forward state of rev(v)
+    # (_layer reversed, then _seen_from_cut), against resistance_matrix of
+    # its own network, hexagons 2..n of the code v and the first square's
+    # single edges, with the star sums, Kf and rho = 2 + R worked out here
+    n = b + 2
+    levels, _ = _levels(n)
+    states, scale = _layer(levels[:b], reverse=True)
+    rho = 2 + Fraction(levels[b - 1][0].r if b else _transfer_constants().r, scale)
+    assert len(states) == 3 ** b
+    for word, state in zip(product(range(3), repeat=b), states):
+        chain = build_chain(ChainCode(n, word))
+        a, _, _, l = chain.square_corners[0]
+        far = [v for hexagon in chain.hexagons[1:] for v in hexagon]
+        cells = chain.network.induced({a, l, *far})
+        r = resistance_matrix(ResistanceNetwork(
+            [e for e in cells.edges if {e.u, e.v} != {a, l}])).resistance
+        feet = [(r(v, a) - r(v, l) + r(a, l)) / 2 for v in far]
+        pendants = [(r(v, a) + r(v, l) - r(a, l)) / 2 for v in far]
+        kf = sum(r(u, v) for i, u in enumerate(far) for v in far[i + 1:])
+        y, s, s2, k = _seen_from_cut(*state, len(far), scale)
+        assert (Fraction(y, scale), Fraction(s, scale), Fraction(s2, scale ** 2), Fraction(k, scale)) == \
+            (sum(pendants), sum(feet), sum(f * f for f in feet), kf), word
+        assert r(a, l) == rho
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_split_advances_each_trie_node_of_its_halves_once(monkeypatch, n):
+    # one walk a side: 3 + 9 + ... + 3^a advances for the prefixes and the
+    # same to 3^b for the suffixes, nothing to extend a prefix and no
+    # second suffix walk
+    advance, calls = extremal_search._advance, []
+
+    def counting(state, level):
+        calls.append(None)
+        return advance(state, level)
+
+    monkeypatch.setattr(extremal_search, "_advance", counting)
+    m = n - 2
+    for cut in range(m + 1):
+        calls.clear()
+        _split(n, cut)
+        assert len(calls) == (3 ** (cut + 1) - 3) // 2 + (3 ** (m - cut + 1) - 3) // 2
 
 
 def test_class_members_are_rechecked_by_the_engine(monkeypatch):
-    # one suffix's line lowered by 1000 in Kf: its codes reach the minimum
+    # one suffix's G lowered by 1000 in Kf: its codes reach the minimum
     # with a value the engine, run on each class member, refuses
     split = extremal_search._split
 
     def tampered(n, cut):
         out = split(n, cut)
-        b, e = out.tails[4]
-        return out._replace(tails=[*out.tails[:4], (b - 1000 * out.scale, e), *out.tails[5:]])
+        g, s = out.tails[4]
+        return out._replace(tails=[*out.tails[:4], (g - 1000 * out.den * out.scale, s), *out.tails[5:]])
 
     monkeypatch.setattr(extremal_search, "_split", tampered)
     for search in extremes, find_extrema:
