@@ -337,11 +337,10 @@ def _walk(start, levels: tuple, advance, finish):
 
 
 class _Split(NamedTuple):
-    """The codes with n hexagons cut after `cut` letters (`_split`): the
-    code of word uv has Kf numerator (F_u + G_v) / den - p_u s_v over
-    `scale`, one product and one checked division, with heads[u] =
-    (F_u, p_u) per prefix u of `cut` letters and tails[v] = (G_v, s_v)
-    per suffix v, each in word order, and den > 0."""
+    """The codes with n hexagons cut after `cut` letters (`_split`): word
+    uv's Kf numerator over `scale` is (F_u + G_v) / den - p_u s_v, with
+    heads[u] = (F_u, p_u) per prefix u of `cut` letters and tails[v] =
+    (G_v, s_v) per suffix v, each in word order, and den > 0."""
 
     scale: int
     heads: list
@@ -352,48 +351,39 @@ class _Split(NamedTuple):
 
 def _layer(rows, reverse=False) -> tuple:
     """(states, S): the state (x, p, q, k) over S of every word over
-    `rows`, rows of `_levels`, each grown from the first hexagon's state a
-    letter at a time, one `_advance` per trie node below the root.  The
-    states are in word order, or with `reverse` in the word order of the
-    reversed words: each letter added is then the most significant."""
-    states, scale = [_transfer_constants().start], _SCALE
+    `rows` (of `_levels`), grown from the first hexagon a letter at a
+    time, one `_advance` per trie node below the root, in word order or,
+    with `reverse`, in the word order of the reversed words."""
+    states = [_transfer_constants().start]
     for row in rows:
         states = ([_advance(state, c) for c in row for state in states] if reverse
                   else [_advance(state, c) for state in states for c in row])
-        scale = row[0].scale
-    return states, scale
+    return states, rows[-1][0].scale if rows else _SCALE
 
 
 def _seen_from_cut(x: int, p: int, q: int, k: int, size: int, scale: int) -> tuple:
     """(y, s, s2, k) over `scale` of the far side B of a cut, from the
     state of the chain of its `size` vertices read from its far end: B
     adds the cut square's two single edges, and each moves a foot by 1."""
-    s = p + size * scale
-    return x, s, q + (p + s) * scale, k
+    return x, p + size * scale, q + (2 * p + size * scale) * scale, k
 
 
 def _split(n: int, cut: int) -> _Split:
     """The _Split of the codes with n hexagons cut after `cut` letters,
     0 <= cut <= m = n - 2 (see `extremes`).
 
-    The a = cut letters of u leave A, the first a + 1 hexagons, in its
-    state (x, p, q, k) over S_A.  The b = m - a letters of v and the
-    terminal hexagon make B, which less the cut square's two single edges
-    is the chain of b + 1 hexagons with the letters of rev(v), read from
-    its far end: its state (x, p, q, k) over S_B is that of rev(v) over
-    the same levels[:b], since a level depends only on its depth and
-    letter.  Each single edge moves a foot by 1, so B seen from the cut's
-    corners (`_seen_from_cut`) has s = p + N_B S_B, y = x, Kf k and
-    s2 = q + 2 p S_B + N_B S_B^2.  With N = 6 n and D = 2 S_(n-1), which
-    is S_A S_B (R_A + 2 + R_B) by the 2-sum identity, R_A and R_B the two
-    chains' corner resistances, t = S_A S_B / D, and
+    The a = cut letters of u leave A, the first a + 1 hexagons, in the
+    state (x, p, q, k) of u over S_A.  B, the rest, less the cut square's
+    two single edges is the chain of b + 1 hexagons with the letters of
+    rev(v) read from its far end, so `_seen_from_cut` of the state of
+    rev(v) over the same levels[:b] reads it, over S_B: a level depends
+    only on its depth and letter.  With N = 6 n and D = 2 S_(n-1), which
+    is S_A S_B (R_A + 2 + R_B) by the 2-sum identity, t = S_A S_B / D and
         F_u = S_B ((k + N_B (x + p)) D - S_B (N q - p^2))
     over D S_A S_B is f(u), G_v is the same of (y, s, s2, k) with the
-    sides swapped, and den = 2 S_A S_B.  With no letter on one side that
-    side is the first hexagon."""
-    start = _transfer_constants().start
+    sides swapped, and den = 2 S_A S_B; an empty side is the first hexagon."""
     if n == 1:
-        return _Split(_SCALE, [(0, 0)], [(start[3], 0)], 1, None)
+        return _Split(_SCALE, [(0, 0)], [(_transfer_constants().start[3], 0)], 1, None)
     table = levels, last = _levels(n)
     b = len(levels) - cut
     (prefixes, s_a), (suffixes, s_b) = _layer(levels[:cut]), _layer(levels[:b], reverse=True)
@@ -551,9 +541,8 @@ def _class(n: int, split: _Split, numerator: int, indices) -> tuple:
 def _extreme(n: int, split: _Split, sign: int) -> tuple:
     """(Kf, codes) of the least Kf of `split` for sign 1, the greatest for
     sign -1: den sign (numerator of uv) = sign F_u + line_v(den p_u), with
-    the lines line_v(x) = sign (G_v - s_v x), whose lower envelope at
-    den p_u gives each prefix's best suffix.  The lines are scanned only
-    for the prefixes that reach the extreme."""
+    line_v(x) = sign (G_v - s_v x); their lower envelope gives each prefix's
+    best suffix, and they are scanned only for prefixes at the extreme."""
     _, heads, tails, den, _ = split
     lines = [(-sign * s, sign * g) for g, s in tails]
     xs = [den * p for _, p in heads]
