@@ -349,16 +349,18 @@ class _Split(NamedTuple):
     levels: object     # the `_levels(n)` the walks ran on, None for n = 1
 
 
-def _layer(rows, reverse=False) -> tuple:
-    """(states, S): the state (x, p, q, k) over S of every word over
-    `rows` (of `_levels`), grown from the first hexagon a letter at a
-    time, one `_advance` per trie node below the root, in word order or,
-    with `reverse`, in the word order of the reversed words."""
-    states = [_transfer_constants().start]
-    for row in rows:
-        states = ([_advance(state, c) for c in row for state in states] if reverse
-                  else [_advance(state, c) for state in states for c in row])
-    return states, rows[-1][0].scale if rows else _SCALE
+def _layer(rows, reverse=False):
+    """The state (x, p, q, k), over the last row's S, of every word over
+    `rows` (of `_levels`), grown from the first hexagon a letter at a time,
+    one `_advance` per trie node below the root, in word order or, with
+    `reverse`, in the word order of the reversed words.  The leaves are
+    made as they are read, so a reader that keeps only its readings never
+    holds them all."""
+    if not rows:
+        return iter([_transfer_constants().start])
+    states, row = list(_layer(rows[:-1], reverse)), rows[-1]
+    return ((_advance(state, c) for c in row for state in states) if reverse
+            else (_advance(state, c) for state in states for c in row))
 
 
 def _seen_from_cut(x: int, p: int, q: int, k: int, size: int, scale: int) -> tuple:
@@ -386,15 +388,14 @@ def _split(n: int, cut: int) -> _Split:
         return _Split(_SCALE, [(0, 0)], [(_transfer_constants().start[3], 0)], 1, None)
     table = levels, last = _levels(n)
     b = len(levels) - cut
-    (prefixes, s_a), (suffixes, s_b) = _layer(levels[:cut]), _layer(levels[:b], reverse=True)
+    s_a, s_b = (levels[depth - 1][0].scale if depth else _SCALE for depth in (cut, b))
     n_a, n_b, size, d = _CELL * (cut + 1), _CELL * (b + 1), _CELL * n, 2 * last.scale
 
-    def read(x, p, q, k, n_far, s_far):  # F_u of a prefix, G_v of a suffix's (y, s, s2, k)
-        return s_far * ((k + n_far * (x + p)) * d - s_far * (size * q - p * p))
+    def read(x, p, q, k, n_far, s_far):  # (F_u, p_u) of a prefix, (G_v, s_v) of a suffix's (y, s, s2, k)
+        return s_far * ((k + n_far * (x + p)) * d - s_far * (size * q - p * p)), p
 
-    heads = [(read(*state, n_b, s_b), state[1]) for state in prefixes]
-    views = (_seen_from_cut(*state, n_b, s_b) for state in suffixes)
-    tails = [(read(*view, n_a, s_a), view[1]) for view in views]
+    heads = [read(*state, n_b, s_b) for state in _layer(levels[:cut])]
+    tails = [read(*_seen_from_cut(*state, n_b, s_b), n_a, s_a) for state in _layer(levels[:b], reverse=True)]
     return _Split(last.scale, heads, tails, 2 * s_a * s_b, table)
 
 

@@ -254,7 +254,7 @@ def test_kf_refuses_chains_past_its_bound(code, flags, message):
     (("verify", "conjecture"), "verify conjecture"),
 ], ids=["extrema", "theorem1", "conjecture"])
 def test_search_refuses_chains_past_its_bound(args, route):
-    # refused after the cap and before any walk; n = 24 itself takes 12-14 s
+    # refused after the cap and before any walk; n = 24 itself takes about 3 s
     proc = run_cli(*args, "--n", "25", "--cap", str(3 ** 23), check=False, timeout=2)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {route} takes at most 24 hexagons, got n=25\n"

@@ -22,6 +22,7 @@ from phenkf.chain_model import (
 from phenkf.extremal_search import (
     KfReport,
     SearchCapExceeded,
+    _SCALE,
     _TREES,
     _Level,
     _advance,
@@ -351,8 +352,9 @@ def test_suffix_readings_match_their_own_networks(b):
     # single edges, with the star sums, Kf and rho = 2 + R worked out here
     n = b + 2
     levels, _ = _levels(n)
-    states, scale = _layer(levels[:b], reverse=True)
-    rho = 2 + Fraction(levels[b - 1][0].r if b else _transfer_constants().r, scale)
+    states = list(_layer(levels[:b], reverse=True))
+    scale, r_scaled = (levels[b - 1][0].scale, levels[b - 1][0].r) if b else (_SCALE, _transfer_constants().r)
+    rho = 2 + Fraction(r_scaled, scale)
     assert len(states) == 3 ** b
     for word, state in zip(product(range(3), repeat=b), states):
         chain = build_chain(ChainCode(n, word))
@@ -450,8 +452,9 @@ def test_mirrored_rows_match_per_code_kf(n):
 
 @pytest.mark.parametrize("n", [7, 9, 11, 13])
 def test_verdict_advances_the_states_of_its_halves(monkeypatch, n):
-    # the halves hold 3^ceil(m/2) states a side, each extended by at most m
-    # letters, where the walk of every code advances 3^m leaves and more
+    # the halves hold 3^ceil(m/2) states a side and each class member's
+    # re-check walks m + 1 levels, where the walk of every code advances
+    # 3^m leaves and more
     advance, calls = extremal_search._advance, []
 
     def counting(state, level):
